@@ -329,3 +329,64 @@ func TestCSVHeaderPinned(t *testing.T) {
 		t.Errorf("CSV header changed:\ngot  %s\nwant %s", got, want)
 	}
 }
+
+// seedcompatMissionSpecs are the mission sweeps whose output was committed
+// before mission observation moved onto the per-round flow view. The rotor
+// sweep covers every mission family over a dense ring (k >= n/8, which runs
+// on the ring kernel, and on the held ring kernel under delay), a sparse
+// ring, a grid and a torus, plain and composed with delay and reset
+// schedules; the walk sweep covers the flow-reading families in both walk
+// modes (per-agent for k < 2n, counts for k >= 2n). An explicit MaxRounds
+// keeps predicate missions that never fire (return from a transient start)
+// to short mission_timeout rows. Rows are concatenated in slice order. Do
+// not edit the specs and never regenerate the golden: it is the contract.
+func seedcompatMissionSpecs() []SweepSpec {
+	return []SweepSpec{
+		{
+			Topologies: []Topo{"ring", "grid:6x6", "torus:6x6"},
+			Sizes:      []int{64},
+			Agents:     []int{3, 16},
+			Placements: []Placement{PlaceRandom},
+			Pointers:   []Pointer{PtrRandom},
+			Process:    "rotor",
+			Metric:     "cover",
+			Schedules:  []Schedule{"none", "delay:p=0.25,until=96", "reset:t=48"},
+			Missions: []Mission{"explore", "return", "quiesce:window=256",
+				"patrol:horizon=512", "balance:horizon=512,warmup=0"},
+			MaxRounds: 4096,
+			Replicas:  2,
+			Seed:      1313,
+		},
+		{
+			Topologies: []Topo{"ring", "torus:6x6"},
+			Sizes:      []int{64},
+			Agents:     []int{4, 160},
+			Placements: []Placement{PlaceRandom},
+			Process:    "walk",
+			Metric:     "cover",
+			Missions:   []Mission{"explore", "patrol:horizon=512", "balance:horizon=512,warmup=0"},
+			MaxRounds:  4096,
+			Replicas:   2,
+			Seed:       1314,
+		},
+	}
+}
+
+// TestSeedCompatMissions proves mission rows stay byte-identical to the
+// output committed before missions read the flow view, on every kernel tier
+// a mission cell selects.
+func TestSeedCompatMissions(t *testing.T) {
+	var jsonl bytes.Buffer
+	for _, spec := range seedcompatMissionSpecs() {
+		if _, err := New(Workers(3)).Run(spec, NewJSONLSink(&jsonl)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "seedcompat_missions.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(jsonl.Bytes(), want) {
+		t.Errorf("mission output drifted from the golden (%d vs %d bytes)", jsonl.Len(), len(want))
+	}
+}
