@@ -6,7 +6,7 @@ GO ?= go
 # Benchtime for bench-kernels; CI smoke uses 1x, local comparisons 1s+.
 BENCHTIME ?= 1s
 
-.PHONY: all build vet fmt fmt-check test race race-short bench-smoke bench-kernels bench-baseline bench-json examples-smoke fuzz-smoke service-smoke chaos-smoke cluster-smoke verify ci clean
+.PHONY: all build vet fmt fmt-check test race race-short bench-smoke bench-kernels bench-baseline bench-json bench-check examples-smoke fuzz-smoke service-smoke chaos-smoke cluster-smoke verify ci clean
 
 all: verify
 
@@ -65,6 +65,13 @@ FORCE ?=
 bench-json:
 	$(GO) test -count=1 ./internal/engine -run TestEmitBenchJSON -bench-json $(CURDIR)/BENCH_engine.json -v $(if $(FORCE),-bench-force)
 
+# Vet and test the benchmark harness. perfbench/ is a separate module that
+# imports internal packages, so `go test ./...` skips it and an internal API
+# change could break the benchmark unnoticed.
+bench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # Execute every example with small parameters: examples are user-facing
 # API documentation, so CI proves they run, not just compile.
 examples-smoke:
@@ -111,7 +118,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzParseMission$$' -fuzztime $(FUZZTIME)
 
-ci: build vet fmt-check race bench-smoke bench-kernels-smoke examples-smoke service-smoke chaos-smoke cluster-smoke fuzz-smoke
+ci: build vet fmt-check race bench-smoke bench-kernels-smoke bench-check examples-smoke service-smoke chaos-smoke cluster-smoke fuzz-smoke
 
 # CI variant of bench-kernels: single iteration, still exercises every tier.
 .PHONY: bench-kernels-smoke

@@ -168,8 +168,7 @@ func BenchmarkFig1Borders(b *testing.B) {
 	}
 	sys, err := core.NewSystem(g,
 		core.WithAgentsAt(starts...),
-		core.WithPointers(ptr),
-		core.WithFlowRecording())
+		core.WithPointers(ptr))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -223,8 +222,7 @@ func BenchmarkLemma12Domains(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys, err := core.NewSystem(g,
 			core.WithAgentsAt(core.AllOnNode(0, k)...),
-			core.WithPointers(ptr),
-			core.WithFlowRecording())
+			core.WithPointers(ptr))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -72,8 +72,7 @@ func run(args []string, out io.Writer) error {
 
 	sys, err := core.NewSystem(g,
 		core.WithAgentsAt(starts...),
-		core.WithPointers(ptr),
-		core.WithFlowRecording())
+		core.WithPointers(ptr))
 	if err != nil {
 		return err
 	}

@@ -15,9 +15,10 @@
 // with dense-enough agent populations, NewSystem selects a specialized flat
 // kernel whose rounds are a few linear scans with direct v±1 addressing and
 // closed-form degree-2 port splits — bit-identical to the generic engine,
-// several times faster. WithKernelMode forces either tier; flow or arc
-// recording, per-round holds, and anything off the ring/path fall back to
-// the generic path automatically.
+// several times faster. WithKernelMode forces either tier; anything off the
+// ring/path runs on the generic path. Every tier leaves the round's movers
+// behind, so ForEachFlow reads the last round's per-arc flows on demand
+// without recording anything while stepping.
 //
 // The engine also supports delayed deployments (§2.1): StepHeld freezes a
 // chosen number of agents per node for one round, which is the primitive
@@ -89,16 +90,15 @@ type System struct {
 	st kernel.State
 
 	// fast is the specialized kernel selected for this system (nil when
-	// only the generic engine applies). Fully-active rounds without flow
-	// or arc recording run on it — and held rounds too, when the kernel
-	// implements kernel.HeldStepper; everything else takes the generic
-	// path. parShards fixes the shard count under KernelParallel (0 =
-	// GOMAXPROCS at step time).
+	// only the generic engine applies). Fully-active rounds run on it —
+	// and held rounds too, when the kernel implements kernel.HeldStepper;
+	// everything else takes the generic path. parShards fixes the shard
+	// count under KernelParallel (0 = GOMAXPROCS at step time).
 	fast      kernel.Stepper
 	kmode     KernelMode
 	parShards int
 
-	ptr0 []int32 // initial pointers, for the arc-traversal law and Reset
+	ptr0 []int32 // initial pointers, for InitialPointer and Reset
 	ag0  []int64 // initial agent counts, for Reset
 
 	// The occupied list is generic-engine bookkeeping: specialized kernels
@@ -125,27 +125,28 @@ type System struct {
 	oldCnt    []int64 // agents[v] before this round's first modification
 	changed   []int   // nodes touched this round
 
-	// Optional per-round flow recording (per arc of the last completed
-	// round), used by the ring domain tracker.
-	recordFlows  bool
-	flows        []int64
-	flowsTouched []int
-
-	// Optional cumulative per-arc traversal counters.
-	recordArcs bool
-	arcCount   []int64
-
-	// Optional per-move arc observer (SetArcObserver): called from the
-	// generic move loop for every (source, port, count) batch of agents
-	// traversing an arc. Like flow/arc recording, an installed observer
-	// excludes the specialized kernels (which do not fire it).
-	arcObs func(v, port int, agents int64)
+	// movers says where ForEachFlow finds the last round's movers:
+	// srcNode/srcCnt after a generic round, st.Scratch (the pre-round
+	// counts a kernel swapped out) minus the clamped held after a kernel
+	// round. held is that kernel round's hold vector, nil when it was
+	// fully active.
+	movers moverSource
+	held   []int64
 
 	// Scratch buffers reused across rounds.
 	srcNode []int
 	srcCnt  []int64
 	cand    []int
 }
+
+// moverSource tells ForEachFlow where the last round left its movers.
+type moverSource uint8
+
+const (
+	moversNone    moverSource = iota // no round since the view was emptied
+	moversGeneric                    // srcNode/srcCnt
+	moversKernel                     // st.Scratch minus the clamped held
+)
 
 // Option configures a System at construction time.
 type Option func(*config) error
@@ -154,8 +155,6 @@ type config struct {
 	positions []int
 	counts    []int64
 	pointers  []int
-	flows     bool
-	arcs      bool
 	hash      bool
 	kmode     KernelMode
 	parShards int
@@ -185,26 +184,6 @@ func WithAgentCounts(counts []int64) Option {
 func WithPointers(pointers []int) Option {
 	return func(c *config) error {
 		c.pointers = append([]int(nil), pointers...)
-		return nil
-	}
-}
-
-// WithFlowRecording enables per-round arc flow recording (LastFlow), needed
-// by the domain tracker. It costs O(moved arcs) extra per round and pins
-// the system to the generic stepping engine.
-func WithFlowRecording() Option {
-	return func(c *config) error {
-		c.flows = true
-		return nil
-	}
-}
-
-// WithArcCounting enables cumulative per-arc traversal counters
-// (ArcTraversals), used by the Eulerian-circulation checks. Like flow
-// recording it pins the system to the generic stepping engine.
-func WithArcCounting() Option {
-	return func(c *config) error {
-		c.arcs = true
 		return nil
 	}
 }
@@ -328,15 +307,6 @@ func NewSystem(g *graph.Graph, opts ...Option) (*System, error) {
 		s.st.CoverRound = 0
 	}
 
-	if c.flows {
-		s.recordFlows = true
-		s.flows = make([]int64, g.NumArcs())
-	}
-	if c.arcs {
-		s.recordArcs = true
-		s.arcCount = make([]int64, g.NumArcs())
-	}
-
 	s.reselectKernel()
 
 	if c.hash {
@@ -346,13 +316,12 @@ func NewSystem(g *graph.Graph, opts ...Option) (*System, error) {
 }
 
 // reselectKernel re-evaluates the specialized-kernel choice for the current
-// graph, agent count and mode. Flow and arc recording happen inside the
-// generic move loop, so they exclude the specialized kernels. Called at
-// construction and again whenever the topology or population changes
-// (Rewire, AddAgents, RemoveAgents): fast paths re-specialize when the new
-// shape has a kernel and fall back to the generic engine otherwise.
+// graph, agent count and mode. Called at construction and again whenever
+// the topology or population changes (Rewire, AddAgents, RemoveAgents):
+// fast paths re-specialize when the new shape has a kernel and fall back to
+// the generic engine otherwise.
 func (s *System) reselectKernel() {
-	if s.kmode != KernelGeneric && !s.recordFlows && !s.recordArcs && s.arcObs == nil {
+	if s.kmode != KernelGeneric {
 		force := s.kmode == KernelFast || s.kmode == KernelParallel
 		s.fast = kernel.Select(s.g, s.k, force)
 		if s.kmode == KernelParallel {
@@ -364,18 +333,6 @@ func (s *System) reselectKernel() {
 	} else {
 		s.fast = nil
 	}
-}
-
-// SetArcObserver installs fn as the per-move arc observer. During every
-// subsequent round, fn is invoked once per (source vertex, port) group of
-// agents that traverses the corresponding arc, with the number of agents in
-// the group. Observation happens inside the generic move loop, so a non-nil
-// observer excludes the specialized kernels (like flow recording); pass nil
-// to remove the observer and restore fast-kernel eligibility. The observer
-// is not copied by Clone.
-func (s *System) SetArcObserver(fn func(v, port int, agents int64)) {
-	s.arcObs = fn
-	s.reselectKernel()
 }
 
 // Graph returns the topology the system runs on.
@@ -489,16 +446,77 @@ func (s *System) LastVisited() []int {
 	return s.st.LastVisited
 }
 
-// LastFlow returns how many agents traversed the arc leaving v through port
-// p during the last completed round. Requires WithFlowRecording.
-func (s *System) LastFlow(v, p int) int64 {
-	return s.flows[s.g.ArcID(v, p)]
+// ForEachFlow calls f(v, port, agents) for every arc that agents traversed
+// in the last completed round, with agents >= 1 the number that crossed
+// it, each arc once and in no particular order. f must not mutate the
+// system.
+//
+// Nothing is recorded while stepping: an arc's flow is a pure function of
+// its source's movers, pointer after the round and degree, and every tier
+// leaves the movers behind. A read costs O(arcs moved) after a generic
+// round and O(n) after a kernel round. The view is empty before the first
+// round and after Reset, Rewire and SetPointers (which move the pointers
+// the flows derive from), and starts empty in a Clone; AddAgents,
+// RemoveAgents and ResetCoverage leave it intact.
+func (s *System) ForEachFlow(f func(v, port int, agents int64)) {
+	g, ptr := s.g, s.st.Ptr
+	switch s.movers {
+	case moversGeneric:
+		for i, v := range s.srcNode {
+			if m := s.srcCnt[i]; m > 0 {
+				emitFlows(v, m, g.Degree(v), int(ptr[v]), f)
+			}
+		}
+	case moversKernel:
+		// Kernels run on rings and paths only, so degrees are at most 2 and
+		// the split is closed-form: the port the round started at carried
+		// ceil(m/2) and the other port floor(m/2). Only path endpoints have
+		// a single port.
+		held, last := s.held, len(s.st.Scratch)-1
+		for v, m := range s.st.Scratch {
+			if held != nil {
+				m -= min(max(held[v], 0), m)
+			}
+			if m == 0 {
+				continue
+			}
+			if (v == 0 || v == last) && g.Degree(v) == 1 {
+				f(v, 0, m)
+				continue
+			}
+			p := int(ptr[v]^int32(m&1)) & 1 // (π_v - m) mod 2
+			f(v, p, (m+1)>>1)
+			if m > 1 {
+				f(v, p^1, m>>1)
+			}
+		}
+	}
 }
 
-// ArcTraversals returns the cumulative number of traversals of the arc
-// leaving v through port p. Requires WithArcCounting.
-func (s *System) ArcTraversals(v, p int) int64 {
-	return s.arcCount[s.g.ArcID(v, p)]
+// emitFlows replays the port split of the m >= 1 agents that left v, of
+// degree d and pointer ptr after the round, exactly as the generic move
+// loop sent them: from the pointer the round started at, the first m mod d
+// ports carried ceil(m/d) agents and, when m >= d, the rest floor(m/d).
+func emitFlows(v int, m int64, d, ptr int, f func(v, port int, agents int64)) {
+	q, r := m/int64(d), int(m%int64(d))
+	port := ptr - r // the round started at (ptr - m) mod d
+	if port < 0 {
+		port += d
+	}
+	n := d
+	if q == 0 {
+		n = r
+	}
+	for j := 0; j < n; j++ {
+		if j < r {
+			f(v, port, q+1)
+		} else {
+			f(v, port, q)
+		}
+		if port++; port == d {
+			port = 0
+		}
+	}
 }
 
 // Step runs one synchronous round with every agent active.
@@ -507,6 +525,7 @@ func (s *System) Step() {
 		s.fast.Step(&s.st)
 		s.occValid = false
 		s.lastVisitedFast = true
+		s.movers, s.held = moversKernel, nil
 		return
 	}
 	s.StepHeld(nil)
@@ -555,6 +574,9 @@ func (s *System) touchAgents(v int) {
 // on a system with a specialized kernel is equivalent to Step but
 // deliberately takes the generic path — it is the reference arm of the
 // differential tests.
+//
+// A kernel round keeps a reference to held for ForEachFlow, so a caller
+// that reads the round's flows must leave held unchanged until then.
 func (s *System) StepHeld(held []int64) {
 	if held != nil && s.fast != nil {
 		if hs, ok := s.fast.(kernel.HeldStepper); ok {
@@ -564,18 +586,12 @@ func (s *System) StepHeld(held []int64) {
 			// stayers are occupied but not visited, so it cannot be derived
 			// from occupancy the way fully-active rounds allow).
 			s.lastVisitedFast = false
+			s.movers, s.held = moversKernel, held
 			return
 		}
 	}
 	s.ensureOccupied()
-
-	// Zero last round's flow records lazily (touched arcs only).
-	if s.recordFlows {
-		for _, id := range s.flowsTouched {
-			s.flows[id] = 0
-		}
-		s.flowsTouched = s.flowsTouched[:0]
-	}
+	s.movers, s.held = moversGeneric, nil
 
 	hashOn := s.st.HashOn
 
@@ -649,19 +665,6 @@ func (s *System) StepHeld(held []int64) {
 			if s.st.VisitStamp[dest] != s.st.Round+1 {
 				s.st.VisitStamp[dest] = s.st.Round + 1
 				s.st.LastVisited = append(s.st.LastVisited, dest)
-			}
-			if s.recordFlows {
-				id := s.g.ArcID(v, port)
-				if s.flows[id] == 0 {
-					s.flowsTouched = append(s.flowsTouched, id)
-				}
-				s.flows[id] += cnt
-			}
-			if s.recordArcs {
-				s.arcCount[s.g.ArcID(v, port)] += cnt
-			}
-			if s.arcObs != nil {
-				s.arcObs(v, port, cnt)
 			}
 		}
 		s.st.Exits[v] += m
@@ -742,7 +745,7 @@ func (s *System) StateEqual(o *System) bool {
 }
 
 // Clone returns a deep copy of the system sharing only the immutable graph
-// and the (stateless) stepping kernel.
+// and the (stateless) stepping kernel. The copy's flow view starts empty.
 func (s *System) Clone() *System {
 	c := &System{
 		g:               s.g,
@@ -762,24 +765,11 @@ func (s *System) Clone() *System {
 		lastVisitedFast: s.lastVisitedFast,
 		lastTouch:       make([]int64, s.n),
 		oldCnt:          make([]int64, s.n),
-
-		recordFlows: s.recordFlows,
-		recordArcs:  s.recordArcs,
 	}
-	if s.recordFlows {
-		c.flows = append([]int64(nil), s.flows...)
-		c.flowsTouched = append([]int(nil), s.flowsTouched...)
-	}
-	if s.recordArcs {
-		c.arcCount = append([]int64(nil), s.arcCount...)
-	}
-	// The arc observer is not cloned: it is a closure over caller state tied
-	// to the original system. Without it the clone may be fast-kernel
-	// eligible again, so re-evaluate instead of inheriting s.fast == nil.
 	// A parallel stepper carries per-shard merge scratch that must not be
-	// shared between systems, so parallel clones also re-select to get
-	// their own instance.
-	if s.arcObs != nil || s.kmode == KernelParallel {
+	// shared between systems, so parallel clones re-select to get their own
+	// instance.
+	if s.kmode == KernelParallel {
 		c.reselectKernel()
 	}
 	return c
@@ -791,10 +781,8 @@ func (s *System) Clone() *System {
 // topology, and a population changed by AddAgents/RemoveAgents returns to
 // its initial size.
 func (s *System) Reset() {
-	if s.g != s.g0 {
-		s.g = s.g0
-		s.resizeArcBuffers()
-	}
+	s.g = s.g0
+	s.movers = moversNone
 	s.k = 0
 	for _, c := range s.ag0 {
 		s.k += c
@@ -830,17 +818,6 @@ func (s *System) Reset() {
 	s.occSorted = true
 	if s.st.Covered == s.n {
 		s.st.CoverRound = 0
-	}
-	if s.recordFlows {
-		for i := range s.flows {
-			s.flows[i] = 0
-		}
-		s.flowsTouched = s.flowsTouched[:0]
-	}
-	if s.recordArcs {
-		for i := range s.arcCount {
-			s.arcCount[i] = 0
-		}
 	}
 	if s.st.HashOn {
 		s.st.Hash = s.fullHash()

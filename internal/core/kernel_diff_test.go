@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"testing"
 
@@ -13,9 +14,10 @@ import (
 // This file is the kernel-equivalence differential suite: the specialized
 // ring/path kernels must match the generic engine configuration-for-
 // configuration — pointers, agent counts, visit and exit counters, coverage
-// bookkeeping and (when enabled) the incremental hash — on randomized
-// initializations, including interleavings with held rounds and accessors
-// that force occupied-list rebuilds.
+// bookkeeping, the last round's flow view and (when enabled) the
+// incremental hash — on randomized initializations, including interleavings
+// with held rounds, generic StepHeld(nil) rounds, and accessors that force
+// occupied-list rebuilds.
 
 // diffConfig is one randomized differential scenario.
 type diffConfig struct {
@@ -87,7 +89,8 @@ func buildPair(t *testing.T, c diffConfig, rng *xrand.Rand) (gen, fast *System) 
 }
 
 // compareSystems asserts every observable piece of configuration state
-// matches. Order-free views (Occupied, LastVisited) are compared as sets.
+// matches. Order-free views (Occupied, LastVisited, ForEachFlow) are
+// compared as sets.
 func compareSystems(t *testing.T, c diffConfig, round int, gen, fast *System) {
 	t.Helper()
 	fail := func(what string, v int, a, b any) {
@@ -131,6 +134,26 @@ func compareSystems(t *testing.T, c diffConfig, round int, gen, fast *System) {
 	if a, b := sortedCopy(gen.LastVisited()), sortedCopy(fast.LastVisited()); !equalInts(a, b) {
 		t.Fatalf("%v round %d: lastVisited sets differ: %v vs %v", c, round, a, b)
 	}
+	if a, b := flowsOf(t, gen), flowsOf(t, fast); !maps.Equal(a, b) {
+		t.Fatalf("%v round %d: flows differ: %v vs %v", c, round, a, b)
+	}
+}
+
+// arc keys a flow by its source node and port.
+type arc struct{ v, port int }
+
+// flowsOf collects s's flow view, failing if an arc is reported twice or
+// with a non-positive count.
+func flowsOf(t *testing.T, s *System) map[arc]int64 {
+	t.Helper()
+	out := map[arc]int64{}
+	s.ForEachFlow(func(v, port int, agents int64) {
+		if _, dup := out[arc{v, port}]; dup || agents < 1 {
+			t.Fatalf("flow view reports arc (%d,%d) twice or with %d agents", v, port, agents)
+		}
+		out[arc{v, port}] = agents
+	})
+	return out
 }
 
 func sortedCopy(xs []int) []int {
@@ -190,7 +213,9 @@ func TestKernelDifferential(t *testing.T) {
 // generic engine: on ring and path shapes StepHeld dispatches to the fused
 // held kernels, so this is the primary differential for that tier, and it
 // also covers the occupied-bookkeeping rebuilds when holds interleave with
-// plain fast rounds.
+// plain fast rounds. The fast system also takes generic StepHeld(nil)
+// rounds between kernel rounds, where a stale mover source would leak
+// into the flow view.
 func TestKernelDifferentialHeldInterleaving(t *testing.T) {
 	rng := xrand.New(0x11e1d)
 	for trial := 0; trial < 40; trial++ {
@@ -199,7 +224,8 @@ func TestKernelDifferentialHeldInterleaving(t *testing.T) {
 		gen, fast := buildPair(t, c, rng)
 		held := make([]int64, c.n)
 		for r := 1; r <= c.rounds; r++ {
-			if rng.Intn(3) == 0 {
+			switch rng.Intn(3) {
+			case 0:
 				for v := range held {
 					held[v] = 0
 				}
@@ -210,7 +236,10 @@ func TestKernelDifferentialHeldInterleaving(t *testing.T) {
 				}
 				gen.StepHeld(held)
 				fast.StepHeld(held)
-			} else {
+			case 1:
+				gen.Step()
+				fast.StepHeld(nil)
+			default:
 				gen.Step()
 				fast.Step()
 			}
@@ -304,8 +333,7 @@ func TestKernelPathTwoNodes(t *testing.T) {
 
 // TestKernelAutoSelection pins the density heuristic: dense ring and path
 // populations select the specialized kernel, sparse ones and unsupported
-// topologies fall back to the generic engine, and the recording options pin
-// a system to the generic path regardless of mode.
+// topologies fall back to the generic engine.
 func TestKernelAutoSelection(t *testing.T) {
 	ring := graph.Ring(64)
 	cases := []struct {
@@ -322,8 +350,6 @@ func TestKernelAutoSelection(t *testing.T) {
 		{"dense path", graph.Path(32), 32, nil, "path"},
 		{"torus", graph.Torus2D(4, 4), 64, nil, "generic"},
 		{"torus forced fast", graph.Torus2D(4, 4), 64, []Option{WithKernelMode(KernelFast)}, "generic"},
-		{"ring with flows", ring, 64, []Option{WithFlowRecording()}, "generic"},
-		{"ring with arcs", ring, 64, []Option{WithArcCounting()}, "generic"},
 	}
 	for _, tc := range cases {
 		opts := append([]Option{WithAgentsAt(EquallySpaced(tc.g.NumNodes(), tc.k)...)}, tc.opts...)
@@ -425,7 +451,8 @@ func TestKernelShapeDetection(t *testing.T) {
 // TestKernelDifferentialParallel is the serial-identity property for the
 // parallel ring stepper: at every shard count (including the GOMAXPROCS
 // default, shards=0) a KernelParallel system must match the generic engine
-// and the serial fast kernel round for round, across plain and held rounds.
+// and the serial fast kernel round for round, across plain, held and
+// generic StepHeld(nil) rounds.
 // Bit-identity at any shard count is what lets BENCH results from parallel
 // runs be compared against serial fixtures.
 func TestKernelDifferentialParallel(t *testing.T) {
@@ -444,7 +471,8 @@ func TestKernelDifferentialParallel(t *testing.T) {
 		}
 		held := make([]int64, c.n)
 		for r := 1; r <= c.rounds; r++ {
-			if rng.Intn(3) == 0 {
+			switch rng.Intn(4) {
+			case 0:
 				for v := range held {
 					held[v] = 0
 				}
@@ -456,7 +484,15 @@ func TestKernelDifferentialParallel(t *testing.T) {
 				gen.StepHeld(held)
 				fast.StepHeld(held)
 				par.StepHeld(held)
-			} else {
+			case 1:
+				gen.Step()
+				fast.StepHeld(nil)
+				par.Step()
+			case 2:
+				gen.Step()
+				fast.Step()
+				par.StepHeld(nil)
+			default:
 				gen.Step()
 				fast.Step()
 				par.Step()
@@ -605,7 +641,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 
 // FuzzKernelHeldEquivalence fuzzes the held-round tier: random hold
 // interleavings on ring and path shapes, fused held kernels vs the generic
-// engine. holdSeed decouples the hold pattern from the configuration draw so
+// engine, with occasional generic StepHeld(nil) rounds in between. holdSeed decouples the hold pattern from the configuration draw so
 // the fuzzer can vary them independently.
 func FuzzKernelHeldEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint64(7), uint8(12), uint16(5), true, false)
@@ -620,6 +656,13 @@ func FuzzKernelHeldEquivalence(f *testing.F) {
 		hrng := xrand.New(holdSeed)
 		held := make([]int64, n)
 		for r := 1; r <= c.rounds; r++ {
+			if hrng.Intn(5) == 0 {
+				// A generic round between held kernel rounds.
+				gen.Step()
+				fast.StepHeld(nil)
+				compareSystems(t, c, r, gen, fast)
+				continue
+			}
 			for v := range held {
 				held[v] = 0
 			}
@@ -636,8 +679,8 @@ func FuzzKernelHeldEquivalence(f *testing.F) {
 }
 
 // FuzzKernelParallelEquivalence fuzzes the parallel ring stepper's
-// serial-identity property across shard counts, mixing plain and held
-// rounds.
+// serial-identity property across shard counts, mixing plain, held and
+// generic StepHeld(nil) rounds.
 func FuzzKernelParallelEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(12), uint16(5), uint8(2), false)
 	f.Add(uint64(2), uint8(40), uint16(200), uint8(7), true)
@@ -653,7 +696,8 @@ func FuzzKernelParallelEquivalence(f *testing.F) {
 		par := mk(KernelParallel, WithParallelShards(shards))
 		held := make([]int64, n)
 		for r := 1; r <= c.rounds; r++ {
-			if rng.Intn(3) == 0 {
+			switch rng.Intn(4) {
+			case 0:
 				for v := range held {
 					held[v] = 0
 				}
@@ -664,7 +708,10 @@ func FuzzKernelParallelEquivalence(f *testing.F) {
 				}
 				gen.StepHeld(held)
 				par.StepHeld(held)
-			} else {
+			case 1:
+				gen.Step()
+				par.StepHeld(nil)
+			default:
 				gen.Step()
 				par.Step()
 			}

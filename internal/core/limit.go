@@ -13,7 +13,7 @@ import (
 // computes the paper's return time — the longest interval during which some
 // node stays unvisited in the limit — exactly over one period, and
 // MeasureCirculation verifies the Yanovski et al. Eulerian-circulation
-// property of the single-agent limit.
+// property of the single-agent limit from the per-round flow view.
 
 // ErrNoCycle is returned when the round budget expires before the limit
 // cycle is confirmed.
@@ -218,26 +218,23 @@ type CirculationStats struct {
 }
 
 // MeasureCirculation finds the limit cycle and counts per-arc traversals
-// over one period. The system must have been created WithArcCounting.
+// over one period, summing each round's ForEachFlow view.
 func MeasureCirculation(s *System, maxRounds int64) (*CirculationStats, error) {
-	if !s.recordArcs {
-		return nil, errors.New("core: MeasureCirculation requires WithArcCounting")
-	}
 	lc, err := FindLimitCycle(s, maxRounds, false)
 	if err != nil {
 		return nil, err
 	}
-	before := append([]int64(nil), s.arcCount...)
-	s.Run(lc.Period)
-	stats := &CirculationStats{Period: lc.Period, MinArc: -1}
-	for i, after := range s.arcCount {
-		d := after - before[i]
-		if stats.MinArc < 0 || d < stats.MinArc {
-			stats.MinArc = d
-		}
-		if d > stats.MaxArc {
-			stats.MaxArc = d
-		}
+	g := s.g
+	count := make([]int64, g.NumArcs())
+	tally := func(v, p int, agents int64) { count[g.ArcID(v, p)] += agents }
+	for r := int64(0); r < lc.Period; r++ {
+		s.Step()
+		s.ForEachFlow(tally)
+	}
+	stats := &CirculationStats{Period: lc.Period, MinArc: count[0], MaxArc: count[0]}
+	for _, d := range count {
+		stats.MinArc = min(stats.MinArc, d)
+		stats.MaxArc = max(stats.MaxArc, d)
 	}
 	stats.Balanced = stats.MinArc == stats.MaxArc
 	return stats, nil

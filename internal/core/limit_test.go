@@ -83,8 +83,7 @@ func TestSingleAgentEulerianCirculation(t *testing.T) {
 		t.Run(g.Name(), func(t *testing.T) {
 			s := newTestSystem(t, g,
 				WithAgentsAt(rng.Intn(g.NumNodes())),
-				WithPointers(PointersRandom(g, rng)),
-				WithArcCounting())
+				WithPointers(PointersRandom(g, rng)))
 			cs, err := MeasureCirculation(s, 10_000_000)
 			if err != nil {
 				t.Fatal(err)
@@ -97,14 +96,6 @@ func TestSingleAgentEulerianCirculation(t *testing.T) {
 				t.Fatalf("per-arc traversals = %d, want λ/2|E| = %d", cs.MinArc, want)
 			}
 		})
-	}
-}
-
-func TestMeasureCirculationRequiresArcCounting(t *testing.T) {
-	g := graph.Ring(6)
-	s := newTestSystem(t, g, WithAgentsAt(0))
-	if _, err := MeasureCirculation(s, 1000); err == nil {
-		t.Fatal("expected error without WithArcCounting")
 	}
 }
 

@@ -62,27 +62,14 @@ func (s *System) ForEachOccupied(f func(v int, agents int64)) {
 	}
 }
 
-// resizeArcBuffers re-allocates the arc-indexed recording buffers after a
-// topology change. Recorded flows and traversal counts are indexed by arc
-// id, which a different graph numbers differently, so they restart at zero.
-func (s *System) resizeArcBuffers() {
-	if s.recordFlows {
-		s.flows = make([]int64, s.g.NumArcs())
-		s.flowsTouched = s.flowsTouched[:0]
-	}
-	if s.recordArcs {
-		s.arcCount = make([]int64, s.g.NumArcs())
-	}
-}
-
 // Rewire swaps the topology under the running system — the edge-failure /
 // repair primitive. ng must have the same node set; pointers is the full
 // new pointer vector (the caller transplants the old pointers through the
 // port mapping, e.g. graph.MaskEdges' toOld). Agents, visit counters and
-// the round clock carry over; arc-indexed recording buffers restart at
-// zero. The specialized kernel is re-selected for the new shape: a cut
-// ring falls back to the generic engine, a repaired one re-specializes.
-// Reset returns to the construction-time topology.
+// the round clock carry over; the flow view empties. The specialized
+// kernel is re-selected for the new shape: a cut ring falls back to the
+// generic engine, a repaired one re-specializes. Reset returns to the
+// construction-time topology.
 func (s *System) Rewire(ng *graph.Graph, pointers []int) error {
 	if ng.NumNodes() != s.n {
 		return fmt.Errorf("core: Rewire changes the node count (%d -> %d)", s.n, ng.NumNodes())
@@ -99,7 +86,7 @@ func (s *System) Rewire(ng *graph.Graph, pointers []int) error {
 	for v, p := range pointers {
 		s.st.Ptr[v] = int32(p)
 	}
-	s.resizeArcBuffers()
+	s.movers = moversNone
 	s.reselectKernel()
 	if s.st.HashOn {
 		s.st.Hash = s.fullHash()
@@ -183,7 +170,8 @@ func (s *System) RemoveAgents(positions ...int) error {
 }
 
 // SetPointers overwrites every port pointer mid-run (the rotor-reset
-// perturbation). The initial configuration (Reset target) is unchanged.
+// perturbation) and empties the flow view. The initial configuration
+// (Reset target) is unchanged.
 func (s *System) SetPointers(pointers []int) error {
 	if len(pointers) != s.n {
 		return fmt.Errorf("core: %d pointers for %d nodes", len(pointers), s.n)
@@ -196,6 +184,7 @@ func (s *System) SetPointers(pointers []int) error {
 	for v, p := range pointers {
 		s.st.Ptr[v] = int32(p)
 	}
+	s.movers = moversNone
 	if s.st.HashOn {
 		s.st.Hash = s.fullHash()
 	}

@@ -193,10 +193,10 @@ func KernelBenchCases() []KernelBenchCase {
 	}
 	// The mission-path case measures the mission runner's stepping cost: the
 	// same dense rotor workload with a patrol mission state attached, so
-	// every round pays the generic engine (the arc observer excludes the
-	// ring kernel) plus the per-move staleness bookkeeping. The horizon is
-	// set far beyond the measurement so Done never fires. Stated against
-	// rotor-generic, the gap is the price of per-arc observation.
+	// every round pays the ring kernel plus one O(n) read of the flow view
+	// and the per-arc staleness bookkeeping. The horizon is set far beyond
+	// the measurement so Done never fires. Stated against rotor-generic,
+	// it shows what a mission costs on top of the kernel it keeps.
 	mission := func() (func(), error) {
 		g := graph.Ring(kernelBenchRotorN)
 		rng := xrand.New(1)

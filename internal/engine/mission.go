@@ -26,10 +26,11 @@ import (
 // quiescent) or a service horizon elapses, then report mission metrics"
 // (mission_rounds, patrol staleness, load-balance fairness). Predicates are
 // evaluated at round granularity from incremental state — missions dispatch
-// on the ArcTraversalObserver and ConfigHasher capabilities so a round
-// costs O(arcs moved), never an O(E) rescan — and consume no randomness of
-// their own, so mission rows inherit the engine's bit-reproducibility
-// across worker counts unchanged. The built-in families are in missions.go.
+// on the FlowViewer and ConfigHasher capabilities, reading the last round's
+// flows rather than rescanning O(E) state, and the process keeps its
+// stepping kernel — and consume no randomness of their own, so mission rows
+// inherit the engine's bit-reproducibility across worker counts and kernel
+// tiers unchanged. The built-in families are in missions.go.
 
 // Mission is one parameterized mission spec in a sweep, e.g. "none",
 // "explore", "return", "quiesce:window=4096", "patrol:horizon=4096",
@@ -75,10 +76,10 @@ func (p *MissionPlan) finalize() *MissionPlan {
 
 // MissionState is the per-job incremental predicate/metric state of one
 // mission. The mission runner steps the process one round at a time and
-// calls Observe after each round; arc-level detail arrives between Observe
-// calls through the observer the factory installed. Finish runs once at
-// the end (predicate fired or horizon reached, not on timeout) and writes
-// the mission's metrics into the row.
+// calls Observe after each round, which reads the round's arc-level detail
+// from the process's flow view. Finish runs once at the end (predicate
+// fired or horizon reached, not on timeout) and writes the mission's
+// metrics into the row.
 type MissionState interface {
 	// Observe is called after each completed round with the process's
 	// round counter.
@@ -95,9 +96,9 @@ type MissionState interface {
 // (string validation only) — specs are validated eagerly, before any sweep
 // worker starts. Compile must be deterministic given the canonical params.
 // New builds the per-job state, dispatching on the capabilities of the
-// measurement target (ArcTraversalObserver, ConfigHasher) and returning an
-// error when the process lacks one — the runner turns that into a per-job
-// error row, mirroring metric capability dispatch.
+// measurement target (FlowViewer, ConfigHasher) and returning an error when
+// the process lacks one — the runner turns that into a per-job error row,
+// mirroring metric capability dispatch.
 type MissionDef struct {
 	// Name is the registry key and the spec's family prefix, as it appears
 	// in SweepSpec.Missions, rows and CLI flags.
@@ -108,9 +109,9 @@ type MissionDef struct {
 	Parse func(params string) (canonical string, err error)
 	// Compile turns canonical params into the immutable plan.
 	Compile func(params string) (*MissionPlan, error)
-	// New builds the job's mission state and installs any observers on p
-	// (more precisely on the measurement target under any schedule
-	// wrapper). procName is the process registry name, for error messages.
+	// New builds the job's mission state over p (more precisely the
+	// measurement target under any schedule wrapper), which its Observe
+	// reads. procName is the process registry name, for error messages.
 	New func(plan *MissionPlan, procName string, env *JobEnv, p Proc) (MissionState, error)
 }
 
@@ -229,14 +230,6 @@ func measureMission(p Proc, mi missionInstance, procName string, env *JobEnv, bu
 		row.Err = err.Error()
 		return
 	}
-	// Missions observe through closures over st; remove them afterwards so
-	// a cached prototype does not keep feeding a dead mission's state (and
-	// regains fast-kernel eligibility for any follow-up measurement).
-	defer func() {
-		if ao, ok := target.(ArcTraversalObserver); ok {
-			ao.SetArcObserver(nil)
-		}
-	}()
 	for !st.Done() {
 		if p.Round() >= budget {
 			row.MissionTimeout = true

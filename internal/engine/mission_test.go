@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"rotorring/internal/core"
+	"rotorring/internal/xrand"
 )
 
 // TestParseMissionRoundTrip: canonical forms, normalization, and rejected
@@ -422,9 +425,9 @@ func TestMissionBudgetRule(t *testing.T) {
 	}
 }
 
-// TestMissionObserverDetached: after a mission job the prototype instance is
-// observer-free, so a cached process reused by a following replica or
-// measurement cannot keep feeding the dead mission's state.
+// TestMissionObserverDetached: mission state lives in the job, not in the
+// process — missions only read the flow view — so a cached prototype
+// reused by the following replicas reproduces the first replica's row.
 func TestMissionObserverDetached(t *testing.T) {
 	rows, err := New(Workers(1)).Run(SweepSpec{
 		Topologies: []Topo{"ring"},
@@ -448,6 +451,60 @@ func TestMissionObserverDetached(t *testing.T) {
 		if r.MissionRounds != rows[0].MissionRounds || r.Value != rows[0].Value {
 			t.Errorf("replica %d drifted from replica 0: rounds %d vs %d",
 				r.Replica, r.MissionRounds, rows[0].MissionRounds)
+		}
+	}
+}
+
+// TestMissionKeepsRingKernel: missions read the flow view instead of
+// observing moves, so a dense-ring patrol job stays on the ring kernel
+// mid-mission — plain, and under a delay schedule, whose held rounds run
+// the held ring kernel.
+func TestMissionKeepsRingKernel(t *testing.T) {
+	const n, k = 128, 32 // k >= n/8: KernelAuto selects the ring kernel
+	g := mustBuildGraph(t, "ring", n)
+	mi, err := parseMission("patrol:horizon=256,warmup=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, schedule := range []string{SchedNone, "delay:p=0.25"} {
+		rng := xrand.New(17)
+		env := &JobEnv{
+			Graph:     g,
+			Cell:      Cell{Topology: "ring", N: n, K: k, Placement: PlaceRandom, Pointer: PtrRandom},
+			Positions: core.RandomPositions(n, k, rng),
+			Seed:      17,
+			RNG:       rng,
+		}
+		rp, err := newRotorProc(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := rp.(*rotorProc).sys
+		p := rp
+		if schedule != SchedNone {
+			inst, err := parseSchedule(schedule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p, err = newScheduledProc(rp, ProcRotor, inst, env); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := mi.def.New(mi.plan, ProcRotor, env, rp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !st.Done() {
+			p.Step()
+			st.Observe(p.Round())
+			if got := sys.KernelName(); got != "ring" {
+				t.Fatalf("%s: round %d of the patrol mission runs kernel %q, want ring", schedule, p.Round(), got)
+			}
+		}
+		var row Row
+		st.Finish(&row)
+		if row.StalenessMax <= 0 {
+			t.Errorf("%s: patrol staleness %v, want a measured idle time", schedule, row.StalenessMax)
 		}
 	}
 }

@@ -18,9 +18,11 @@ import (
 //	balance:horizon=r[,warmup=w] run r rounds; report visit-count fairness
 //	                             after the warmup prefix
 //
-// All predicate state is incremental, fed by the ArcTraversalObserver and
-// ConfigHasher capabilities: a round costs O(arcs moved) (O(1) for
-// quiesce), never an O(E) or O(n) rescan. Missions draw no randomness.
+// All predicate state is incremental, fed by the FlowViewer and
+// ConfigHasher capabilities: Observe reads the round's flow view, which
+// costs O(arcs moved) after a generic round and O(n) after a kernel round
+// (itself O(n)), or one hash for quiesce — never an O(E) rescan of mission
+// state. Missions draw no randomness.
 
 func init() {
 	RegisterMission(noneMissionDef())
@@ -35,6 +37,28 @@ func init() {
 // mirroring the metric error ("process %q does not measure %q").
 func missionNeeds(procName, mission, capability string) error {
 	return fmt.Errorf("engine: process %q does not run mission %q (no %s)", procName, mission, capability)
+}
+
+// flowFeed feeds a mission state's per-arc callback from the process's flow
+// view once per round. onFlow is bound once, at construction, so a round's
+// read allocates nothing.
+type flowFeed struct {
+	view   FlowViewer
+	onFlow func(v, port int, agents int64)
+}
+
+func (f *flowFeed) readFlows() { f.view.ForEachFlow(f.onFlow) }
+
+// newFlowFeed dispatches a flow-reading mission on the FlowViewer
+// capability. Its first read switches recording on for processes that
+// record lazily (walks), so the first mission round is already observed.
+func newFlowFeed(procName, mission string, p Proc) (flowFeed, error) {
+	fv, ok := p.(FlowViewer)
+	if !ok {
+		return flowFeed{}, missionNeeds(procName, mission, "flow view")
+	}
+	fv.ForEachFlow(func(int, int, int64) {})
+	return flowFeed{view: fv}, nil
 }
 
 // noParams is the Parse of parameterless mission families.
@@ -67,20 +91,27 @@ func noneMissionDef() *MissionDef {
 // is the smaller of its two directed arc ids, resolved in O(1) through
 // Arc.RevPort. remaining counts untraversed edges, so Done is O(1).
 type exploreState struct {
+	flowFeed
 	env       *JobEnv
 	seen      []bool // indexed by canonical (smaller) arc id
 	remaining int
 }
 
-func newExploreState(env *JobEnv) *exploreState {
-	return &exploreState{
+func newExploreState(env *JobEnv, feed flowFeed) *exploreState {
+	st := &exploreState{
+		flowFeed:  feed,
 		env:       env,
 		seen:      make([]bool, env.Graph.NumArcs()),
 		remaining: env.Graph.NumEdges(),
 	}
+	st.onFlow = st.traverse
+	return st
 }
 
-func (st *exploreState) observe(v, port int, _ int64) {
+func (st *exploreState) traverse(v, port int, _ int64) {
+	if st.remaining == 0 {
+		return // every edge seen: return missions keep only their ledger
+	}
 	g := st.env.Graph
 	id := g.ArcID(v, port)
 	a := g.Arc(v, port)
@@ -93,7 +124,7 @@ func (st *exploreState) observe(v, port int, _ int64) {
 	}
 }
 
-func (st *exploreState) Observe(int64) {}
+func (st *exploreState) Observe(int64) { st.readFlows() }
 func (st *exploreState) Done() bool    { return st.remaining == 0 }
 func (st *exploreState) Finish(*Row)   {}
 
@@ -103,13 +134,11 @@ func exploreDef() *MissionDef {
 		Parse:   noParams,
 		Compile: func(string) (*MissionPlan, error) { return (&MissionPlan{BudgetFactor: 4}).finalize(), nil },
 		New: func(_ *MissionPlan, procName string, env *JobEnv, p Proc) (MissionState, error) {
-			ao, ok := p.(ArcTraversalObserver)
-			if !ok {
-				return nil, missionNeeds(procName, "explore", "arc traversal observation")
+			feed, err := newFlowFeed(procName, "explore", p)
+			if err != nil {
+				return nil, err
 			}
-			st := newExploreState(env)
-			ao.SetArcObserver(st.observe)
-			return st, nil
+			return newExploreState(env, feed), nil
 		},
 	}
 }
@@ -120,19 +149,21 @@ func exploreDef() *MissionDef {
 // first round boundary where every edge has been traversed AND the agent
 // configuration (as a multiset over nodes — agents are indistinguishable)
 // equals the initial placement. mismatch counts nodes whose current count
-// differs from their initial count, maintained from per-move deltas, so
-// the check is O(1) per round. For the deterministic rotor-router the
-// initial configuration recurs iff it lies on the limit cycle; transient
-// starts (and random walks, whose configuration recurrence time is
-// typically astronomical) end as mission_timeout rows instead.
+// differs from their initial count, maintained from per-arc flow deltas,
+// so the check costs nothing beyond reading the flows. For the
+// deterministic rotor-router the initial configuration recurs iff it lies
+// on the limit cycle; transient starts (and random walks, whose
+// configuration recurrence time is typically astronomical) end as
+// mission_timeout rows instead.
 type returnState struct {
 	exploreState
 	cur, init []int64
 	mismatch  int
 }
 
-func newReturnState(env *JobEnv) *returnState {
-	st := &returnState{exploreState: *newExploreState(env)}
+func newReturnState(env *JobEnv, feed flowFeed) *returnState {
+	st := &returnState{exploreState: *newExploreState(env, feed)}
+	st.onFlow = st.move
 	n := env.Graph.NumNodes()
 	st.cur = make([]int64, n)
 	st.init = make([]int64, n)
@@ -143,8 +174,8 @@ func newReturnState(env *JobEnv) *returnState {
 	return st
 }
 
-func (st *returnState) observe(v, port int, cnt int64) {
-	st.exploreState.observe(v, port, cnt)
+func (st *returnState) move(v, port int, cnt int64) {
+	st.traverse(v, port, cnt)
 	st.shift(v, -cnt)
 	st.shift(st.env.Graph.Neighbor(v, port), cnt)
 }
@@ -169,13 +200,11 @@ func returnDef() *MissionDef {
 		Parse:   noParams,
 		Compile: func(string) (*MissionPlan, error) { return (&MissionPlan{BudgetFactor: 8}).finalize(), nil },
 		New: func(_ *MissionPlan, procName string, env *JobEnv, p Proc) (MissionState, error) {
-			ao, ok := p.(ArcTraversalObserver)
-			if !ok {
-				return nil, missionNeeds(procName, "return", "arc traversal observation")
+			feed, err := newFlowFeed(procName, "return", p)
+			if err != nil {
+				return nil, err
 			}
-			st := newReturnState(env)
-			ao.SetArcObserver(st.observe)
-			return st, nil
+			return newReturnState(env, feed), nil
 		},
 	}
 }
@@ -317,19 +346,17 @@ func serviceParams(params string) (horizon, warmup int64, canon string, err erro
 // closes open gaps at the horizon, so never-visited vertices report the
 // full measurement window.
 type patrolState struct {
+	flowFeed
 	env      *JobEnv
 	horizon  int64
 	warmup   int64
-	round    int64 // last observed round; arrivals below happen in round+1
+	round    int64 // last observed round
 	lastSeen []int64
 	maxGap   []int64
 }
 
-func (st *patrolState) observe(v, port int, _ int64) {
-	r := st.round + 1
-	if r <= st.warmup {
-		return
-	}
+func (st *patrolState) arrive(v, port int, _ int64) {
+	r := st.round
 	dest := st.env.Graph.Neighbor(v, port)
 	if st.lastSeen[dest] == r {
 		return // already seen this round
@@ -340,8 +367,14 @@ func (st *patrolState) observe(v, port int, _ int64) {
 	st.lastSeen[dest] = r
 }
 
-func (st *patrolState) Observe(round int64) { st.round = round }
-func (st *patrolState) Done() bool          { return st.round >= st.horizon }
+func (st *patrolState) Observe(round int64) {
+	st.round = round
+	if round > st.warmup {
+		st.readFlows()
+	}
+}
+
+func (st *patrolState) Done() bool { return st.round >= st.horizon }
 
 func (st *patrolState) Finish(row *Row) {
 	var max int64
@@ -366,6 +399,7 @@ func (st *patrolState) Finish(row *Row) {
 // vertex was never visited), the load-balance quality of the process as a
 // token-distribution service.
 type balanceState struct {
+	flowFeed
 	env     *JobEnv
 	horizon int64
 	warmup  int64
@@ -373,15 +407,18 @@ type balanceState struct {
 	visits  []int64
 }
 
-func (st *balanceState) observe(v, port int, cnt int64) {
-	if st.round+1 <= st.warmup {
-		return
-	}
+func (st *balanceState) arrive(v, port int, cnt int64) {
 	st.visits[st.env.Graph.Neighbor(v, port)] += cnt
 }
 
-func (st *balanceState) Observe(round int64) { st.round = round }
-func (st *balanceState) Done() bool          { return st.round >= st.horizon }
+func (st *balanceState) Observe(round int64) {
+	st.round = round
+	if round > st.warmup {
+		st.readFlows()
+	}
+}
+
+func (st *balanceState) Done() bool { return st.round >= st.horizon }
 
 func (st *balanceState) Finish(row *Row) {
 	min, max := st.visits[0], st.visits[0]
@@ -415,17 +452,18 @@ func serviceDef(name string) *MissionDef {
 			return (&MissionPlan{Horizon: h, Warmup: w, BudgetFactor: 1}).finalize(), nil
 		},
 		New: func(plan *MissionPlan, procName string, env *JobEnv, p Proc) (MissionState, error) {
-			ao, ok := p.(ArcTraversalObserver)
-			if !ok {
-				return nil, missionNeeds(procName, name, "arc traversal observation")
+			feed, err := newFlowFeed(procName, name, p)
+			if err != nil {
+				return nil, err
 			}
 			n := env.Graph.NumNodes()
 			if name == "balance" {
-				st := &balanceState{env: env, horizon: plan.Horizon, warmup: plan.Warmup, visits: make([]int64, n)}
-				ao.SetArcObserver(st.observe)
+				st := &balanceState{flowFeed: feed, env: env, horizon: plan.Horizon, warmup: plan.Warmup, visits: make([]int64, n)}
+				st.onFlow = st.arrive
 				return st, nil
 			}
 			st := &patrolState{
+				flowFeed: feed,
 				env:      env,
 				horizon:  plan.Horizon,
 				warmup:   plan.Warmup,
@@ -435,7 +473,7 @@ func serviceDef(name string) *MissionDef {
 			for v := range st.lastSeen {
 				st.lastSeen[v] = plan.Warmup
 			}
-			ao.SetArcObserver(st.observe)
+			st.onFlow = st.arrive
 			return st, nil
 		},
 	}

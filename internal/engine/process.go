@@ -185,15 +185,15 @@ type Cloner interface {
 	CloneProc() Proc
 }
 
-// ArcTraversalObserver is the capability of reporting individual arc
-// traversals as they happen: after SetArcObserver(fn), every round invokes
-// fn once per (source vertex, port) group of agents crossing that arc, with
-// the group size. Mission predicates dispatch on it to maintain incremental
-// state in O(arcs moved) per round instead of O(E) rescans. Passing nil
-// removes the observer. Installing an observer must not change the
-// trajectory (it may exclude specialized kernels, which are bit-identical).
-type ArcTraversalObserver interface {
-	SetArcObserver(fn func(v, port int, agents int64))
+// FlowViewer is the capability of reporting the last round's per-arc
+// flows: ForEachFlow calls fn once per (source vertex, port) arc that
+// agents crossed in the last completed round, with the number that crossed
+// it. Mission states read it from Observe to maintain incremental state
+// without O(E) rescans. Reading must not change the trajectory or the
+// stepping tier; a process that records flows while stepping may start
+// recording at the first read (whose view is then empty).
+type FlowViewer interface {
+	ForEachFlow(fn func(v, port int, agents int64))
 }
 
 // ConfigHasher is the capability of reporting an incremental 64-bit hash of

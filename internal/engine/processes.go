@@ -83,8 +83,8 @@ func (p *rotorProc) ResetCoverage()     { p.sys.ResetCoverage() }
 func (p *rotorProc) CloneProc() Proc    { return &rotorProc{sys: p.sys.Clone()} }
 func (p *rotorProc) ConfigHash() uint64 { return p.sys.ConfigHash() }
 
-func (p *rotorProc) SetArcObserver(fn func(v, port int, agents int64)) {
-	p.sys.SetArcObserver(fn)
+func (p *rotorProc) ForEachFlow(fn func(v, port int, agents int64)) {
+	p.sys.ForEachFlow(fn)
 }
 
 // Schedule capabilities (see process.go): the rotor supports the full
@@ -172,8 +172,8 @@ func (p *walkProc) NumAgents() int64   { return int64(p.w.NumWalkers()) }
 func (p *walkProc) ResetCoverage()     { p.w.ResetCoverage() }
 func (p *walkProc) CloneProc() Proc    { return &walkProc{w: p.w.Clone(), n: p.n, k: p.k} }
 
-func (p *walkProc) SetArcObserver(fn func(v, port int, agents int64)) {
-	p.w.SetArcObserver(fn)
+func (p *walkProc) ForEachFlow(fn func(v, port int, agents int64)) {
+	p.w.ForEachFlow(fn)
 }
 
 // Schedule capabilities: walkers have no pointers and no held rounds, but

@@ -56,8 +56,7 @@ func expX1() *Experiment {
 				}
 				sys, err := core.NewSystem(g,
 					core.WithAgentsAt(starts...),
-					core.WithPointers(ptr),
-					core.WithFlowRecording())
+					core.WithPointers(ptr))
 				if err != nil {
 					return nil, err
 				}
@@ -357,8 +356,7 @@ func expX6() *Experiment {
 				for t := 0; t < trials; t++ {
 					sys, err := core.NewSystem(g,
 						core.WithAgentsAt(rng.Intn(g.NumNodes())),
-						core.WithPointers(core.PointersRandom(g, rng)),
-						core.WithArcCounting())
+						core.WithPointers(core.PointersRandom(g, rng)))
 					if err != nil {
 						return nil, err
 					}
@@ -370,11 +368,11 @@ func expX6() *Experiment {
 						maxMu = lc.StabilizationRound
 					}
 					period = lc.Period
-					cs, err := circulationOf(sys, lc.Period, g)
+					cs, err := core.MeasureCirculation(sys, 64*bound+1<<16)
 					if err != nil {
 						return nil, err
 					}
-					if !cs {
+					if !cs.Balanced {
 						balanced = false
 					}
 				}
@@ -401,32 +399,6 @@ func expX6() *Experiment {
 			}, nil
 		},
 	}
-}
-
-// circulationOf verifies that one period of the in-cycle system crosses
-// every arc equally often.
-func circulationOf(sys *core.System, period int64, g *graph.Graph) (bool, error) {
-	before := make([]int64, 0, g.NumArcs())
-	for v := 0; v < g.NumNodes(); v++ {
-		for p := 0; p < g.Degree(v); p++ {
-			before = append(before, sys.ArcTraversals(v, p))
-		}
-	}
-	sys.Run(period)
-	idx := 0
-	var first int64 = -1
-	for v := 0; v < g.NumNodes(); v++ {
-		for p := 0; p < g.Degree(v); p++ {
-			d := sys.ArcTraversals(v, p) - before[idx]
-			idx++
-			if first < 0 {
-				first = d
-			} else if d != first {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }
 
 // expX7 — Lemma 1 and the slow-down lemma (Lemma 3): delays never increase

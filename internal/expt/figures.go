@@ -66,8 +66,7 @@ func expF1() *Experiment {
 				}
 				sys, err := core.NewSystem(g,
 					core.WithAgentsAt(inst.starts...),
-					core.WithPointers(ptr),
-					core.WithFlowRecording())
+					core.WithPointers(ptr))
 				if err != nil {
 					return nil, err
 				}

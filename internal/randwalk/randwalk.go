@@ -91,14 +91,16 @@ type Walk struct {
 
 	visits []int64 // arrival counts per node, plus initial placements
 
-	// Optional per-move arc observer (SetArcObserver): called for every
-	// (source, port, count) batch of walkers traversing an arc. The ring
-	// gather pass has no per-arc loop, so observation there goes through
-	// lazily built clockwise/counter-clockwise port tables.
-	arcObs func(v, port int, walkers int64)
-	cwPort []int32 // ring: port at v leading to (v+1) mod n
-	ccPort []int32 // ring: the other port
+	// The last round's flow view (ForEachFlow): walkers per arc, indexed by
+	// arc id, and the arcs it holds. Moves are drawn at random, so they are
+	// recorded while stepping — but only once a consumer has read the
+	// view: flow stays nil until the first ForEachFlow call.
+	flow     []int64
+	flowArcs []flowArc
 }
+
+// flowArc names an arc of the flow view by its source node and port.
+type flowArc struct{ v, port int }
 
 // Option configures a Walk at construction time.
 type Option func(*walkConfig)
@@ -233,6 +235,7 @@ func (w *Walk) Positions() []int {
 
 // Step moves every walker to a uniformly random neighbor.
 func (w *Walk) Step() {
+	w.clearFlows()
 	if w.counts {
 		w.stepCounts()
 	} else {
@@ -244,19 +247,13 @@ func (w *Walk) Step() {
 // stepAgents is the per-agent engine: one draw per walker.
 func (w *Walk) stepAgents() {
 	for i, v := range w.pos {
-		d := w.g.Degree(v)
-		var dest int
-		if d == 1 {
-			dest = w.g.Neighbor(v, 0)
-			if w.arcObs != nil {
-				w.arcObs(v, 0, 1)
-			}
-		} else {
-			p := w.rng.Intn(d)
-			dest = w.g.Neighbor(v, p)
-			if w.arcObs != nil {
-				w.arcObs(v, p, 1)
-			}
+		p := 0
+		if d := w.g.Degree(v); d > 1 {
+			p = w.rng.Intn(d)
+		}
+		dest := w.g.Neighbor(v, p)
+		if w.flow != nil {
+			w.record(v, p, 1)
 		}
 		w.pos[i] = dest
 		w.visits[dest]++
@@ -293,21 +290,12 @@ func (w *Walk) stepCounts() {
 			next[v] = split[v-1] + cur[v+1] - split[v+1]
 		}
 		next[n-1] = split[n-2] + cur[0] - split[0]
-		if w.arcObs != nil {
-			// The gather pass above never touches arcs, so replay the draws
-			// as per-arc batches: split[v] walkers clockwise, the rest the
-			// other way. Port identities come from the lazy ring tables.
-			w.ensureRingPorts()
+		if w.flow != nil {
+			// The gather pass above never touches arcs, so replay the
+			// draws per arc: split[v] walkers clockwise, the rest the
+			// other way.
 			for v, c := range cur {
-				if c == 0 {
-					continue
-				}
-				if s := split[v]; s > 0 {
-					w.arcObs(v, int(w.cwPort[v]), s)
-				}
-				if r := c - split[v]; r > 0 {
-					w.arcObs(v, int(w.ccPort[v]), r)
-				}
+				w.recordRing(v, split[v], c-split[v])
 			}
 		}
 	} else {
@@ -318,24 +306,7 @@ func (w *Walk) stepCounts() {
 			if c == 0 {
 				continue
 			}
-			d := w.g.Degree(v)
-			if d == 1 {
-				next[w.g.Neighbor(v, 0)] += c
-				if w.arcObs != nil {
-					w.arcObs(v, 0, c)
-				}
-				continue
-			}
-			split := w.port[:d]
-			w.rng.Multinomial(c, split)
-			for p, x := range split {
-				if x > 0 {
-					next[w.g.Neighbor(v, p)] += x
-					if w.arcObs != nil {
-						w.arcObs(v, p, x)
-					}
-				}
-			}
+			w.scatter(v, c, next)
 		}
 	}
 	visits := w.visits
@@ -372,6 +343,7 @@ func (w *Walk) StepHeld(held []int64) {
 	if !w.counts {
 		panic("randwalk: StepHeld requires the counts engine (WithMode(ModeCounts))")
 	}
+	w.clearFlows()
 	cur, next := w.cnt, w.next
 	n := len(cur)
 	if w.ring {
@@ -393,14 +365,8 @@ func (w *Walk) StepHeld(held []int64) {
 				continue
 			}
 			split[v] = rng.BinomialHalf(m)
-			if w.arcObs != nil {
-				w.ensureRingPorts()
-				if s := split[v]; s > 0 {
-					w.arcObs(v, int(w.cwPort[v]), s)
-				}
-				if r := m - split[v]; r > 0 {
-					w.arcObs(v, int(w.ccPort[v]), r)
-				}
+			if w.flow != nil {
+				w.recordRing(v, split[v], m-split[v])
 			}
 		}
 		// Pass 2: next[v] = stayers + arrivals, overwriting the mover counts
@@ -441,27 +407,8 @@ func (w *Walk) StepHeld(held []int64) {
 			if h < 0 {
 				h = 0
 			}
-			m := c - h
-			if m == 0 {
-				continue
-			}
-			d := w.g.Degree(v)
-			if d == 1 {
-				next[w.g.Neighbor(v, 0)] += m
-				if w.arcObs != nil {
-					w.arcObs(v, 0, m)
-				}
-				continue
-			}
-			split := w.port[:d]
-			w.rng.Multinomial(m, split)
-			for p, x := range split {
-				if x > 0 {
-					next[w.g.Neighbor(v, p)] += x
-					if w.arcObs != nil {
-						w.arcObs(v, p, x)
-					}
-				}
+			if m := c - h; m > 0 {
+				w.scatter(v, m, next)
 			}
 		}
 		// Fold coverage from the arrivals before the stayers rejoin them.
@@ -517,32 +464,77 @@ func (w *Walk) ForEachOccupied(f func(v int, walkers int64)) {
 	}
 }
 
-// SetArcObserver installs fn as the per-move arc observer. During every
-// subsequent round, fn is invoked for each (source vertex, port) batch of
-// walkers traversing the corresponding arc, with the number of walkers in
-// the batch; pass nil to remove it. Installing an observer never changes
-// which random draws are made, so trajectories with and without an observer
-// are identical. The observer is not copied by Clone.
-func (w *Walk) SetArcObserver(fn func(v, port int, walkers int64)) {
-	w.arcObs = fn
-}
-
-// ensureRingPorts builds the per-node clockwise/counter-clockwise port
-// tables that translate the ring gather pass into arc observations.
-func (w *Walk) ensureRingPorts() {
-	if w.cwPort != nil {
+// scatter sends the m walkers leaving v (counts engine, general graphs)
+// along one multinomial draw over v's ports, accumulating arrivals in next.
+func (w *Walk) scatter(v int, m int64, next []int64) {
+	d := w.g.Degree(v)
+	if d == 1 {
+		next[w.g.Neighbor(v, 0)] += m
+		if w.flow != nil {
+			w.record(v, 0, m)
+		}
 		return
 	}
-	n := w.g.NumNodes()
-	w.cwPort = make([]int32, n)
-	w.ccPort = make([]int32, n)
-	for v := 0; v < n; v++ {
-		if w.g.Neighbor(v, 0) == (v+1)%n {
-			w.cwPort[v], w.ccPort[v] = 0, 1
-		} else {
-			w.cwPort[v], w.ccPort[v] = 1, 0
+	split := w.port[:d]
+	w.rng.Multinomial(m, split)
+	for p, x := range split {
+		if x > 0 {
+			next[w.g.Neighbor(v, p)] += x
+			if w.flow != nil {
+				w.record(v, p, x)
+			}
 		}
 	}
+}
+
+// ForEachFlow calls f(v, port, walkers) for every arc that walkers
+// traversed in the last completed round, with walkers >= 1 the number that
+// crossed it, each arc once and in no particular order (mirroring
+// core.System.ForEachFlow). f must not mutate the walk.
+//
+// Moves are drawn at random, so the view is recorded while stepping, from
+// the first round after the first call on: like core.System.ConfigHash,
+// the first call switches recording on (and reports an empty view), so
+// walks that nobody observes record nothing. Reset and Rewire empty the
+// view; Clone copies it.
+func (w *Walk) ForEachFlow(f func(v, port int, walkers int64)) {
+	if w.flow == nil {
+		w.flow = make([]int64, w.g.NumArcs())
+		return
+	}
+	for _, a := range w.flowArcs {
+		f(a.v, a.port, w.flow[w.g.ArcID(a.v, a.port)])
+	}
+}
+
+// record adds x walkers to this round's flow over arc (v, port).
+func (w *Walk) record(v, port int, x int64) {
+	id := w.g.ArcID(v, port)
+	if w.flow[id] == 0 {
+		w.flowArcs = append(w.flowArcs, flowArc{v, port})
+	}
+	w.flow[id] += x
+}
+
+// recordRing records the cw clockwise and ccw anticlockwise movers of ring
+// node v. Only the canonical port layout is ring-shaped
+// (kernel.DetectShape), so the ports are graph.RingCW and graph.RingCCW.
+func (w *Walk) recordRing(v int, cw, ccw int64) {
+	if cw > 0 {
+		w.record(v, graph.RingCW, cw)
+	}
+	if ccw > 0 {
+		w.record(v, graph.RingCCW, ccw)
+	}
+}
+
+// clearFlows empties the flow view before a round (or a reset/rewire),
+// touching only the arcs the last round used.
+func (w *Walk) clearFlows() {
+	for _, a := range w.flowArcs {
+		w.flow[w.g.ArcID(a.v, a.port)] = 0
+	}
+	w.flowArcs = w.flowArcs[:0]
 }
 
 // forEachArrival invokes f(v, c) for every node that received c ≥ 1
@@ -587,6 +579,7 @@ func (w *Walk) RunUntilCovered(maxRounds int64) (int64, error) {
 // reallocation (mirroring core.System.Reset). The generator state is left
 // as is; combine with Reseed for reproducible independent trials.
 func (w *Walk) Reset() {
+	w.clearFlows()
 	if w.g != w.g0 {
 		w.rewireTo(w.g0)
 	}
@@ -623,18 +616,19 @@ func (w *Walk) Clone() *Walk {
 	c.pos0 = append([]int(nil), w.pos0...)
 	c.visited = append([]bool(nil), w.visited...)
 	c.visits = append([]int64(nil), w.visits...)
-	// The arc observer is a closure over caller state tied to the original
-	// walk; the clone starts unobserved. The port tables are immutable per
-	// graph and safe to share.
-	c.arcObs = nil
+	c.flow = append([]int64(nil), w.flow...)
+	c.flowArcs = append([]flowArc(nil), w.flowArcs...)
 	return &c
 }
 
 // rewireTo points the walk at a different graph over the same node set and
 // refreshes the shape-dependent fast-path state of the counts engine.
 func (w *Walk) rewireTo(ng *graph.Graph) {
+	w.clearFlows()
 	w.g = ng
-	w.cwPort, w.ccPort = nil, nil // ring port tables are per-graph
+	if w.flow != nil {
+		w.flow = make([]int64, ng.NumArcs()) // arc ids are per-graph
+	}
 	if !w.counts {
 		return
 	}

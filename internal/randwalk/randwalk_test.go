@@ -3,6 +3,7 @@ package randwalk
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"rotorring/internal/core"
@@ -555,4 +556,88 @@ func TestWalkForEachOccupiedAscending(t *testing.T) {
 			w.Step()
 		}
 	}
+}
+
+// TestWalkFlowView: the first ForEachFlow call reports nothing and switches
+// recording on; from then on each round's flows leave every node with its
+// movers and land on every node as its arrivals, in both engines, on ring
+// and general shapes, and in held rounds. Reset empties the view, Clone
+// copies it, and recording never changes the trajectory.
+func TestWalkFlowView(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Ring(17), graph.Torus2D(4, 5), graph.Path(9)} {
+		for _, mode := range []Mode{ModeAgents, ModeCounts} {
+			n := g.NumNodes()
+			positions := core.RandomPositions(n, 3*n, xrand.New(5))
+			w, err := New(g, positions, xrand.New(11), WithMode(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, _ := New(g, positions, xrand.New(11), WithMode(mode))
+			flows := func() (out, in []int64) {
+				out, in = make([]int64, n), make([]int64, n)
+				seen := map[[2]int]bool{}
+				w.ForEachFlow(func(v, port int, x int64) {
+					if seen[[2]int{v, port}] || x < 1 {
+						t.Fatalf("%s %s: arc (%d,%d) reported twice or with %d walkers", g.Name(), mode, v, port, x)
+					}
+					seen[[2]int{v, port}] = true
+					out[v] += x
+					in[g.Neighbor(v, port)] += x
+				})
+				return out, in
+			}
+			if out, _ := flows(); sumInt64(out) != 0 {
+				t.Fatalf("%s %s: first read reported flows", g.Name(), mode)
+			}
+			rng := xrand.New(3)
+			held := make([]int64, n)
+			for r := 0; r < 60; r++ {
+				before := make([]int64, n)
+				for v := range before {
+					before[v] = w.At(v)
+					held[v] = int64(rng.Intn(4)) - 1 // -1 exercises the clamp
+				}
+				heldRound := mode == ModeCounts && r%2 == 1
+				if heldRound {
+					w.StepHeld(held)
+					plain.StepHeld(held)
+				} else {
+					w.Step()
+					plain.Step()
+				}
+				out, in := flows()
+				for v := 0; v < n; v++ {
+					stay := int64(0)
+					if heldRound {
+						stay = min(max(held[v], 0), before[v])
+					}
+					if out[v] != before[v]-stay {
+						t.Fatalf("%s %s round %d: %d walkers left %d, want %d movers", g.Name(), mode, r, out[v], v, before[v]-stay)
+					}
+					if in[v] != w.At(v)-stay {
+						t.Fatalf("%s %s round %d: %d walkers reached %d, want %d arrivals", g.Name(), mode, r, in[v], v, w.At(v)-stay)
+					}
+				}
+			}
+			if !slices.Equal(w.Positions(), plain.Positions()) {
+				t.Fatalf("%s %s: recording flows changed the trajectory", g.Name(), mode)
+			}
+			orig, _ := flows()
+			w = w.Clone()
+			if got, _ := flows(); !slices.Equal(got, orig) {
+				t.Fatalf("%s %s: clone view %v, want %v", g.Name(), mode, got, orig)
+			}
+			w.Reset()
+			if out, _ := flows(); sumInt64(out) != 0 {
+				t.Fatalf("%s %s: Reset left flows in the view", g.Name(), mode)
+			}
+		}
+	}
+}
+
+func sumInt64(xs []int64) (s int64) {
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }

@@ -1,7 +1,6 @@
 package ringdom
 
 import (
-	"errors"
 	"fmt"
 
 	"rotorring/internal/core"
@@ -49,12 +48,16 @@ type visitRecord struct {
 
 // Tracker steps a rotor-router on the ring and classifies every visit, so
 // that lazy domains (Definition 1) can be computed at any time. The wrapped
-// system must have been created with core.WithFlowRecording and must run on
-// graph.Ring. All stepping must go through Tracker.Step: external steps
-// would lose visit classifications.
+// system must run on graph.Ring, on any kernel tier: the tracker reads each
+// round's flows from the system's flow view. All stepping must go through
+// Tracker.Step: external steps would lose visit classifications.
 type Tracker struct {
 	sys *core.System
 	n   int
+
+	// out[2v+p] is the number of agents that left v through port p in the
+	// last round, gathered from the flow view once per Step.
+	out []int64
 
 	// lastClassified[v] is the most recent fully classified visit of v.
 	lastClassified []visitRecord
@@ -78,21 +81,10 @@ func NewTracker(sys *core.System) (*Tracker, error) {
 	if err != nil {
 		return nil, err
 	}
-	probeOK := func() (ok bool) {
-		defer func() {
-			if recover() != nil {
-				ok = false
-			}
-		}()
-		_ = sys.LastFlow(0, graph.RingCW)
-		return true
-	}
-	if !probeOK() {
-		return nil, errors.New("ringdom: tracker requires core.WithFlowRecording")
-	}
 	return &Tracker{
 		sys:            sys,
 		n:              n,
+		out:            make([]int64, 2*n),
 		lastClassified: make([]visitRecord, n),
 	}, nil
 }
@@ -104,6 +96,8 @@ func (t *Tracker) System() *core.System { return t.sys }
 // into the visit classification.
 func (t *Tracker) Step() {
 	t.sys.Step()
+	clear(t.out)
+	t.sys.ForEachFlow(t.setOut)
 
 	// 1. Classify the previous round's visits using this round's
 	// departures. A node visited by a single agent at round r holds
@@ -113,7 +107,7 @@ func (t *Tracker) Step() {
 		v := pv.node
 		kind := VisitMulti
 		if !pv.multi {
-			outCW := t.sys.LastFlow(v, graph.RingCW) > 0
+			outCW := t.flow(v, graph.RingCW) > 0
 			// Arrived from the anticlockwise side moving clockwise:
 			// continuing clockwise is a propagation. Arrived from the
 			// clockwise side moving anticlockwise: continuing (out the
@@ -133,8 +127,8 @@ func (t *Tracker) Step() {
 	// 2. Record this round's arrivals for classification next round.
 	round := t.sys.Round()
 	for _, v := range t.sys.LastVisited() {
-		fromCCW := t.sys.LastFlow((v-1+t.n)%t.n, graph.RingCW) // arrived moving clockwise
-		fromCW := t.sys.LastFlow((v+1)%t.n, graph.RingCCW)     // arrived moving anticlockwise
+		fromCCW := t.flow((v-1+t.n)%t.n, graph.RingCW) // arrived moving clockwise
+		fromCW := t.flow((v+1)%t.n, graph.RingCCW)     // arrived moving anticlockwise
 		t.pending = append(t.pending, pendingVisit{
 			node:   v,
 			fromCW: fromCW > 0 && fromCCW == 0,
@@ -143,6 +137,11 @@ func (t *Tracker) Step() {
 		})
 	}
 }
+
+func (t *Tracker) setOut(v, port int, agents int64) { t.out[2*v+port] = agents }
+
+// flow returns how many agents left v through port p in the last round.
+func (t *Tracker) flow(v, p int) int64 { return t.out[2*v+p] }
 
 // Run advances the tracker the given number of rounds.
 func (t *Tracker) Run(rounds int64) {

@@ -10,7 +10,6 @@ import (
 
 func trackedSystem(t *testing.T, n int, opts ...core.Option) *Tracker {
 	t.Helper()
-	opts = append(opts, core.WithFlowRecording())
 	s, err := core.NewSystem(graph.Ring(n), opts...)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
@@ -22,18 +21,8 @@ func trackedSystem(t *testing.T, n int, opts ...core.Option) *Tracker {
 	return tr
 }
 
-func TestTrackerRequiresFlowRecording(t *testing.T) {
-	s, err := core.NewSystem(graph.Ring(8), core.WithAgentsAt(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewTracker(s); err == nil {
-		t.Fatal("tracker accepted system without flow recording")
-	}
-}
-
 func TestTrackerRequiresRing(t *testing.T) {
-	s, err := core.NewSystem(graph.Grid2D(3, 3), core.WithAgentsAt(0), core.WithFlowRecording())
+	s, err := core.NewSystem(graph.Grid2D(3, 3), core.WithAgentsAt(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,7 @@ func stabilizedTracker(t *testing.T, n, k int) *ringdom.Tracker {
 	}
 	sys, err := core.NewSystem(g,
 		core.WithAgentsAt(positions...),
-		core.WithPointers(ptr),
-		core.WithFlowRecording())
+		core.WithPointers(ptr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +66,7 @@ func TestStripEarlyShowsUnvisited(t *testing.T) {
 	g := graph.Ring(40)
 	sys, err := core.NewSystem(g,
 		core.WithAgentsAt(0),
-		core.WithPointers(core.PointersUniform(g, graph.RingCW)),
-		core.WithFlowRecording())
+		core.WithPointers(core.PointersUniform(g, graph.RingCW)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +140,7 @@ func TestStripShowsEdgeTypeBorder(t *testing.T) {
 	const n = 37
 	g := graph.Ring(n)
 	sys, err := core.NewSystem(g,
-		core.WithAgentsAt(7, 35),
-		core.WithFlowRecording())
+		core.WithAgentsAt(7, 35))
 	if err != nil {
 		t.Fatal(err)
 	}

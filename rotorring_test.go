@@ -1,7 +1,9 @@
 package rotorring
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -165,6 +167,45 @@ func TestDomainFacade(t *testing.T) {
 	}
 	if len(borders) != k {
 		t.Fatalf("borders = %d", len(borders))
+	}
+}
+
+// TestTrackDomainsKeepsRingKernel: domain tracking reads the flow view, so
+// a tracked dense ring runs the ring kernel and reports exactly the lazy
+// domains and borders of a forced-generic run.
+func TestTrackDomainsKeepsRingKernel(t *testing.T) {
+	const n, k = 96, 16 // k >= n/8: KernelAuto selects the ring kernel
+	build := func(kernel KernelPolicy) *RotorSim {
+		sim, err := NewRotorSim(Ring(n), Agents(k), Place(PlaceEqualSpacing),
+			Pointers(PointerRandom), Seed(3), Kernel(kernel), TrackDomains())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	fast, gen := build(KernelAuto), build(KernelGeneric)
+	if fast.KernelName() != "ring" || gen.KernelName() != "generic" {
+		t.Fatalf("kernels %q and %q, want ring and generic", fast.KernelName(), gen.KernelName())
+	}
+	for i := 0; i < 40; i++ {
+		if err := fast.Run(29); err != nil {
+			t.Fatal(err)
+		}
+		if err := gen.Run(29); err != nil {
+			t.Fatal(err)
+		}
+		lf, errF := fast.LazyDomains()
+		lg, errG := gen.LazyDomains()
+		if !reflect.DeepEqual(lf, lg) || fmt.Sprint(errF) != fmt.Sprint(errG) {
+			t.Fatalf("round %d: lazy domains %+v (%v) on the ring kernel, %+v (%v) on generic",
+				fast.Round(), lf, errF, lg, errG)
+		}
+		bf, errF := fast.Borders()
+		bg, errG := gen.Borders()
+		if !reflect.DeepEqual(bf, bg) || fmt.Sprint(errF) != fmt.Sprint(errG) {
+			t.Fatalf("round %d: borders %+v (%v) on the ring kernel, %+v (%v) on generic",
+				fast.Round(), bf, errF, bg, errG)
+		}
 	}
 }
 

@@ -152,8 +152,8 @@ func Seed(s uint64) SimOption {
 }
 
 // TrackDomains enables domain and lazy-domain analysis (ring topologies
-// only); it adds per-round flow recording overhead (and pins the rotor to
-// the generic stepping engine).
+// only). It reads every round's flows from the rotor's flow view, O(n) per
+// round on top of stepping, and keeps the stepping kernel.
 func TrackDomains() SimOption {
 	return func(c *simConfig) error {
 		c.tracking = true
@@ -243,15 +243,10 @@ func NewRotorSim(g *Graph, opts ...SimOption) (*RotorSim, error) {
 	if err != nil {
 		return nil, err
 	}
-	coreOpts := []core.Option{
+	sys, err := core.NewSystem(g,
 		core.WithAgentsAt(positions...),
 		core.WithPointers(pointers),
-		core.WithKernelMode(cfg.kernel.coreMode()),
-	}
-	if cfg.tracking {
-		coreOpts = append(coreOpts, core.WithFlowRecording())
-	}
-	sys, err := core.NewSystem(g, coreOpts...)
+		core.WithKernelMode(cfg.kernel.coreMode()))
 	if err != nil {
 		return nil, err
 	}
@@ -323,8 +318,8 @@ func (s *RotorSim) Run(rounds int64) error {
 func (s *RotorSim) Reset() {
 	s.sys.Reset()
 	if s.tracker != nil {
-		// Cannot fail: the system kept the ring topology and flow
-		// recording that made the original tracker valid.
+		// Cannot fail: the system kept the ring topology that made the
+		// original tracker valid.
 		if tr, err := ringdom.NewTracker(s.sys); err == nil {
 			s.tracker = tr
 		}
