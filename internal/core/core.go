@@ -468,26 +468,12 @@ func (s *System) ForEachFlow(f func(v, port int, agents int64)) {
 			}
 		}
 	case moversKernel:
-		// Kernels run on rings and paths only, so degrees are at most 2 and
-		// the split is closed-form: the port the round started at carried
-		// ceil(m/2) and the other port floor(m/2). Only path endpoints have
-		// a single port.
-		held, last := s.held, len(s.st.Scratch)-1
 		for v, m := range s.st.Scratch {
-			if held != nil {
-				m -= min(max(held[v], 0), m)
+			if s.held != nil {
+				m -= min(max(s.held[v], 0), m)
 			}
-			if m == 0 {
-				continue
-			}
-			if (v == 0 || v == last) && g.Degree(v) == 1 {
-				f(v, 0, m)
-				continue
-			}
-			p := int(ptr[v]^int32(m&1)) & 1 // (π_v - m) mod 2
-			f(v, p, (m+1)>>1)
-			if m > 1 {
-				f(v, p^1, m>>1)
+			if m > 0 {
+				emitFlows(v, m, g.Degree(v), int(ptr[v]), f)
 			}
 		}
 	}
@@ -498,14 +484,13 @@ func (s *System) ForEachFlow(f func(v, port int, agents int64)) {
 // loop sent them: from the pointer the round started at, the first m mod d
 // ports carried ceil(m/d) agents and, when m >= d, the rest floor(m/d).
 func emitFlows(v int, m int64, d, ptr int, f func(v, port int, agents int64)) {
-	q, r := m/int64(d), int(m%int64(d))
+	q, r, n := int64(0), int(m), int(m) // fewer movers than ports: one each
+	if m >= int64(d) {
+		q, r, n = m/int64(d), int(m%int64(d)), d
+	}
 	port := ptr - r // the round started at (ptr - m) mod d
 	if port < 0 {
 		port += d
-	}
-	n := d
-	if q == 0 {
-		n = r
 	}
 	for j := 0; j < n; j++ {
 		if j < r {

@@ -205,8 +205,9 @@ func MeasureReturnTimeStop(s *System, maxRounds int64, stop func() bool) (*Retur
 
 // CirculationStats describes per-arc traffic over one limit-cycle period.
 type CirculationStats struct {
-	// Period is the limit-cycle length λ.
-	Period int64
+	// LimitCycle is the cycle the traffic was counted over; its
+	// StabilizationRound is -1 unless μ was requested.
+	LimitCycle
 	// MinArc and MaxArc are the extremes of per-arc traversal counts in
 	// one period.
 	MinArc int64
@@ -217,10 +218,11 @@ type CirculationStats struct {
 	Balanced bool
 }
 
-// MeasureCirculation finds the limit cycle and counts per-arc traversals
-// over one period, summing each round's ForEachFlow view.
-func MeasureCirculation(s *System, maxRounds int64) (*CirculationStats, error) {
-	lc, err := FindLimitCycle(s, maxRounds, false)
+// MeasureCirculation finds the limit cycle as FindLimitCycle does (with μ
+// when computeMu is true) and counts per-arc traversals over the next
+// period, summing each round's ForEachFlow view.
+func MeasureCirculation(s *System, maxRounds int64, computeMu bool) (*CirculationStats, error) {
+	lc, err := FindLimitCycle(s, maxRounds, computeMu)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +233,7 @@ func MeasureCirculation(s *System, maxRounds int64) (*CirculationStats, error) {
 		s.Step()
 		s.ForEachFlow(tally)
 	}
-	stats := &CirculationStats{Period: lc.Period, MinArc: count[0], MaxArc: count[0]}
+	stats := &CirculationStats{LimitCycle: *lc, MinArc: count[0], MaxArc: count[0]}
 	for _, d := range count {
 		stats.MinArc = min(stats.MinArc, d)
 		stats.MaxArc = max(stats.MaxArc, d)

@@ -84,7 +84,7 @@ func TestSingleAgentEulerianCirculation(t *testing.T) {
 			s := newTestSystem(t, g,
 				WithAgentsAt(rng.Intn(g.NumNodes())),
 				WithPointers(PointersRandom(g, rng)))
-			cs, err := MeasureCirculation(s, 10_000_000)
+			cs, err := MeasureCirculation(s, 10_000_000, false)
 			if err != nil {
 				t.Fatal(err)
 			}

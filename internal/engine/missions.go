@@ -109,9 +109,6 @@ func newExploreState(env *JobEnv, feed flowFeed) *exploreState {
 }
 
 func (st *exploreState) traverse(v, port int, _ int64) {
-	if st.remaining == 0 {
-		return // every edge seen: return missions keep only their ledger
-	}
 	g := st.env.Graph
 	id := g.ArcID(v, port)
 	a := g.Arc(v, port)

@@ -360,21 +360,13 @@ func expX6() *Experiment {
 					if err != nil {
 						return nil, err
 					}
-					lc, err := core.FindLimitCycle(sys, 64*bound+1<<16, true)
+					cs, err := core.MeasureCirculation(sys, 64*bound+1<<16, true)
 					if err != nil {
 						return nil, err
 					}
-					if lc.StabilizationRound > maxMu {
-						maxMu = lc.StabilizationRound
-					}
-					period = lc.Period
-					cs, err := core.MeasureCirculation(sys, 64*bound+1<<16)
-					if err != nil {
-						return nil, err
-					}
-					if !cs.Balanced {
-						balanced = false
-					}
+					maxMu = max(maxMu, cs.StabilizationRound)
+					period = cs.Period
+					balanced = balanced && cs.Balanced
 				}
 				ratio := float64(maxMu) / float64(bound)
 				if ratio > worstRatio {

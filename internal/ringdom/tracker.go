@@ -56,8 +56,10 @@ type Tracker struct {
 	n   int
 
 	// out[2v+p] is the number of agents that left v through port p in the
-	// last round, gathered from the flow view once per Step.
+	// last round, gathered from the flow view once per Step; set lists the
+	// entries that round wrote, so the next Step zeroes only those.
 	out []int64
+	set []int
 
 	// lastClassified[v] is the most recent fully classified visit of v.
 	lastClassified []visitRecord
@@ -96,7 +98,10 @@ func (t *Tracker) System() *core.System { return t.sys }
 // into the visit classification.
 func (t *Tracker) Step() {
 	t.sys.Step()
-	clear(t.out)
+	for _, i := range t.set {
+		t.out[i] = 0
+	}
+	t.set = t.set[:0]
 	t.sys.ForEachFlow(t.setOut)
 
 	// 1. Classify the previous round's visits using this round's
@@ -138,7 +143,10 @@ func (t *Tracker) Step() {
 	}
 }
 
-func (t *Tracker) setOut(v, port int, agents int64) { t.out[2*v+port] = agents }
+func (t *Tracker) setOut(v, port int, agents int64) {
+	t.out[2*v+port] = agents
+	t.set = append(t.set, 2*v+port)
+}
 
 // flow returns how many agents left v through port p in the last round.
 func (t *Tracker) flow(v, p int) int64 { return t.out[2*v+p] }
