@@ -80,11 +80,6 @@ examples-smoke:
 	$(GO) run ./examples/patrol -n 96 -k 4
 	$(GO) run ./examples/loadbalance -side 8 -tokens 32 -rounds 2000
 
-# Native fuzzing on a short fixed budget: the kernel differential fuzz
-# (rotor tiers bit-identical), the topology-spec parser fuzz and the
-# schedule-spec parser fuzz (canonical forms are parse/String fixed points
-# with identical compiled plans). Seed corpora also run under plain
-# `go test`; this target actually mutates.
 # End-to-end service smoke: build the real rotord binary, POST a
 # mixed-topology sweep over HTTP, SIGKILL the server mid-sweep, restart it
 # on the same spool, and prove the resumed stream — full and from the
@@ -109,6 +104,12 @@ chaos-smoke:
 cluster-smoke:
 	$(GO) test -count=1 -v ./cmd/rotord -run '^TestClusterSmoke$$'
 
+# Native fuzzing on a short fixed budget: the kernel differential fuzz
+# (rotor tiers bit-identical), the topology-, schedule- and mission-spec
+# parser fuzz (canonical forms are parse/String fixed points with identical
+# compiled plans) and the wire-spec decoder fuzz (no panics; accepted
+# specs re-encode to a decode/encode fixed point). Seed corpora also run
+# under plain `go test`; this target actually mutates.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzKernelEquivalence$$' -fuzztime $(FUZZTIME)
@@ -117,6 +118,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzParseTopo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzParseMission$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzDecodeWireSpec$$' -fuzztime $(FUZZTIME)
 
 ci: build vet fmt-check race bench-smoke bench-kernels-smoke bench-check examples-smoke service-smoke chaos-smoke cluster-smoke fuzz-smoke
 

@@ -29,7 +29,7 @@ func BenchmarkTable1RotorWorst(b *testing.B) {
 	const n, k = 512, 8
 	var cover int64
 	for i := 0; i < b.N; i++ {
-		sim, err := rotorring.NewRotorSim(rotorring.Ring(n),
+		sim, err := rotorring.New(rotorring.Ring(n), rotorring.RotorRouter(),
 			rotorring.Agents(k),
 			rotorring.Place(rotorring.PlaceSingleNode),
 			rotorring.Pointers(rotorring.PointerTowardStart))
@@ -51,7 +51,7 @@ func BenchmarkTable1RotorBest(b *testing.B) {
 	const n, k = 512, 8
 	var cover int64
 	for i := 0; i < b.N; i++ {
-		sim, err := rotorring.NewRotorSim(rotorring.Ring(n),
+		sim, err := rotorring.New(rotorring.Ring(n), rotorring.RotorRouter(),
 			rotorring.Agents(k),
 			rotorring.Place(rotorring.PlaceEqualSpacing),
 			rotorring.Pointers(rotorring.PointerNegative))
@@ -107,14 +107,14 @@ func BenchmarkTable1ReturnTime(b *testing.B) {
 	const n, k = 512, 8
 	var ret int64
 	for i := 0; i < b.N; i++ {
-		sim, err := rotorring.NewRotorSim(rotorring.Ring(n),
+		sim, err := rotorring.New(rotorring.Ring(n), rotorring.RotorRouter(),
 			rotorring.Agents(k),
 			rotorring.Place(rotorring.PlaceEqualSpacing),
 			rotorring.Pointers(rotorring.PointerNegative))
 		if err != nil {
 			b.Fatal(err)
 		}
-		rs, err := sim.ReturnTime(0)
+		rs, err := sim.(rotorring.ReturnTimeMeasurer).ReturnTime(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func BenchmarkSpeedupSummary(b *testing.B) {
 	const n, k = 512, 8
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		base, err := rotorring.NewRotorSim(rotorring.Ring(n),
+		base, err := rotorring.New(rotorring.Ring(n), rotorring.RotorRouter(),
 			rotorring.Agents(1), rotorring.Pointers(rotorring.PointerTowardStart))
 		if err != nil {
 			b.Fatal(err)
@@ -139,7 +139,7 @@ func BenchmarkSpeedupSummary(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		multi, err := rotorring.NewRotorSim(rotorring.Ring(n),
+		multi, err := rotorring.New(rotorring.Ring(n), rotorring.RotorRouter(),
 			rotorring.Agents(k),
 			rotorring.Place(rotorring.PlaceEqualSpacing),
 			rotorring.Pointers(rotorring.PointerNegative))

@@ -8,12 +8,11 @@
 // -metric cover|return|restab_time..., -schedule
 // none|delay:...|edgefail:..., -mission none|explore|patrol:...), so
 // processes, metrics and scenario families registered by other packages
-// are reachable without command changes; -walk and -return remain as
-// deprecated aliases. The -probes flag attaches registered stride-sampled
-// probes whose time series streams into the JSONL rows. Output formats
-// other than text resolve through the sink registry the same way
-// (-format jsonl|csv|summary), and unknown names on any of these flags
-// exit nonzero listing what is registered.
+// are reachable without command changes. The -probes flag attaches
+// registered stride-sampled probes whose time series streams into the
+// JSONL rows. Output formats other than text resolve through the sink
+// registry the same way (-format jsonl|csv|summary), and unknown names on
+// any of these flags exit nonzero listing what is registered.
 //
 // Usage examples:
 //
@@ -87,8 +86,6 @@ func run(args []string, out io.Writer) error {
 	probes := fs.String("probes", "", "stride-sampled probes as name:stride pairs, e.g. coverage:256,histogram:1024 (names: "+strings.Join(probe.Names(), "|")+"); series appear in jsonl rows")
 	schedule := fs.String("schedule", "none", "comma-separated perturbation schedules, e.g. none,delay:p=0.25,edgefail:t=1000,count=4 — note count/repair keys belong to the preceding spec (families: "+strings.Join(engine.ScheduleNames(), "|")+")")
 	mission := fs.String("mission", "none", "comma-separated missions, e.g. none,explore,patrol:horizon=4096 — note warmup/window keys belong to the preceding spec (families: "+strings.Join(engine.MissionNames(), "|")+")")
-	doReturn := fs.Bool("return", false, "deprecated alias for -metric return; in text mode, adds the recurrence metric after the cover time")
-	walk := fs.Bool("walk", false, "deprecated alias for -process walk")
 	trials := fs.Int("trials", 16, "trials for the walk expectation estimate (walk replicas)")
 	replicas := fs.Int("replicas", 1, "replicas per grid cell, each with a derived seed")
 	workers := fs.Int("workers", 0, "sweep engine worker pool size (0 = GOMAXPROCS); never affects results")
@@ -107,15 +104,7 @@ func run(args []string, out io.Writer) error {
 			trialsSet = true
 		}
 	})
-	// Resolve the process name: explicit -process wins, the deprecated
-	// -walk alias is honored otherwise, and conflicts are rejected.
 	procName := strings.ToLower(*process)
-	if *walk {
-		if procName != "" && procName != engine.ProcWalk {
-			return fmt.Errorf("-walk conflicts with -process %s", procName)
-		}
-		procName = engine.ProcWalk
-	}
 	if procName == "" {
 		procName = engine.ProcRotor
 	}
@@ -126,9 +115,6 @@ func run(args []string, out io.Writer) error {
 			procName, strings.Join(engine.ProcessNames(), "|"))
 	}
 	metricName := strings.ToLower(*metric)
-	if *doReturn && metricName != "" && metricName != engine.MetricReturn {
-		return fmt.Errorf("-return conflicts with -metric %s", metricName)
-	}
 	if metricName != "" {
 		if _, ok := engine.LookupMetric(metricName); !ok {
 			return fmt.Errorf("-metric: unknown metric %q (registered: %s)",
@@ -190,19 +176,12 @@ func run(args []string, out io.Writer) error {
 	// Mission names fail fast like every other registry flag: a typo dies
 	// here with the registered list instead of mid-sweep.
 	missions := make([]engine.Mission, 0, 1)
-	missioned := false
 	for _, p := range splitSpecs(*mission, engine.LookupMission) {
 		mi, err := engine.ParseMission(p)
 		if err != nil {
 			return fmt.Errorf("-mission: %w", err)
 		}
 		missions = append(missions, mi)
-		if mi != engine.MissionNone {
-			missioned = true
-		}
-	}
-	if missioned && *doReturn {
-		return fmt.Errorf("-return does not combine with -mission (missions replace the metric)")
 	}
 	probeSpecs, err := parseProbes(*probes)
 	if err != nil {
@@ -238,19 +217,11 @@ func run(args []string, out io.Writer) error {
 	eng := engine.New(engine.Workers(*workers))
 
 	if *format == "text" {
-		// Text mode renders the spec's metric; with the legacy -return
-		// flag (and no explicit recurrence metric) the recurrence sweep
-		// runs after the cover sweep, as it always has.
-		addReturn := *doReturn && spec.Metric == ""
-		return runText(eng, spec, addReturn, out)
+		return runText(eng, spec, out)
 	}
 	// Every other format resolves by name through the sink registry — the
 	// same path the rotord service's ?format= uses — so formats registered
-	// by other packages work here without command changes. Structured mode
-	// runs one sweep; -return selects the metric when -metric did not.
-	if *doReturn && spec.Metric == "" {
-		spec.Metric = engine.MetricReturn
-	}
+	// by other packages work here without command changes.
 	sink, err := engine.NewSink(*format, out)
 	if err != nil {
 		return err
@@ -305,9 +276,8 @@ func parseProbes(s string) ([]engine.ProbeSpec, error) {
 }
 
 // runText renders sweeps human-readably: legacy single-line output for a
-// 1-cell sweep, a summary table otherwise. With addReturn the recurrence
-// sweep runs after the cover sweep (the legacy -return behavior).
-func runText(eng *engine.Engine, spec engine.SweepSpec, addReturn bool, out io.Writer) error {
+// 1-cell sweep, a summary table otherwise.
+func runText(eng *engine.Engine, spec engine.SweepSpec, out io.Writer) error {
 	cells, err := spec.Cells()
 	if err != nil {
 		return err
@@ -340,94 +310,77 @@ func runText(eng *engine.Engine, spec engine.SweepSpec, addReturn bool, out io.W
 		}
 	}
 
-	if spec.Metric != engine.MetricReturn {
-		start := time.Now()
-		sum := engine.NewSummarySink()
-		rows, err := eng.Run(spec, sum)
-		if err != nil {
-			return err
-		}
-		// A single configuration fails hard; a grid degrades gracefully
-		// and reports per-cell failures in the summary table instead.
-		if single {
-			if err := firstRowErr(rows); err != nil {
-				return err
-			}
-		}
-		elapsed := time.Since(start).Round(time.Millisecond)
-		// The legacy single-line formats speak cover-time language; other
-		// registry metrics (restab_time, ...) and mission sweeps render as
-		// a summary table.
-		coverish := spec.Metric == "" || spec.Metric == engine.MetricCover
-		for _, m := range spec.Missions {
-			if m != engine.MissionNone {
-				coverish = false
-			}
-		}
-
-		label := spec.Metric
-		if label == "" || label == engine.MetricCover {
-			label = "mission" // only missions force a table on the cover metric
-		}
-		switch {
-		case !coverish:
-			fmt.Fprintf(out, "sweep: %d cells x %d replicas on %d workers, %s metric (%v)\n",
-				len(cells), spec.Replicas, eng.NumWorkers(), label, elapsed)
-			if err := sum.WriteTable(out); err != nil {
-				return err
-			}
-		case walk && single:
-			c := sum.Cells()[0]
-			fmt.Fprintf(out, "random walks: k=%d, E[cover] = %.0f ± %.0f rounds (median %.0f, range [%.0f, %.0f], %d trials, %v)\n",
-				c.K, c.Mean, c.StdErr, c.Median, c.Min, c.Max, c.Replicas, elapsed)
-		case single && spec.Replicas == 1:
-			r := rows[0]
-			fmt.Fprintf(out, "rotor-router: k=%d, cover time = %.0f rounds (%v)\n", r.K, r.Value, elapsed)
-		case single:
-			c := sum.Cells()[0]
-			fmt.Fprintf(out, "rotor-router: k=%d, cover time = %.0f ± %.0f rounds (median %.0f, range [%.0f, %.0f], %d replicas, %v)\n",
-				c.K, c.Mean, c.StdErr, c.Median, c.Min, c.Max, c.Replicas, elapsed)
-		default:
-			fmt.Fprintf(out, "sweep: %d cells x %d replicas on %d workers, cover metric (%v)\n",
-				len(cells), spec.Replicas, eng.NumWorkers(), elapsed)
-			if err := sum.WriteTable(out); err != nil {
-				return err
-			}
-		}
-		if !addReturn {
-			return nil
-		}
-	}
-
-	retSpec := spec
-	retSpec.Metric = engine.MetricReturn
-	retSpec.Probes = nil // probes require the cover metric
 	start := time.Now()
-	retSum := engine.NewSummarySink()
-	retRows, err := eng.Run(retSpec, retSum)
+	sum := engine.NewSummarySink()
+	rows, err := eng.Run(spec, sum)
 	if err != nil {
 		return err
 	}
+	recurrence := spec.Metric == engine.MetricReturn
+	// A single configuration fails hard; a grid degrades gracefully and
+	// reports per-cell failures in the summary table instead.
 	if single {
-		if err := firstRowErr(retRows); err != nil {
-			return fmt.Errorf("return time: %w", err)
+		if err := firstRowErr(rows); err != nil {
+			if recurrence {
+				return fmt.Errorf("return time: %w", err)
+			}
+			return err
 		}
 	}
 	elapsed := time.Since(start).Round(time.Millisecond)
+	if recurrence {
+		switch {
+		case walk && single:
+			// The walk has no limit cycle; its recurrence measure is the
+			// mean inter-visit gap over a long window (expectation n/k on
+			// the ring).
+			c := sum.Cells()[0]
+			fmt.Fprintf(out, "recurrence: mean inter-visit gap = %.1f ± %.1f rounds (%d trials, %v)\n",
+				c.Mean, c.StdErr, c.Replicas, elapsed)
+		case single:
+			r := rows[0]
+			fmt.Fprintf(out, "limit cycle: period %d, return time %.0f (per-node visits %d..%d, %v)\n",
+				r.Period, r.Value, r.MinVisits, r.MaxVisits, elapsed)
+		default:
+			fmt.Fprintf(out, "sweep: return-time metric (%v)\n", elapsed)
+			return sum.WriteTable(out)
+		}
+		return nil
+	}
+	// The legacy single-line formats speak cover-time language; other
+	// registry metrics (restab_time, ...) and mission sweeps render as a
+	// summary table.
+	coverish := spec.Metric == "" || spec.Metric == engine.MetricCover
+	for _, m := range spec.Missions {
+		if m != engine.MissionNone {
+			coverish = false
+		}
+	}
+
+	label := spec.Metric
+	if label == "" || label == engine.MetricCover {
+		label = "mission" // only missions force a table on the cover metric
+	}
 	switch {
+	case !coverish:
+		fmt.Fprintf(out, "sweep: %d cells x %d replicas on %d workers, %s metric (%v)\n",
+			len(cells), spec.Replicas, eng.NumWorkers(), label, elapsed)
+		return sum.WriteTable(out)
 	case walk && single:
-		// The walk has no limit cycle; its recurrence measure is the mean
-		// inter-visit gap over a long window (expectation n/k on the ring).
-		c := retSum.Cells()[0]
-		fmt.Fprintf(out, "recurrence: mean inter-visit gap = %.1f ± %.1f rounds (%d trials, %v)\n",
-			c.Mean, c.StdErr, c.Replicas, elapsed)
+		c := sum.Cells()[0]
+		fmt.Fprintf(out, "random walks: k=%d, E[cover] = %.0f ± %.0f rounds (median %.0f, range [%.0f, %.0f], %d trials, %v)\n",
+			c.K, c.Mean, c.StdErr, c.Median, c.Min, c.Max, c.Replicas, elapsed)
+	case single && spec.Replicas == 1:
+		r := rows[0]
+		fmt.Fprintf(out, "rotor-router: k=%d, cover time = %.0f rounds (%v)\n", r.K, r.Value, elapsed)
 	case single:
-		r := retRows[0]
-		fmt.Fprintf(out, "limit cycle: period %d, return time %.0f (per-node visits %d..%d, %v)\n",
-			r.Period, r.Value, r.MinVisits, r.MaxVisits, elapsed)
+		c := sum.Cells()[0]
+		fmt.Fprintf(out, "rotor-router: k=%d, cover time = %.0f ± %.0f rounds (median %.0f, range [%.0f, %.0f], %d replicas, %v)\n",
+			c.K, c.Mean, c.StdErr, c.Median, c.Min, c.Max, c.Replicas, elapsed)
 	default:
-		fmt.Fprintf(out, "sweep: return-time metric (%v)\n", elapsed)
-		return retSum.WriteTable(out)
+		fmt.Fprintf(out, "sweep: %d cells x %d replicas on %d workers, cover metric (%v)\n",
+			len(cells), spec.Replicas, eng.NumWorkers(), elapsed)
+		return sum.WriteTable(out)
 	}
 	return nil
 }

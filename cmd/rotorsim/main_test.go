@@ -11,12 +11,27 @@ import (
 func TestRotorRun(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{"-topology", "ring", "-n", "128", "-k", "4",
-		"-place", "equal", "-pointers", "negative", "-return"}, &buf)
+		"-place", "equal", "-pointers", "negative", "-metric", "cover"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"ring(128)", "cover time", "limit cycle", "return time"} {
+	for _, want := range []string{"ring(128)", "cover time"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestRotorReturnRun(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-topology", "ring", "-n", "128", "-k", "4",
+		"-place", "equal", "-pointers", "negative", "-metric", "return"}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"ring(128)", "limit cycle", "return time"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -25,7 +40,7 @@ func TestRotorRun(t *testing.T) {
 
 func TestWalkRun(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-topology", "ring", "-n", "128", "-k", "4", "-walk", "-trials", "4"}, &buf)
+	err := run([]string{"-topology", "ring", "-n", "128", "-k", "4", "-process", "walk", "-trials", "4"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +175,7 @@ func TestSweepWorkerIndependence(t *testing.T) {
 
 func TestWalkSweepReturn(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-n", "32", "-k", "4", "-walk", "-return",
+	err := run([]string{"-n", "32", "-k", "4", "-process", "walk", "-metric", "return",
 		"-trials", "2", "-format", "jsonl"}, &buf)
 	if err != nil {
 		t.Fatal(err)
@@ -278,9 +293,9 @@ func TestMissionRun(t *testing.T) {
 		}
 	}
 
-	if err := run([]string{"-n", "32", "-k", "2", "-mission", "explore", "-return"}, &buf); err == nil ||
-		!strings.Contains(err.Error(), "-mission") {
-		t.Errorf("-return + -mission not rejected: %v", err)
+	if err := run([]string{"-n", "32", "-k", "2", "-mission", "explore", "-metric", "return"}, &buf); err == nil ||
+		!strings.Contains(err.Error(), "missions require") {
+		t.Errorf("-metric return + -mission not rejected: %v", err)
 	}
 	if err := run([]string{"-n", "32", "-k", "2", "-mission", "patrol:horizon=0"}, &buf); err == nil {
 		t.Error("bad mission accepted")

@@ -11,7 +11,7 @@ import (
 // settles into the Eulerian cycle of the symmetric ring (period 2n).
 func Example_singleAgent() {
 	g := rotorring.Ring(16)
-	sim, err := rotorring.NewRotorSim(g) // one agent at node 0, pointers at port 0
+	sim, err := rotorring.New(g, rotorring.RotorRouter()) // one agent at node 0, pointers at port 0
 	if err != nil {
 		panic(err)
 	}
@@ -19,7 +19,7 @@ func Example_singleAgent() {
 	if err != nil {
 		panic(err)
 	}
-	ret, err := sim.ReturnTime(0)
+	ret, err := sim.(rotorring.ReturnTimeMeasurer).ReturnTime(0)
 	if err != nil {
 		panic(err)
 	}
@@ -34,9 +34,9 @@ func Example_singleAgent() {
 
 // Multi-agent cover time depends dramatically on the initial placement —
 // the central message of the paper's Table 1.
-func ExampleNewRotorSim_placements() {
+func ExampleNew_placements() {
 	const n, k = 256, 4
-	worst, err := rotorring.NewRotorSim(rotorring.Ring(n),
+	worst, err := rotorring.New(rotorring.Ring(n), rotorring.RotorRouter(),
 		rotorring.Agents(k),
 		rotorring.Place(rotorring.PlaceSingleNode),
 		rotorring.Pointers(rotorring.PointerTowardStart))
@@ -47,7 +47,7 @@ func ExampleNewRotorSim_placements() {
 	if err != nil {
 		panic(err)
 	}
-	best, err := rotorring.NewRotorSim(rotorring.Ring(n),
+	best, err := rotorring.New(rotorring.Ring(n), rotorring.RotorRouter(),
 		rotorring.Agents(k),
 		rotorring.Place(rotorring.PlaceEqualSpacing),
 		rotorring.Pointers(rotorring.PointerNegative))
@@ -86,7 +86,7 @@ func ExampleDomainLimitProfile() {
 // is partitioned into k near-equal domains.
 func ExampleRotorSim_domains() {
 	const n, k = 240, 4
-	sim, err := rotorring.NewRotorSim(rotorring.Ring(n),
+	p, err := rotorring.New(rotorring.Ring(n), rotorring.RotorRouter(),
 		rotorring.Agents(k),
 		rotorring.Place(rotorring.PlaceEqualSpacing),
 		rotorring.Pointers(rotorring.PointerNegative),
@@ -94,6 +94,7 @@ func ExampleRotorSim_domains() {
 	if err != nil {
 		panic(err)
 	}
+	sim := p.(*rotorring.RotorSim)
 	sim.Run(int64(20 * n))
 	part, err := sim.Domains()
 	if err != nil {

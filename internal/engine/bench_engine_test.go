@@ -35,7 +35,7 @@ var benchForce = flag.Bool("bench-force", false, "emit bench JSON even when GOMA
 // that scheduling overhead is negligible against simulation work.
 func benchSpec() SweepSpec {
 	return SweepSpec{
-		Topology:   "ring",
+		Topologies: []Topo{"ring"},
 		Sizes:      []int{256, 384, 512, 640},
 		Agents:     []int{2, 3, 4, 6},
 		Placements: []Placement{PlaceEqual},

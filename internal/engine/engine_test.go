@@ -18,7 +18,7 @@ import (
 // random placement, random pointers, and walk-style replicas.
 func randomizedSpec() SweepSpec {
 	return SweepSpec{
-		Topology:   "ring",
+		Topologies: []Topo{"ring"},
 		Sizes:      []int{32, 48},
 		Agents:     []int{2, 4},
 		Placements: []Placement{PlaceEqual, PlaceRandom},
@@ -154,7 +154,7 @@ func TestSeedDerivation(t *testing.T) {
 // sample than seed 1 (an explicit 0 must not be remapped).
 func TestSeedZeroIsDistinct(t *testing.T) {
 	spec := SweepSpec{
-		Topology:   "ring",
+		Topologies: []Topo{"ring"},
 		Sizes:      []int{48},
 		Agents:     []int{2},
 		Placements: []Placement{PlaceRandom},
@@ -184,7 +184,7 @@ func TestTopologyCaseInsensitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Topology = "RING"
+	spec.Topologies = []Topo{"RING"}
 	upper, err := New(Workers(2)).Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestEngineMatchesDirect(t *testing.T) {
 	}
 
 	rows, err := New(Workers(2)).Run(SweepSpec{
-		Topology:   "ring",
+		Topologies: []Topo{"ring"},
 		Sizes:      []int{n},
 		Agents:     []int{k},
 		Placements: []Placement{PlaceEqual},
@@ -257,7 +257,7 @@ func TestReturnMetricMatchesDirect(t *testing.T) {
 	}
 
 	rows, err := New(Workers(1)).Run(SweepSpec{
-		Topology:   "ring",
+		Topologies: []Topo{"ring"},
 		Sizes:      []int{n},
 		Agents:     []int{k},
 		Placements: []Placement{PlaceEqual},
@@ -330,7 +330,7 @@ func TestSpecValidation(t *testing.T) {
 		{},                                  // no sizes
 		{Sizes: []int{8}},                   // no agents
 		{Sizes: []int{8}, Agents: []int{0}}, // k < 1
-		{Sizes: []int{8}, Agents: []int{2}, Topology: "moebius"},
+		{Sizes: []int{8}, Agents: []int{2}, Topologies: []Topo{"moebius"}},
 		{Sizes: []int{8}, Agents: []int{2}, Placements: []Placement{99}},
 		{Sizes: []int{8}, Agents: []int{2}, Pointers: []Pointer{99}},
 		{Sizes: []int{8}, Agents: []int{2}, Replicas: -1},
@@ -355,10 +355,10 @@ func TestSpecValidation(t *testing.T) {
 // with Err set rather than aborting the sweep.
 func TestJobErrorsAreRows(t *testing.T) {
 	rows, err := New(Workers(2)).Run(SweepSpec{
-		Topology:  "ring",
-		Sizes:     []int{128},
-		Agents:    []int{1},
-		MaxRounds: 3, // far below the ~n^2 cover time
+		Topologies: []Topo{"ring"},
+		Sizes:      []int{128},
+		Agents:     []int{1},
+		MaxRounds:  3, // far below the ~n^2 cover time
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -375,12 +375,12 @@ func TestJobErrorsAreRows(t *testing.T) {
 // genuinely random sample (not all equal), while remaining reproducible.
 func TestWalkReplicasVary(t *testing.T) {
 	spec := SweepSpec{
-		Topology: "ring",
-		Sizes:    []int{64},
-		Agents:   []int{2},
-		Process:  ProcWalk,
-		Replicas: 8,
-		Seed:     7,
+		Topologies: []Topo{"ring"},
+		Sizes:      []int{64},
+		Agents:     []int{2},
+		Process:    ProcWalk,
+		Replicas:   8,
+		Seed:       7,
 	}
 	rows, err := New(Workers(3)).Run(spec)
 	if err != nil {
@@ -455,10 +455,10 @@ func TestMap(t *testing.T) {
 }
 
 // TestBuildGraphSizes: every registered topology constructs and reports a
-// sensible node count.
+// sensible node count, and constructor panics surface as errors.
 func TestBuildGraphSizes(t *testing.T) {
 	cases := []struct {
-		topo  string
+		topo  Topo
 		n     int
 		nodes int
 	}{
@@ -472,7 +472,7 @@ func TestBuildGraphSizes(t *testing.T) {
 		{"btree", 3, 7},
 	}
 	for _, c := range cases {
-		g, err := BuildGraph(c.topo, c.n)
+		g, err := BuildTopo(c.topo, c.n, 0)
 		if err != nil {
 			t.Errorf("%s: %v", c.topo, err)
 			continue
@@ -481,14 +481,14 @@ func TestBuildGraphSizes(t *testing.T) {
 			t.Errorf("%s(%d): %d nodes, want %d", c.topo, c.n, g.NumNodes(), c.nodes)
 		}
 	}
-	if _, err := BuildGraph("moebius", 8); err == nil {
+	if _, err := BuildTopo("moebius", 8, 0); err == nil {
 		t.Error("unknown topology accepted")
 	}
 	// Constructor panics surface as errors, not crashes.
-	if _, err := BuildGraph("ring", 2); err == nil {
+	if _, err := BuildTopo("ring", 2, 0); err == nil {
 		t.Error("Ring(2) should fail")
 	}
-	if _, err := BuildGraph("hypercube", 25); err == nil {
+	if _, err := BuildTopo("hypercube", 25, 0); err == nil {
 		t.Error("Hypercube(25) should fail")
 	}
 }

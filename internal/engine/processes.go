@@ -63,7 +63,7 @@ func newRotorProc(env *JobEnv) (Proc, error) {
 	sys, err := core.NewSystem(env.Graph,
 		core.WithAgentsAt(env.Positions...),
 		core.WithPointers(pointers),
-		core.WithKernelMode(kernelMode(env.Kernel)))
+		core.WithKernelMode(env.Kernel.CoreMode()))
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ type walkProc struct {
 
 func newWalkProc(env *JobEnv) (Proc, error) {
 	w, err := randwalk.New(env.Graph, env.Positions, env.RNG,
-		randwalk.WithMode(walkMode(env.Kernel)))
+		randwalk.WithMode(env.Kernel.WalkMode()))
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"rotorring/internal/core"
 	"rotorring/internal/graph"
-	"rotorring/internal/randwalk"
 	"rotorring/internal/xrand"
 	"rotorring/probe"
 )
@@ -76,32 +75,6 @@ type worker struct {
 
 func newWorker(graphs *graphCache) *worker {
 	return &worker{graphs: graphs, protoCell: -1}
-}
-
-// kernelMode maps the sweep-level kernel selection to the rotor engine's.
-func kernelMode(k Kernel) core.KernelMode {
-	switch k {
-	case KernelGeneric:
-		return core.KernelGeneric
-	case KernelFast:
-		return core.KernelFast
-	case KernelParallel:
-		return core.KernelParallel
-	default:
-		return core.KernelAuto
-	}
-}
-
-// walkMode maps the sweep-level kernel selection to the walk engine's.
-func walkMode(k Kernel) randwalk.Mode {
-	switch k {
-	case KernelGeneric:
-		return randwalk.ModeAgents
-	case KernelFast, KernelParallel:
-		return randwalk.ModeCounts
-	default:
-		return randwalk.ModeAuto
-	}
 }
 
 // graph returns the shared cached graph for a cell, constructing it on

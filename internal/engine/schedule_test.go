@@ -434,7 +434,7 @@ func itoa(v int64) string {
 // mustBuildGraph builds a registered topology for tests.
 func mustBuildGraph(t *testing.T, topo string, n int) *graph.Graph {
 	t.Helper()
-	g, err := BuildGraph(topo, n)
+	g, err := BuildTopo(Topo(topo), n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"strings"
 
+	"rotorring/internal/core"
+	"rotorring/internal/randwalk"
 	"rotorring/probe"
 )
 
@@ -25,9 +27,8 @@ type ProbeSpec struct {
 	Stride int64 `json:"stride"`
 }
 
-// Placement selects the initial agent positions of a sweep cell. The values
-// deliberately mirror the root package's PlacementPolicy constants so the
-// public API can convert by casting.
+// Placement selects the initial agent positions of a sweep cell (the root
+// package's PlacementPolicy).
 type Placement int
 
 // Placements.
@@ -69,7 +70,7 @@ func (p Placement) String() string {
 }
 
 // Pointer selects the initial port-pointer arrangement of a sweep cell
-// (rotor-router only). Values mirror the root package's PointerPolicy.
+// (rotor-router only; the root package's PointerPolicy).
 type Pointer int
 
 // Pointer arrangements.
@@ -171,6 +172,33 @@ func (k Kernel) String() string {
 	}
 }
 
+// CoreMode maps the tier to the rotor engine's kernel mode.
+func (k Kernel) CoreMode() core.KernelMode {
+	switch k {
+	case KernelGeneric:
+		return core.KernelGeneric
+	case KernelFast:
+		return core.KernelFast
+	case KernelParallel:
+		return core.KernelParallel
+	default:
+		return core.KernelAuto
+	}
+}
+
+// WalkMode maps the tier to the walk engine's stepping mode: generic is
+// per-agent, fast and parallel are counts-based.
+func (k Kernel) WalkMode() randwalk.Mode {
+	switch k {
+	case KernelGeneric:
+		return randwalk.ModeAgents
+	case KernelFast, KernelParallel:
+		return randwalk.ModeCounts
+	default:
+		return randwalk.ModeAuto
+	}
+}
+
 // Process and metric names. Sweeps select both by name from the process
 // registry (see process.go), so third processes and metrics plug in
 // without engine edits; these constants name the built-ins.
@@ -211,15 +239,14 @@ type SweepSpec struct {
 	// for adding families). Axis-sized specs ("ring", "grid", "rr:3") take
 	// their size parameter from Sizes; self-sized specs ("grid:64x32",
 	// "rr:3x512") fix the graph themselves and contribute exactly one size
-	// cell each. One sweep may mix topologies freely.
+	// cell each. One sweep may mix topologies freely. Seeded families (rr,
+	// shuffled) build their graphs deterministically from Seed. Empty
+	// selects the single topology "ring".
 	Topologies []Topo `json:"topologies,omitempty"`
-	// Topology names a single graph family.
-	//
-	// Deprecated: set Topologies. Topology is honored only while
-	// Topologies is empty.
-	Topology string `json:"topology,omitempty"`
-	// Sizes lists the size parameters n for the axis-sized topologies.
-	// It may be empty when every entry of Topologies is self-sized.
+	// Sizes lists the size parameters n for the axis-sized topologies:
+	// node count (ring/path/complete/star/rr), side length (grid/torus),
+	// dimension (hypercube) or level count (btree). It may be empty when
+	// every entry of Topologies is self-sized.
 	Sizes []int `json:"sizes,omitempty"`
 	// Agents lists the agent counts k to sweep.
 	Agents []int `json:"agents"`
@@ -296,13 +323,7 @@ func (s SweepSpec) withDefaults() (SweepSpec, error) {
 	// canonicalizes, so seed derivation (which hashes the spec string)
 	// cannot distinguish "RING" from "ring".
 	if len(s.Topologies) == 0 {
-		// The deprecated single-family alias, honored while Topologies is
-		// empty.
-		t := s.Topology
-		if t == "" {
-			t = "ring"
-		}
-		s.Topologies = []Topo{Topo(t)}
+		s.Topologies = []Topo{"ring"}
 	}
 	s.topos = make([]topoInstance, 0, len(s.Topologies))
 	canon := make([]Topo, len(s.Topologies)) // fresh slice: never mutate the caller's

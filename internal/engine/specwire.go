@@ -9,12 +9,8 @@ import (
 
 // This file is the wire-level codec for SweepSpec: the versioned JSON form
 // specs take on disk and over the service API (see the public specjson
-// package for the rotorring.SweepSpec wrappers). The wire format is a clean
-// restart of the spec surface — enums travel as their flag strings, every
-// list entry is canonicalized on decode, and the library's deprecated
-// escape hatches (Topology / Walk / ReturnTime) are rejected outright: the
-// library keeps honoring them for source compatibility, but they never
-// appear on the wire in either direction.
+// package). Enums travel as their flag strings and every list entry is
+// canonicalized on decode.
 
 // WireVersion is the current wire-format version. Decoding requires an
 // explicit matching "v" field: specs are long-lived artifacts (spool
@@ -44,48 +40,34 @@ type wireSpec struct {
 	Missions   []string    `json:"missions,omitempty"`
 }
 
-// wireFields is the set of accepted top-level keys; deprecatedWire maps the
-// library spellings the wire format rejects to the error clients should see.
-var (
-	wireFields = map[string]bool{
-		"v": true, "topologies": true, "sizes": true, "agents": true,
-		"placements": true, "pointers": true, "process": true,
-		"metric": true, "probes": true, "replicas": true, "seed": true,
-		"maxRounds": true, "kernel": true, "schedules": true,
-		"missions": true,
-	}
-	deprecatedWire = map[string]string{
-		"topology":   `set "topologies": ["<spec>", ...]`,
-		"walk":       `set "process": "walk"`,
-		"returntime": `set "metric": "return"`,
-		"return":     `set "metric": "return"`,
-	}
-)
+// wireFields is the set of accepted top-level keys.
+var wireFields = map[string]bool{
+	"v": true, "topologies": true, "sizes": true, "agents": true,
+	"placements": true, "pointers": true, "process": true,
+	"metric": true, "probes": true, "replicas": true, "seed": true,
+	"maxRounds": true, "kernel": true, "schedules": true,
+	"missions": true,
+}
 
 // DecodeWireSpec parses a version-1 wire spec: it requires "v": 1, rejects
-// unknown and deprecated fields, canonicalizes every topology and schedule
-// spec through its registry parser, resolves enum strings, and fail-fast
-// validates the whole grid (registry names, metric/schedule compatibility)
-// so an accepted spec cannot fail for spec-level reasons at run time. The
+// unknown fields, canonicalizes every topology and schedule spec through
+// its registry parser, resolves enum strings, and fail-fast validates the
+// whole grid (registry names, metric/schedule compatibility) so an
+// accepted spec cannot fail for spec-level reasons at run time. The
 // returned spec re-encodes to canonical bytes via EncodeWireSpec.
 func DecodeWireSpec(data []byte) (SweepSpec, error) {
-	// A raw key scan runs before the typed decode so unknown fields — and
-	// the deprecated library spellings in particular — fail with targeted
-	// messages instead of a generic struct-mismatch error.
+	// A raw key scan runs before the typed decode: encoding/json matches
+	// keys case-insensitively and ignores unknown ones, while the wire
+	// format accepts exactly the wireFields spellings.
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return SweepSpec{}, fmt.Errorf("engine: wire spec: %w", err)
 	}
 	var unknown []string
 	for k := range raw {
-		if wireFields[k] {
-			continue
+		if !wireFields[k] {
+			unknown = append(unknown, k)
 		}
-		if hint, dep := deprecatedWire[strings.ToLower(k)]; dep {
-			return SweepSpec{}, fmt.Errorf(
-				"engine: wire spec: field %q is not part of the wire format (deprecated library spelling); %s", k, hint)
-		}
-		unknown = append(unknown, k)
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
@@ -167,12 +149,8 @@ func DecodeWireSpec(data []byte) (SweepSpec, error) {
 
 // EncodeWireSpec renders a spec in canonical version-1 wire form: "v": 1
 // first, enums as strings, topology and schedule specs canonicalized, zero
-// fields omitted. The deprecated library fields are translated to their
-// clean spellings before encoding (Topology joins Topologies; Walk and the
-// caller-side ReturnTime mapping are the specjson wrapper's concern), so
-// deprecated spellings cannot leak onto the wire. The output is
-// deterministic: equal specs encode to equal bytes, which is what sweep
-// ids and spool spec hashes are derived from.
+// fields omitted. The output is deterministic: equal specs encode to equal
+// bytes, which is what sweep ids and spool spec hashes are derived from.
 func EncodeWireSpec(spec SweepSpec) ([]byte, error) {
 	// Validate (and reuse the normalization's canonicalization work) up
 	// front: encoding an invalid spec would just defer the failure to the
@@ -191,12 +169,7 @@ func EncodeWireSpec(spec SweepSpec) ([]byte, error) {
 		Seed:      spec.Seed,
 		MaxRounds: spec.MaxRounds,
 	}
-	topos := spec.Topologies
-	if len(topos) == 0 && spec.Topology != "" {
-		// The deprecated single-family field travels as a one-entry list.
-		topos = []Topo{Topo(spec.Topology)}
-	}
-	for _, t := range topos {
+	for _, t := range spec.Topologies {
 		topo, err := ParseTopo(string(t))
 		if err != nil {
 			return nil, err

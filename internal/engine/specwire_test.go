@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -64,40 +66,31 @@ func TestWireSpecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireSpecEncodeTranslatesDeprecatedTopology(t *testing.T) {
-	b, err := EncodeWireSpec(SweepSpec{Topology: "Grid", Sizes: []int{8}, Agents: []int{2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(b, []byte(`"topologies":["grid"]`)) {
-		t.Errorf("deprecated Topology not translated to topologies list: %s", b)
-	}
-	if bytes.Contains(b, []byte(`"topology"`)) {
-		t.Errorf("deprecated spelling leaked onto the wire: %s", b)
-	}
+// wireRejections are wire bodies DecodeWireSpec must reject, with a
+// substring of the expected error. The removed library spellings
+// (topology, walk, returnTime) fail like any other unknown key.
+var wireRejections = []struct {
+	name, body, want string
+}{
+	{"missing v", `{"agents":[2],"sizes":[32]}`, `missing required version field "v"`},
+	{"wrong v", `{"v":2,"agents":[2],"sizes":[32]}`, "unsupported version"},
+	{"deprecated topology", `{"v":1,"topology":"ring","agents":[2],"sizes":[32]}`, "unknown field(s) topology"},
+	{"deprecated walk", `{"v":1,"walk":true,"agents":[2],"sizes":[32]}`, "unknown field(s) walk"},
+	{"deprecated returnTime", `{"v":1,"returnTime":true,"agents":[2],"sizes":[32]}`, "unknown field(s) returnTime"},
+	{"unknown field", `{"v":1,"agents":[2],"sizes":[32],"shard":4}`, `unknown field(s) shard`},
+	{"unknown process", `{"v":1,"agents":[2],"sizes":[32],"process":"teleport"}`, "unknown process"},
+	{"unknown metric", `{"v":1,"agents":[2],"sizes":[32],"metric":"vibes"}`, "unknown metric"},
+	{"bad topology", `{"v":1,"topologies":["klein"],"agents":[2],"sizes":[32]}`, "unknown"},
+	{"bad schedule", `{"v":1,"agents":[2],"sizes":[32],"schedules":["quake"]}`, "unknown schedule"},
+	{"bad placement", `{"v":1,"agents":[2],"sizes":[32],"placements":["middle"]}`, "unknown placement"},
+	{"bad pointer", `{"v":1,"agents":[2],"sizes":[32],"pointers":["north"]}`, "unknown pointer"},
+	{"bad kernel", `{"v":1,"agents":[2],"sizes":[32],"kernel":"turbo"}`, "unknown kernel"},
+	{"no agents", `{"v":1,"sizes":[32]}`, "agent count"},
+	{"schedule/metric conflict", `{"v":1,"agents":[2],"sizes":[32],"metric":"restab_time"}`, "requires at least one schedule"},
 }
 
 func TestWireSpecDecodeRejections(t *testing.T) {
-	cases := []struct {
-		name, body, want string
-	}{
-		{"missing v", `{"agents":[2],"sizes":[32]}`, `missing required version field "v"`},
-		{"wrong v", `{"v":2,"agents":[2],"sizes":[32]}`, "unsupported version"},
-		{"deprecated topology", `{"v":1,"topology":"ring","agents":[2],"sizes":[32]}`, "deprecated library spelling"},
-		{"deprecated walk", `{"v":1,"walk":true,"agents":[2],"sizes":[32]}`, `set "process": "walk"`},
-		{"deprecated returnTime", `{"v":1,"returnTime":true,"agents":[2],"sizes":[32]}`, `set "metric": "return"`},
-		{"unknown field", `{"v":1,"agents":[2],"sizes":[32],"shard":4}`, `unknown field(s) shard`},
-		{"unknown process", `{"v":1,"agents":[2],"sizes":[32],"process":"teleport"}`, "unknown process"},
-		{"unknown metric", `{"v":1,"agents":[2],"sizes":[32],"metric":"vibes"}`, "unknown metric"},
-		{"bad topology", `{"v":1,"topologies":["klein"],"agents":[2],"sizes":[32]}`, "unknown"},
-		{"bad schedule", `{"v":1,"agents":[2],"sizes":[32],"schedules":["quake"]}`, "unknown schedule"},
-		{"bad placement", `{"v":1,"agents":[2],"sizes":[32],"placements":["middle"]}`, "unknown placement"},
-		{"bad pointer", `{"v":1,"agents":[2],"sizes":[32],"pointers":["north"]}`, "unknown pointer"},
-		{"bad kernel", `{"v":1,"agents":[2],"sizes":[32],"kernel":"turbo"}`, "unknown kernel"},
-		{"no agents", `{"v":1,"sizes":[32]}`, "agent count"},
-		{"schedule/metric conflict", `{"v":1,"agents":[2],"sizes":[32],"metric":"restab_time"}`, "requires at least one schedule"},
-	}
-	for _, c := range cases {
+	for _, c := range wireRejections {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := DecodeWireSpec([]byte(c.body))
 			if err == nil {
@@ -108,4 +101,46 @@ func TestWireSpecDecodeRejections(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDecodeWireSpec: no input panics the decoder; every spec it accepts
+// encodes, and the canonical bytes are a decode/encode fixed point. The
+// corpus starts from the specjson golden fixtures and the rejection
+// bodies above.
+func FuzzDecodeWireSpec(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join("..", "..", "specjson", "testdata", "*.wire.json"))
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no specjson golden fixtures found (%v)", err)
+	}
+	for _, path := range goldens {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, c := range wireRejections {
+		f.Add([]byte(c.body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := DecodeWireSpec(data)
+		if err != nil {
+			return
+		}
+		canon, err := EncodeWireSpec(spec)
+		if err != nil {
+			t.Fatalf("decoded %q but cannot encode it: %v", data, err)
+		}
+		again, err := DecodeWireSpec(canon)
+		if err != nil {
+			t.Fatalf("canonical bytes %s of %q do not decode: %v", canon, data, err)
+		}
+		re, err := EncodeWireSpec(again)
+		if err != nil {
+			t.Fatalf("canonical bytes %s decode but do not re-encode: %v", canon, err)
+		}
+		if !bytes.Equal(re, canon) {
+			t.Fatalf("canonical bytes are not a fixed point:\n got %s\nwant %s", re, canon)
+		}
+	})
 }

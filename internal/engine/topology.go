@@ -221,14 +221,6 @@ func BuildTopo(t Topo, n int, seed uint64) (*graph.Graph, error) {
 	return buildInstance(inst, n, seed)
 }
 
-// BuildGraph constructs a named topology of size parameter n: node count
-// for ring/path/complete/star, side length for grid/torus, dimension for
-// hypercube, levels for btree. It predates the registry and is kept for
-// single-graph callers; it is BuildTopo with graph seed 0.
-func BuildGraph(topology string, n int) (*graph.Graph, error) {
-	return BuildTopo(Topo(topology), n, 0)
-}
-
 // --- spec-string parsing helpers -----------------------------------------
 
 // maxDim bounds every parsed spec parameter (and every implied size), so

@@ -372,38 +372,29 @@ func TestMixedTopologySweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestDeprecatedTopologySizesCompat: the deprecated Topology+Sizes
-// spelling produces exactly the rows (seeds, values) of the Topologies
-// spelling — and seeds are unchanged from the pre-registry derivation, so
-// pre-PR-4 outputs remain reproducible.
+// TestDeprecatedTopologySizesCompat: an axis-sized family swept through
+// Topologies derives its job seeds exactly as the pre-registry engine did
+// for its single-family spelling, so outputs recorded before the topology
+// registry remain reproducible.
 func TestDeprecatedTopologySizesCompat(t *testing.T) {
-	oldStyle := SweepSpec{
-		Topology:   "grid",
+	rows, err := New(Workers(2)).Run(SweepSpec{
+		Topologies: []Topo{"grid"},
 		Sizes:      []int{6, 8},
 		Agents:     []int{2},
 		Placements: []Placement{PlaceRandom},
 		Pointers:   []Pointer{PtrRandom},
 		Replicas:   2,
 		Seed:       5,
-	}
-	newStyle := oldStyle
-	newStyle.Topology = ""
-	newStyle.Topologies = []Topo{"grid"}
-
-	oldRows, err := New(Workers(2)).Run(oldStyle)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRows, err := New(Workers(2)).Run(newStyle)
-	if err != nil {
-		t.Fatal(err)
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows, want 4", len(rows))
 	}
-	if !reflect.DeepEqual(oldRows, newRows) {
-		t.Error("deprecated Topology+Sizes spelling diverges from Topologies")
-	}
-	for _, r := range oldRows {
-		// The job seed must still be the PR 3 derivation: base + the
-		// family string ("grid", not the resolved spec) + configuration.
+	for _, r := range rows {
+		// The job seed is the pre-registry derivation: base + the family
+		// string ("grid", not the resolved spec) + configuration.
 		want := DeriveSeed(5, hashString("grid"), uint64(r.N), uint64(r.K),
 			uint64(r.Cell.Placement), uint64(r.Cell.Pointer), uint64(r.Replica))
 		if r.Seed != want {

@@ -215,7 +215,8 @@ type sweepPoint struct {
 
 // registrySweep runs a named process/metric from the engine's process
 // registry over the ring grid ns × ks (one fixed placement/pointer cell
-// per point) and returns the measured values as sweep points. Experiments
+// per point) and returns the measured values as sweep points, annotated
+// with the limit-cycle period where the metric reports one. Experiments
 // whose measurement is exactly a registered (process, metric) pair go
 // through here, so they exercise the same code path as sweeps and the
 // CLI; bespoke measurements (trial estimators, deployments, trackers) use
@@ -240,7 +241,11 @@ func registrySweep(cfg Config, ns, ks []int, process, metric string,
 		if r.Err != "" {
 			return nil, fmt.Errorf("expt: point n=%d k=%d: %s", r.N, r.K, r.Err)
 		}
-		points = append(points, sweepPoint{n: r.N, k: r.K, value: r.Value})
+		p := sweepPoint{n: r.N, k: r.K, value: r.Value}
+		if r.Period != 0 {
+			p.extra = fmt.Sprintf(" (period %d)", r.Period)
+		}
+		points = append(points, p)
 	}
 	// The engine's canonical order is sizes then agents; normalize like
 	// runSweep so tables list points by (n, k) even with unsorted axes.

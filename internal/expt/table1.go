@@ -314,33 +314,13 @@ func expE5() *Experiment {
 		Claim:    "rotor-router return time Θ(n/k) for any initialization; walk mean gap n/k",
 		Run: func(cfg Config) (*Result, error) {
 			ns, ks := returnSweepSizes(cfg.Scale)
-
-			measure := func(placement func(n, k int) []int,
-				pointers func(*graph.Graph, []int) ([]int, error)) func(n, k int) (float64, string, error) {
-				return func(n, k int) (float64, string, error) {
-					g := graph.Ring(n)
-					starts := placement(n, k)
-					ptr, err := pointers(g, starts)
-					if err != nil {
-						return 0, "", err
-					}
-					sys, err := core.NewSystem(g, core.WithAgentsAt(starts...), core.WithPointers(ptr))
-					if err != nil {
-						return 0, "", err
-					}
-					rs, err := core.MeasureReturnTime(sys, 64*int64(n)*int64(n))
-					if err != nil {
-						return 0, "", err
-					}
-					return float64(rs.ReturnTime), fmt.Sprintf(" (period %d)", rs.Period), nil
-				}
-			}
-
-			best, err := runSweep(cfg, ns, ks, measure(bestPlacement, negativePointers))
+			best, err := registrySweep(cfg, ns, ks,
+				engine.ProcRotor, engine.MetricReturn, engine.PlaceEqual, engine.PtrNegative)
 			if err != nil {
 				return nil, err
 			}
-			worst, err := runSweep(cfg, ns, ks, measure(worstPlacement, towardStartPointers))
+			worst, err := registrySweep(cfg, ns, ks,
+				engine.ProcRotor, engine.MetricReturn, engine.PlaceSingle, engine.PtrToward)
 			if err != nil {
 				return nil, err
 			}

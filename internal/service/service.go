@@ -755,7 +755,7 @@ func (s *Server) runJob(sw *sweepJob, runner *engine.JobRunner, job int) (ok boo
 	b, err := engine.RowBytes(row)
 	if err != nil {
 		// A row the canonical codec cannot encode would also have failed
-		// library-mode WriteJSONL; surface it as a sweep failure rather
+		// a library-mode JSONL sweep; surface it as a sweep failure rather
 		// than dropping the job silently.
 		sw.fail(fmt.Sprintf("encode row %d: %v", job, err), sw.exp.JobKey(job))
 		return true

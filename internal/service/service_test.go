@@ -464,7 +464,7 @@ func TestHTTPErrors(t *testing.T) {
 	if code, body := post(`{"agents":[2],"sizes":[32]}`); code != http.StatusBadRequest || !strings.Contains(body, "version") {
 		t.Errorf("unversioned spec: %d %s", code, body)
 	}
-	if code, body := post(`{"v":1,"topology":"ring","agents":[2],"sizes":[32]}`); code != http.StatusBadRequest || !strings.Contains(body, "deprecated") {
+	if code, body := post(`{"v":1,"topology":"ring","agents":[2],"sizes":[32]}`); code != http.StatusBadRequest || !strings.Contains(body, "unknown field(s) topology") {
 		t.Errorf("deprecated spelling: %d %s", code, body)
 	}
 	if code, body := post(`{"v":1,"agents":[2],"sizes":[32],"process":"psychic"}`); code != http.StatusBadRequest || !strings.Contains(body, "unknown process") {

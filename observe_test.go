@@ -119,7 +119,7 @@ func TestDomainCountProbeOnRotor(t *testing.T) {
 }
 
 // TestSweepProbesPublicAPI: probes stream through the public sweep API and
-// ride on rows; the deprecated Walk alias still selects the walk process.
+// ride on rows.
 func TestSweepProbesPublicAPI(t *testing.T) {
 	rows, err := rotorring.RunSweep(rotorring.SweepSpec{
 		Sizes:      []int{48},
@@ -139,22 +139,5 @@ func TestSweepProbesPublicAPI(t *testing.T) {
 	}
 	if len(rows[0].Series) == 0 {
 		t.Error("no series on public sweep row")
-	}
-
-	// Named process selection and the deprecated alias agree.
-	named, err := rotorring.RunSweep(rotorring.SweepSpec{
-		Sizes: []int{48}, Agents: []int{3}, Process: "walk", Seed: 3,
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aliased, err := rotorring.RunSweep(rotorring.SweepSpec{
-		Sizes: []int{48}, Agents: []int{3}, Walk: true, Seed: 3,
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if named[0].Value != aliased[0].Value || named[0].Process != aliased[0].Process {
-		t.Errorf("Process:\"walk\" (%+v) and Walk:true (%+v) disagree", named[0], aliased[0])
 	}
 }

@@ -121,8 +121,7 @@ func (k ProcessKind) String() string {
 	return k.name
 }
 
-// New creates a simulation of the given process kind on g. It is the
-// preferred constructor:
+// New creates a simulation of the given process kind on g:
 //
 //	p, err := rotorring.New(g, rotorring.RotorRouter(),
 //	    rotorring.Agents(8), rotorring.Place(rotorring.PlaceEqualSpacing))
@@ -133,9 +132,9 @@ func (k ProcessKind) String() string {
 func New(g *Graph, kind ProcessKind, opts ...SimOption) (Process, error) {
 	switch kind.name {
 	case "", engine.ProcRotor:
-		return NewRotorSim(g, opts...)
+		return newRotorSim(g, opts...)
 	case engine.ProcWalk:
-		return NewWalkSim(g, opts...)
+		return newWalkSim(g, opts...)
 	default:
 		return nil, fmt.Errorf("rotorring: unknown process %q (constructible: %s|%s)",
 			kind.name, engine.ProcRotor, engine.ProcWalk)

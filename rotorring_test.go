@@ -9,7 +9,7 @@ import (
 
 func TestFacadeDefaultsSingleAgent(t *testing.T) {
 	g := Ring(32)
-	sim, err := NewRotorSim(g)
+	sim, err := newRotorSim(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,29 +28,29 @@ func TestFacadeDefaultsSingleAgent(t *testing.T) {
 
 func TestFacadeOptionValidation(t *testing.T) {
 	g := Ring(16)
-	if _, err := NewRotorSim(g, Agents(0)); err == nil {
+	if _, err := newRotorSim(g, Agents(0)); err == nil {
 		t.Error("Agents(0) accepted")
 	}
-	if _, err := NewRotorSim(g, Positions()); err == nil {
+	if _, err := newRotorSim(g, Positions()); err == nil {
 		t.Error("empty Positions accepted")
 	}
-	if _, err := NewRotorSim(g, Place(PlacementPolicy(99))); err == nil {
+	if _, err := newRotorSim(g, Place(PlacementPolicy(99))); err == nil {
 		t.Error("bad placement accepted")
 	}
-	if _, err := NewRotorSim(g, Pointers(PointerPolicy(99))); err == nil {
+	if _, err := newRotorSim(g, Pointers(PointerPolicy(99))); err == nil {
 		t.Error("bad pointer policy accepted")
 	}
-	if _, err := NewRotorSim(g, CustomPointers([]int{1})); err == nil {
+	if _, err := newRotorSim(g, CustomPointers([]int{1})); err == nil {
 		t.Error("short CustomPointers accepted")
 	}
-	if _, err := NewRotorSim(Path(8), TrackDomains(), Positions(0)); err == nil {
+	if _, err := newRotorSim(Path(8), TrackDomains(), Positions(0)); err == nil {
 		t.Error("TrackDomains on non-ring accepted")
 	}
 }
 
 func TestPlacementPolicies(t *testing.T) {
 	g := Ring(100)
-	sim, err := NewRotorSim(g, Agents(4), Place(PlaceEqualSpacing))
+	sim, err := newRotorSim(g, Agents(4), Place(PlaceEqualSpacing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestPlacementPolicies(t *testing.T) {
 		}
 	}
 
-	sim, err = NewRotorSim(g, Agents(3), Place(PlaceSingleNode))
+	sim, err = newRotorSim(g, Agents(3), Place(PlaceSingleNode))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestPlacementPolicies(t *testing.T) {
 		}
 	}
 
-	a, err := NewRotorSim(g, Agents(5), Place(PlaceRandom), Seed(7))
+	a, err := newRotorSim(g, Agents(5), Place(PlaceRandom), Seed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRotorSim(g, Agents(5), Place(PlaceRandom), Seed(7))
+	b, err := newRotorSim(g, Agents(5), Place(PlaceRandom), Seed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestWorstVsBestCoverOrdering(t *testing.T) {
 	// much slower than best-case, and the shapes match the predictions
 	// within generous constants.
 	const n, k = 512, 8
-	worst, err := NewRotorSim(Ring(n), Agents(k), Place(PlaceSingleNode), Pointers(PointerTowardStart))
+	worst, err := newRotorSim(Ring(n), Agents(k), Place(PlaceSingleNode), Pointers(PointerTowardStart))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestWorstVsBestCoverOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := NewRotorSim(Ring(n), Agents(k), Place(PlaceEqualSpacing), Pointers(PointerNegative))
+	best, err := newRotorSim(Ring(n), Agents(k), Place(PlaceEqualSpacing), Pointers(PointerNegative))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestWorstVsBestCoverOrdering(t *testing.T) {
 
 func TestReturnTimeFacade(t *testing.T) {
 	const n, k = 128, 4
-	sim, err := NewRotorSim(Ring(n), Agents(k), Place(PlaceEqualSpacing), Pointers(PointerNegative))
+	sim, err := newRotorSim(Ring(n), Agents(k), Place(PlaceEqualSpacing), Pointers(PointerNegative))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestReturnTimeFacade(t *testing.T) {
 
 func TestDomainFacade(t *testing.T) {
 	const n, k = 120, 3
-	sim, err := NewRotorSim(Ring(n), Agents(k), Place(PlaceEqualSpacing),
+	sim, err := newRotorSim(Ring(n), Agents(k), Place(PlaceEqualSpacing),
 		Pointers(PointerNegative), TrackDomains())
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestDomainFacade(t *testing.T) {
 func TestTrackDomainsKeepsRingKernel(t *testing.T) {
 	const n, k = 96, 16 // k >= n/8: KernelAuto selects the ring kernel
 	build := func(kernel KernelPolicy) *RotorSim {
-		sim, err := NewRotorSim(Ring(n), Agents(k), Place(PlaceEqualSpacing),
+		sim, err := newRotorSim(Ring(n), Agents(k), Place(PlaceEqualSpacing),
 			Pointers(PointerRandom), Seed(3), Kernel(kernel), TrackDomains())
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +210,7 @@ func TestTrackDomainsKeepsRingKernel(t *testing.T) {
 }
 
 func TestDomainQueriesRequireTracking(t *testing.T) {
-	sim, err := NewRotorSim(Ring(32), Agents(2), Place(PlaceEqualSpacing))
+	sim, err := newRotorSim(Ring(32), Agents(2), Place(PlaceEqualSpacing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +228,12 @@ func TestDomainQueriesRequireTracking(t *testing.T) {
 
 func TestWalkSimFacade(t *testing.T) {
 	const n, k = 256, 4
-	w, err := NewWalkSim(Ring(n), Agents(k), Place(PlaceEqualSpacing), Seed(3))
+	w, err := newWalkSim(Ring(n), Agents(k), Place(PlaceEqualSpacing), Seed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.NumWalkers() != k {
-		t.Fatalf("walkers = %d", w.NumWalkers())
+	if w.NumAgents() != k {
+		t.Fatalf("walkers = %d", w.NumAgents())
 	}
 	sum, err := w.ExpectedCoverTime(16, 0)
 	if err != nil {
@@ -251,7 +251,7 @@ func TestWalkSimFacade(t *testing.T) {
 
 func TestWalkGapsFacade(t *testing.T) {
 	const n, k = 64, 4
-	w, err := NewWalkSim(Ring(n), Agents(k), Place(PlaceEqualSpacing), Seed(9))
+	w, err := newWalkSim(Ring(n), Agents(k), Place(PlaceEqualSpacing), Seed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestCustomGraphBuilderFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewRotorSim(g, Positions(0))
+	sim, err := newRotorSim(g, Positions(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestTopologyFacades(t *testing.T) {
 		if tc.g.NumNodes() != tc.nodes {
 			t.Errorf("%s: nodes = %d, want %d", tc.g.Name(), tc.g.NumNodes(), tc.nodes)
 		}
-		sim, err := NewRotorSim(tc.g, Positions(0))
+		sim, err := newRotorSim(tc.g, Positions(0))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.g.Name(), err)
 		}
@@ -381,7 +381,7 @@ func TestTopologyFacades(t *testing.T) {
 }
 
 func TestRotorSimAccessors(t *testing.T) {
-	sim, err := NewRotorSim(Ring(16), Agents(2), Place(PlaceEqualSpacing))
+	sim, err := newRotorSim(Ring(16), Agents(2), Place(PlaceEqualSpacing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestRotorSimAccessors(t *testing.T) {
 }
 
 func TestFindLimitCycleFacade(t *testing.T) {
-	sim, err := NewRotorSim(Ring(16))
+	sim, err := newRotorSim(Ring(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestFindLimitCycleFacade(t *testing.T) {
 }
 
 func TestWalkSimAccessors(t *testing.T) {
-	w, err := NewWalkSim(Ring(32), Agents(3), Place(PlaceEqualSpacing), Seed(2))
+	w, err := newWalkSim(Ring(32), Agents(3), Place(PlaceEqualSpacing), Seed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestKernelOptionFacade(t *testing.T) {
 
 	mkRotor := func(p KernelPolicy) *RotorSim {
 		t.Helper()
-		sim, err := NewRotorSim(g,
+		sim, err := newRotorSim(g,
 			Agents(32),
 			Place(PlaceEqualSpacing),
 			Pointers(PointerNegative),
@@ -499,7 +499,7 @@ func TestKernelOptionFacade(t *testing.T) {
 
 	mkWalk := func(p KernelPolicy) *WalkSim {
 		t.Helper()
-		w, err := NewWalkSim(g, Agents(4), Kernel(p))
+		w, err := newWalkSim(g, Agents(4), Kernel(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,7 +516,7 @@ func TestKernelOptionFacade(t *testing.T) {
 		t.Errorf("sparse KernelAuto walk mode %q", got)
 	}
 
-	if _, err := NewRotorSim(g, Kernel(KernelPolicy(99))); err == nil {
+	if _, err := newRotorSim(g, Kernel(KernelPolicy(99))); err == nil {
 		t.Error("invalid kernel policy accepted")
 	}
 }

@@ -12,41 +12,41 @@ import (
 )
 
 // PlacementPolicy selects the initial agent positions.
-type PlacementPolicy int
+type PlacementPolicy = engine.Placement
 
 // Placement policies. The paper's Table 1 distinguishes the worst-case
 // placement (all agents on one node, Theorem 1) from the best case (equal
 // spacing, Theorem 3).
 const (
 	// PlaceSingleNode puts all k agents on node 0 (worst case).
-	PlaceSingleNode PlacementPolicy = iota + 1
+	PlaceSingleNode = engine.PlaceSingle
 	// PlaceEqualSpacing spreads the agents at positions floor(i·n/k)
 	// (best case).
-	PlaceEqualSpacing
+	PlaceEqualSpacing = engine.PlaceEqual
 	// PlaceRandom samples k independent uniform positions from the seed.
-	PlaceRandom
+	PlaceRandom = engine.PlaceRandom
 )
 
 // PointerPolicy selects the initial port pointers — the part of the
 // configuration the paper's adversary controls.
-type PointerPolicy int
+type PointerPolicy = engine.Pointer
 
 // Pointer policies.
 const (
 	// PointerZero leaves every pointer at port 0 (all clockwise on the
 	// ring).
-	PointerZero PointerPolicy = iota + 1
+	PointerZero = engine.PtrZero
 	// PointerNegative points every node toward its nearest starting
 	// agent, so the first visit to each new node reflects the visitor
 	// back — the paper's "negatively initialized" adversarial barrier
 	// (§2.2, Theorem 4).
-	PointerNegative
+	PointerNegative = engine.PtrNegative
 	// PointerTowardStart points every node toward node 0 along shortest
 	// paths: combined with PlaceSingleNode this is the Θ(n²/log k) worst
 	// case of Theorem 1.
-	PointerTowardStart
+	PointerTowardStart = engine.PtrToward
 	// PointerRandom samples uniform pointers from the seed.
-	PointerRandom
+	PointerRandom = engine.PtrRandom
 )
 
 // KernelPolicy selects the stepping tier of a simulation (see
@@ -54,33 +54,21 @@ const (
 // counts-based walk engine are several times faster in the paper's dense
 // regimes and produce identical results (bit-identical for the rotor,
 // statistically identical for walks).
-type KernelPolicy int
+type KernelPolicy = engine.Kernel
 
 // Kernel policies.
 const (
 	// KernelAuto picks the fastest equivalent engine per topology and
 	// density. This is the default.
-	KernelAuto KernelPolicy = iota
+	KernelAuto = engine.KernelAuto
 	// KernelGeneric forces the generic rotor engine / per-agent walks.
-	KernelGeneric
+	KernelGeneric = engine.KernelGeneric
 	// KernelFast forces the specialized rotor kernel (where the topology
 	// has one) / counts-based walks.
-	KernelFast
+	KernelFast = engine.KernelFast
 )
 
-// coreMode maps the public policy to the rotor engine's kernel mode.
-func (k KernelPolicy) coreMode() core.KernelMode {
-	switch k {
-	case KernelGeneric:
-		return core.KernelGeneric
-	case KernelFast:
-		return core.KernelFast
-	default:
-		return core.KernelAuto
-	}
-}
-
-// SimOption configures NewRotorSim or NewWalkSim.
+// SimOption configures a simulation built by New.
 type SimOption func(*simConfig) error
 
 type simConfig struct {
@@ -226,13 +214,9 @@ type RotorSim struct {
 	tracker *ringdom.Tracker
 }
 
-// NewRotorSim creates a rotor-router simulation on g. With no options a
+// newRotorSim creates a rotor-router simulation on g. With no options a
 // single agent starts on node 0 with all pointers at port 0.
-//
-// Deprecated: use New(g, RotorRouter(), opts...), which returns the same
-// simulator behind the Process interface. NewRotorSim remains for callers
-// that want the concrete *RotorSim without a type assertion.
-func NewRotorSim(g *Graph, opts ...SimOption) (*RotorSim, error) {
+func newRotorSim(g *Graph, opts ...SimOption) (*RotorSim, error) {
 	cfg := simConfig{seed: 1}
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
@@ -246,7 +230,7 @@ func NewRotorSim(g *Graph, opts ...SimOption) (*RotorSim, error) {
 	sys, err := core.NewSystem(g,
 		core.WithAgentsAt(positions...),
 		core.WithPointers(pointers),
-		core.WithKernelMode(cfg.kernel.coreMode()))
+		core.WithKernelMode(cfg.kernel.CoreMode()))
 	if err != nil {
 		return nil, err
 	}

@@ -2,14 +2,11 @@
 // the JSON form sweep specs take on disk, in fixtures, and over the rotord
 // service API (POST /v1/sweeps).
 //
-// The wire format is a clean restart of the spec surface. Where the
-// library struct carries deprecated escape hatches for source
-// compatibility (Topology, Walk, ReturnTime), the wire format has exactly
-// one spelling per concept and rejects the old ones outright; enums travel
-// as their flag strings ("single", "negative", "fast") rather than opaque
-// integers; and every topology, schedule and mission spec is canonicalized
-// through its registry parser on decode, so a spec that decodes is a spec
-// that runs.
+// The wire format has exactly one spelling per concept and rejects
+// unknown keys; enums travel as their flag strings ("single", "negative",
+// "fast") rather than opaque integers; and every topology, schedule and
+// mission spec is canonicalized through its registry parser on decode, so
+// a spec that decodes is a spec that runs.
 //
 // A version-1 document looks like:
 //
@@ -43,84 +40,18 @@ import (
 // Version is the wire-format version this codec reads and writes.
 const Version = engine.WireVersion
 
-// Encode renders spec in canonical version-1 wire form. The library's
-// deprecated fields are translated to their clean spellings (Topology
-// joins the topologies list, Walk becomes process "walk", ReturnTime
-// becomes metric "return"), every topology and schedule spec is
-// canonicalized, and the spec is fully validated first — encoding an
-// invalid spec fails here rather than at the first decoder.
+// Encode renders spec in canonical version-1 wire form. Every topology,
+// schedule and mission spec is canonicalized, and the spec is fully
+// validated first — encoding an invalid spec fails here rather than at
+// the first decoder.
 func Encode(spec rotorring.SweepSpec) ([]byte, error) {
-	return engine.EncodeWireSpec(engineSpec(spec))
+	return engine.EncodeWireSpec(spec)
 }
 
 // Decode parses a version-1 wire spec: it requires "v": 1, rejects unknown
-// fields and the deprecated library spellings, canonicalizes topology and
-// schedule specs, and fail-fast validates the grid against the registries.
-// The returned spec re-encodes to the same canonical bytes.
+// fields, canonicalizes topology, schedule and mission specs, and
+// fail-fast validates the grid against the registries. The returned spec
+// re-encodes to the same canonical bytes.
 func Decode(data []byte) (rotorring.SweepSpec, error) {
-	es, err := engine.DecodeWireSpec(data)
-	if err != nil {
-		return rotorring.SweepSpec{}, err
-	}
-	return publicSpec(es), nil
-}
-
-// engineSpec lowers the public spec, resolving the deprecated selector
-// fields exactly as rotorring.RunSweep does: explicit names win, the
-// boolean aliases are honored only while the named field is empty.
-func engineSpec(s rotorring.SweepSpec) engine.SweepSpec {
-	es := engine.SweepSpec{
-		Topologies: s.Topologies,
-		Topology:   s.Topology,
-		Sizes:      s.Sizes,
-		Agents:     s.Agents,
-		Process:    s.Process,
-		Metric:     s.Metric,
-		Probes:     s.Probes,
-		Replicas:   s.Replicas,
-		Seed:       s.Seed,
-		MaxRounds:  s.MaxRounds,
-		Kernel:     engine.Kernel(s.Kernel),
-		Schedules:  s.Schedules,
-		Missions:   s.Missions,
-	}
-	for _, p := range s.Placements {
-		es.Placements = append(es.Placements, engine.Placement(p))
-	}
-	for _, p := range s.Pointers {
-		es.Pointers = append(es.Pointers, engine.Pointer(p))
-	}
-	if es.Process == "" && s.Walk {
-		es.Process = engine.ProcWalk
-	}
-	if es.Metric == "" && s.ReturnTime {
-		es.Metric = engine.MetricReturn
-	}
-	return es
-}
-
-// publicSpec lifts a decoded engine spec back to the public struct. Wire
-// specs never carry deprecated fields, so the lift is a plain field copy.
-func publicSpec(es engine.SweepSpec) rotorring.SweepSpec {
-	s := rotorring.SweepSpec{
-		Topologies: es.Topologies,
-		Sizes:      es.Sizes,
-		Agents:     es.Agents,
-		Process:    es.Process,
-		Metric:     es.Metric,
-		Probes:     es.Probes,
-		Replicas:   es.Replicas,
-		Seed:       es.Seed,
-		MaxRounds:  es.MaxRounds,
-		Kernel:     rotorring.KernelPolicy(es.Kernel),
-		Schedules:  es.Schedules,
-		Missions:   es.Missions,
-	}
-	for _, p := range es.Placements {
-		s.Placements = append(s.Placements, rotorring.PlacementPolicy(p))
-	}
-	for _, p := range es.Pointers {
-		s.Pointers = append(s.Pointers, rotorring.PointerPolicy(p))
-	}
-	return s
+	return engine.DecodeWireSpec(data)
 }

@@ -61,17 +61,6 @@ var goldenSpecs = []struct {
 			Seed:       13,
 		},
 	},
-	{
-		name: "deprecated_translated",
-		spec: rotorring.SweepSpec{
-			Topology:   "Grid",
-			Sizes:      []int{8},
-			Agents:     []int{2},
-			Walk:       true,
-			ReturnTime: true,
-			Seed:       7,
-		},
-	},
 }
 
 func goldenPath(name string) string {
@@ -130,10 +119,10 @@ func TestRoundTripRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want, got bytes.Buffer
-	if err := spec.WriteJSONL(&want, 2); err != nil {
+	if err := rotorring.WriteSweep(&want, spec, "jsonl", 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.WriteJSONL(&got, 2); err != nil {
+	if err := rotorring.WriteSweep(&got, dec, "jsonl", 2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
@@ -143,9 +132,9 @@ func TestRoundTripRuns(t *testing.T) {
 
 func TestDecodeRejectsDeprecatedSpellings(t *testing.T) {
 	cases := map[string]string{
-		`{"v":1,"topology":"ring","agents":[2],"sizes":[32]}`:    "deprecated library spelling",
-		`{"v":1,"walk":true,"agents":[2],"sizes":[32]}`:          `set "process": "walk"`,
-		`{"v":1,"returnTime":true,"agents":[2],"sizes":[32]}`:    `set "metric": "return"`,
+		`{"v":1,"topology":"ring","agents":[2],"sizes":[32]}`:    "unknown field(s) topology",
+		`{"v":1,"walk":true,"agents":[2],"sizes":[32]}`:          "unknown field(s) walk",
+		`{"v":1,"returnTime":true,"agents":[2],"sizes":[32]}`:    "unknown field(s) returnTime",
 		`{"agents":[2],"sizes":[32]}`:                            `missing required version field "v"`,
 		`{"v":9,"agents":[2],"sizes":[32]}`:                      "unsupported version",
 		`{"v":1,"agents":[2],"sizes":[32],"process":"psychic"}`:  "unknown process",

@@ -65,99 +65,24 @@ func MissionNames() []string { return engine.MissionNames() }
 
 // SweepSpec describes a grid of experiments: the cross product of
 // Topologies × Sizes × Agents × Placements × Pointers × Schedules ×
-// Missions, each
-// configuration run Replicas times with a seed derived from Seed and the
-// configuration (never from execution order). Sweeps therefore produce
-// bit-identical results regardless of how many workers run them.
+// Missions, each configuration run Replicas times with a seed derived from
+// Seed and the configuration (never from execution order). Sweeps
+// therefore produce bit-identical results regardless of how many workers
+// run them.
 //
-// Zero-valued optional fields select defaults: ring topology, PlaceSingleNode,
-// PointerZero, rotor-router process, cover-time metric, one replica,
-// automatic round budget. Seed 0 is a valid base seed.
+// Zero-valued optional fields select defaults: ring topology,
+// PlaceSingleNode, PointerZero, rotor-router process, cover-time metric,
+// one replica, automatic round budget, KernelAuto. Seed 0 is a valid base
+// seed. Process, Metric, Topologies, Schedules and Missions name entries
+// of the engine's registries (ProcessNames, MetricNames, TopologyNames,
+// ScheduleNames, MissionNames). Each field is documented on the engine's
+// type (go doc rotorring/internal/engine.SweepSpec).
 //
 // SweepSpec has a versioned JSON wire form — the format the rotord sweep
 // service accepts and the preimage of its content-addressed sweep ids —
 // provided by the specjson package: specjson.Encode produces canonical
-// bytes, specjson.Decode validates and canonicalizes. The wire form spells
-// every enum by its registry name and rejects the deprecated Topology,
-// Walk and ReturnTime fields.
-type SweepSpec struct {
-	// Topologies lists the parameterized topology specs to sweep — one
-	// sweep may mix families freely ("ring", "grid:64x32", "rr:3", ...)
-	// and streams the whole heterogeneous grid in one canonical order.
-	// Seeded families (rr, shuffled) build their graphs deterministically
-	// from Seed. Empty selects the deprecated Topology field.
-	Topologies []Topo
-	// Topology names a single graph family: ring, path, grid, torus,
-	// complete, star, hypercube or btree.
-	//
-	// Deprecated: set Topologies. Topology is honored only while
-	// Topologies is empty.
-	Topology string
-	// Sizes lists the size parameters for the axis-sized topology specs:
-	// node count (ring/path/complete/star/rr), side length (grid/torus),
-	// dimension (hypercube) or level count (btree). It may be empty when
-	// every spec in Topologies is self-sized.
-	Sizes []int
-	// Agents lists the agent counts k to sweep.
-	Agents []int
-	// Placements lists the initial placements.
-	Placements []PlacementPolicy
-	// Pointers lists the initial pointer policies (ignored for walks).
-	Pointers []PointerPolicy
-	// Process names the registered process to run ("rotor", "walk", or any
-	// name added to the engine registry; ProcessNames lists them). Empty
-	// selects the rotor-router, unless the deprecated Walk field is set.
-	Process string
-	// Metric names the registered quantity to measure ("cover", "return";
-	// MetricNames lists them). Empty selects the cover time, unless the
-	// deprecated ReturnTime field is set.
-	Metric string
-	// Probes names registered probes (see rotorring/probe) sampled during
-	// every job with the given strides; points stream into the JSONL rows'
-	// "series" field. Requires the cover metric.
-	Probes []ProbeSpec
-	// Walk selects the randomized baseline (k independent random walks)
-	// instead of the rotor-router.
-	//
-	// Deprecated: set Process to "walk". Walk is honored only while
-	// Process is empty.
-	Walk bool
-	// ReturnTime measures the limit-cycle return time (rotor) or the mean
-	// inter-visit gap (walk) instead of the cover time.
-	//
-	// Deprecated: set Metric to "return". ReturnTime is honored only while
-	// Metric is empty.
-	ReturnTime bool
-	// Replicas is the number of runs per configuration.
-	Replicas int
-	// Seed is the base seed of the sweep.
-	Seed uint64
-	// MaxRounds bounds each run (0 = automatic).
-	MaxRounds int64
-	// Kernel selects the stepping tier (default KernelAuto). Rotor rows
-	// are bit-identical across tiers; walk rows are resampled under a
-	// different (equally distributed) random stream. Seeds never depend
-	// on it.
-	Kernel KernelPolicy
-	// Schedules lists the perturbation schedules to sweep as an innermost
-	// grid axis ("none", "delay:p=0.25", "edgefail:t=1000,count=4", ...).
-	// Empty selects the single schedule "none", whose rows are exactly
-	// those of an unscheduled sweep. Job seeds do not depend on the
-	// schedule, so the same configuration under different schedules starts
-	// identically and rows are directly comparable; only the schedule's
-	// own event stream (which edge fails, who joins where) is derived from
-	// the schedule spec. The restab_time and cover_after_fault metrics
-	// measure re-stabilization and re-coverage after the schedule's fault.
-	Schedules []Schedule
-	// Missions lists the mission specs to sweep as the innermost grid axis
-	// ("none", "explore", "return", "quiesce:window=4096",
-	// "patrol:horizon=4096", ...). Empty selects the single mission "none",
-	// whose rows are exactly those of a mission-less sweep. Mission cells
-	// replace the metric measurement with the mission runner; job seeds do
-	// not depend on the mission, so the same configuration under different
-	// missions starts identically.
-	Missions []Mission
-}
+// bytes, specjson.Decode validates and canonicalizes.
+type SweepSpec = engine.SweepSpec
 
 // ProbeSpec selects a registered probe and its sampling stride for a
 // sweep.
@@ -224,41 +149,6 @@ type SweepRow struct {
 	Series []SeriesPoint
 }
 
-// engineSpec converts the public spec. Placement and pointer enums are
-// defined with identical values in both packages.
-func (s SweepSpec) engineSpec() engine.SweepSpec {
-	es := engine.SweepSpec{
-		Topologies: s.Topologies,
-		Topology:   s.Topology,
-		Sizes:      s.Sizes,
-		Agents:     s.Agents,
-		Process:    s.Process,
-		Metric:     s.Metric,
-		Probes:     s.Probes,
-		Replicas:   s.Replicas,
-		Seed:       s.Seed,
-		MaxRounds:  s.MaxRounds,
-		Kernel:     engine.Kernel(s.Kernel),
-		Schedules:  s.Schedules,
-		Missions:   s.Missions,
-	}
-	for _, p := range s.Placements {
-		es.Placements = append(es.Placements, engine.Placement(p))
-	}
-	for _, p := range s.Pointers {
-		es.Pointers = append(es.Pointers, engine.Pointer(p))
-	}
-	// The deprecated boolean selectors are honored while the named fields
-	// are empty; explicit names win.
-	if es.Process == "" && s.Walk {
-		es.Process = engine.ProcWalk
-	}
-	if es.Metric == "" && s.ReturnTime {
-		es.Metric = engine.MetricReturn
-	}
-	return es
-}
-
 func publicRows(rows []engine.Row) []SweepRow {
 	out := make([]SweepRow, len(rows))
 	for i, r := range rows {
@@ -271,6 +161,7 @@ func publicRows(rows []engine.Row) []SweepRow {
 			Mission:   r.Cell.Mission,
 			Edges:     r.Edges,
 			MaxDegree: r.MaxDegree,
+			Placement: r.Cell.Placement,
 			Process:   r.Process,
 			Metric:    r.Metric,
 			Replica:   r.Replica,
@@ -289,9 +180,8 @@ func publicRows(rows []engine.Row) []SweepRow {
 			StalenessMean:  r.StalenessMean,
 			Fairness:       r.Fairness,
 		}
-		out[i].Placement = PlacementPolicy(r.Cell.Placement)
 		if r.Pointer != "" { // pointer-less processes leave the column empty
-			out[i].Pointer = PointerPolicy(r.Cell.Pointer)
+			out[i].Pointer = r.Cell.Pointer
 		}
 	}
 	return out
@@ -300,45 +190,31 @@ func publicRows(rows []engine.Row) []SweepRow {
 // RunSweep executes the sweep on a worker pool of the given size (0 =
 // GOMAXPROCS) and returns the rows in canonical grid order: sizes, then
 // agents, placements, pointers, schedules, missions, replicas. The worker
-// count
-// never affects the results, only the wall-clock time.
+// count never affects the results, only the wall-clock time.
 func RunSweep(spec SweepSpec, workers int) ([]SweepRow, error) {
-	rows, err := engine.New(engine.Workers(workers)).Run(spec.engineSpec())
+	rows, err := engine.New(engine.Workers(workers)).Run(spec)
 	if err != nil {
 		return nil, err
 	}
 	return publicRows(rows), nil
 }
 
-// WriteJSONL runs the sweep and streams one JSON object per job to w, in
-// canonical order; output is byte-identical for any worker count.
-func (s SweepSpec) WriteJSONL(w io.Writer, workers int) error {
-	_, err := engine.New(engine.Workers(workers)).Run(s.engineSpec(), engine.NewJSONLSink(w))
-	return err
-}
-
-// WriteCSV runs the sweep and streams the rows as CSV to w, in canonical
-// order; output is byte-identical for any worker count.
-func (s SweepSpec) WriteCSV(w io.Writer, workers int) error {
-	_, err := engine.New(engine.Workers(workers)).Run(s.engineSpec(), engine.NewCSVSink(w))
-	return err
-}
-
 // SinkNames lists the registered output format names, sorted ("csv",
 // "jsonl", "summary", plus anything other packages register). Each name
-// works with WriteFormat, with rotorsim -format, and with the rotord
+// works with WriteSweep, with rotorsim -format, and with the rotord
 // service's ?format= parameter — the three resolve through one registry.
 func SinkNames() []string { return engine.SinkNames() }
 
-// WriteFormat runs the sweep and streams the rows to w in a registered
-// output format resolved by name; like the typed writers, the output is
-// byte-identical for any worker count. Unknown names fail with an error
-// listing the registered formats.
-func (s SweepSpec) WriteFormat(w io.Writer, format string, workers int) error {
+// WriteSweep runs the sweep on a worker pool of the given size (0 =
+// GOMAXPROCS) and streams the rows to w in canonical order, in a
+// registered output format resolved by name ("jsonl", "csv", "summary";
+// see SinkNames). The output is byte-identical for any worker count.
+// Unknown format names fail with an error listing the registered formats.
+func WriteSweep(w io.Writer, spec SweepSpec, format string, workers int) error {
 	sink, err := engine.NewSink(format, w)
 	if err != nil {
 		return err
 	}
-	_, err = engine.New(engine.Workers(workers)).Run(s.engineSpec(), sink)
+	_, err = engine.New(engine.Workers(workers)).Run(spec, sink)
 	return err
 }

@@ -5,41 +5,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"rotorring/internal/engine"
 )
-
-// TestPolicyValuesAligned guards the cast-based conversion between the
-// public policy enums and the engine's: the numeric values must stay equal.
-func TestPolicyValuesAligned(t *testing.T) {
-	placements := map[PlacementPolicy]engine.Placement{
-		PlaceSingleNode:   engine.PlaceSingle,
-		PlaceEqualSpacing: engine.PlaceEqual,
-		PlaceRandom:       engine.PlaceRandom,
-	}
-	for pub, eng := range placements {
-		if int(pub) != int(eng) {
-			t.Errorf("placement %v = %d, engine %v = %d", pub, int(pub), eng, int(eng))
-		}
-	}
-	pointers := map[PointerPolicy]engine.Pointer{
-		PointerZero:        engine.PtrZero,
-		PointerNegative:    engine.PtrNegative,
-		PointerTowardStart: engine.PtrToward,
-		PointerRandom:      engine.PtrRandom,
-	}
-	for pub, eng := range pointers {
-		if int(pub) != int(eng) {
-			t.Errorf("pointer %v = %d, engine %v = %d", pub, int(pub), eng, int(eng))
-		}
-	}
-}
 
 // TestRunSweepMatchesSingleSim: a 1-cell sweep reproduces exactly what the
 // single-simulation facade measures.
 func TestRunSweepMatchesSingleSim(t *testing.T) {
 	g := Ring(96)
-	sim, err := NewRotorSim(g, Agents(4),
+	sim, err := newRotorSim(g, Agents(4),
 		Place(PlaceEqualSpacing), Pointers(PointerNegative))
 	if err != nil {
 		t.Fatal(err)
@@ -85,16 +57,16 @@ func TestSweepWritersDeterministic(t *testing.T) {
 		Seed:       99,
 	}
 	var a, b, c bytes.Buffer
-	if err := spec.WriteJSONL(&a, 1); err != nil {
+	if err := WriteSweep(&a, spec, "jsonl", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := spec.WriteJSONL(&b, 8); err != nil {
+	if err := WriteSweep(&b, spec, "jsonl", 8); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("JSONL differs between 1 and 8 workers")
 	}
-	if err := spec.WriteCSV(&c, 4); err != nil {
+	if err := WriteSweep(&c, spec, "csv", 4); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(c.String()), "\n")
@@ -146,7 +118,7 @@ func TestMixedTopologySweepPublic(t *testing.T) {
 
 	// JSONL carries the new self-describing fields.
 	var buf bytes.Buffer
-	if err := spec.WriteJSONL(&buf, 4); err != nil {
+	if err := WriteSweep(&buf, spec, "jsonl", 4); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"spec":"rr:3x32"`, `"edges":`, `"max_degree":`} {
@@ -178,7 +150,7 @@ func TestRunSweepWalk(t *testing.T) {
 	rows, err := RunSweep(SweepSpec{
 		Sizes:    []int{48},
 		Agents:   []int{3},
-		Walk:     true,
+		Process:  "walk",
 		Replicas: 6,
 		Seed:     5,
 	}, 3)

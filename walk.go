@@ -9,19 +9,6 @@ import (
 	"rotorring/internal/xrand"
 )
 
-// walkMode maps the public policy to the walk engine's stepping mode:
-// generic ↔ per-agent, fast ↔ counts.
-func (k KernelPolicy) walkMode() randwalk.Mode {
-	switch k {
-	case KernelGeneric:
-		return randwalk.ModeAgents
-	case KernelFast:
-		return randwalk.ModeCounts
-	default:
-		return randwalk.ModeAuto
-	}
-}
-
 // WalkSim is a system of k independent synchronous random walkers — the
 // randomized baseline the paper compares the rotor-router against.
 type WalkSim struct {
@@ -32,16 +19,12 @@ type WalkSim struct {
 	kernel    KernelPolicy
 }
 
-// NewWalkSim creates a random-walk simulation on g. Pointer options are
+// newWalkSim creates a random-walk simulation on g. Pointer options are
 // ignored (walks have no pointers); placement, seed and kernel options
 // apply — the Kernel option selects between per-agent stepping
 // (KernelGeneric) and the counts-based engine (KernelFast), with KernelAuto
 // choosing by walker density.
-//
-// Deprecated: use New(g, RandomWalk(), opts...), which returns the same
-// simulator behind the Process interface. NewWalkSim remains for callers
-// that want the concrete *WalkSim without a type assertion.
-func NewWalkSim(g *Graph, opts ...SimOption) (*WalkSim, error) {
+func newWalkSim(g *Graph, opts ...SimOption) (*WalkSim, error) {
 	cfg := simConfig{seed: 1}
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
@@ -53,17 +36,14 @@ func NewWalkSim(g *Graph, opts ...SimOption) (*WalkSim, error) {
 		return nil, err
 	}
 	w, err := randwalk.New(g, positions, xrand.New(cfg.seed),
-		randwalk.WithMode(cfg.kernel.walkMode()))
+		randwalk.WithMode(cfg.kernel.WalkMode()))
 	if err != nil {
 		return nil, err
 	}
 	return &WalkSim{walk: w, g: g, positions: positions, seed: cfg.seed, kernel: cfg.kernel}, nil
 }
 
-// NumWalkers returns k.
-func (w *WalkSim) NumWalkers() int { return w.walk.NumWalkers() }
-
-// NumAgents returns k (the Process-interface name for NumWalkers).
+// NumAgents returns k.
 func (w *WalkSim) NumAgents() int { return w.walk.NumWalkers() }
 
 // Graph returns the topology the simulation runs on.
@@ -163,7 +143,7 @@ func (w *WalkSim) ExpectedCoverTime(trials int, maxRounds int64) (CoverTimeSumma
 		maxRounds = engine.AutoBudget(w.g, engine.ProcWalk, engine.MetricCover)
 	}
 	times, err := randwalk.CoverTimes(w.g, w.positions, trials, w.seed, maxRounds,
-		randwalk.WithMode(w.kernel.walkMode()))
+		randwalk.WithMode(w.kernel.WalkMode()))
 	if err != nil {
 		return CoverTimeSummary{}, err
 	}
