@@ -107,9 +107,11 @@ cluster-smoke:
 # Native fuzzing on a short fixed budget: the kernel differential fuzz
 # (rotor tiers bit-identical), the topology-, schedule- and mission-spec
 # parser fuzz (canonical forms are parse/String fixed points with identical
-# compiled plans) and the wire-spec decoder fuzz (no panics; accepted
-# specs re-encode to a decode/encode fixed point). Seed corpora also run
-# under plain `go test`; this target actually mutates.
+# compiled plans), the wire-spec decoder fuzz (no panics; accepted specs
+# re-encode to a decode/encode fixed point) and the cluster completion
+# fuzz (no panics, only 200/400/404, never a job queued that was not
+# leased). Seed corpora also run under plain `go test`; this target
+# actually mutates.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzKernelEquivalence$$' -fuzztime $(FUZZTIME)
@@ -119,6 +121,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzParseMission$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzDecodeWireSpec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzCoordinatorComplete$$' -fuzztime $(FUZZTIME)
 
 ci: build vet fmt-check race bench-smoke bench-kernels-smoke bench-check examples-smoke service-smoke chaos-smoke cluster-smoke fuzz-smoke
 

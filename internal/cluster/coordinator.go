@@ -347,7 +347,10 @@ func (c *Coordinator) grant(workerID string, wait time.Duration) (*LeaseResponse
 // rejected, and propagates a worker-side failure to the sweep. Completions
 // for unknown leases — expired and reassigned, or from before a
 // coordinator restart — still commit (idempotence makes the duplicate
-// harmless) but count as late.
+// harmless) but count as late. Only rejected jobs still outstanding on
+// the worker's own live lease are requeued: any other job was never
+// leased to this worker (it may not even be in the sweep's grid), or was
+// requeued already when its lease expired.
 func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	w, ok := c.workers[req.WorkerID]
@@ -363,7 +366,7 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 	var rejected []int
 	for _, r := range req.Rows {
 		if err := c.cfg.Commit(req.SweepID, r.Job, []byte(r.Row)); err != nil {
-			c.logf("cluster: worker %s: job %d of %s rejected (%v); reassigning", req.WorkerID, r.Job, req.SweepID, err)
+			c.logf("cluster: worker %s: job %d of %s rejected (%v)", req.WorkerID, r.Job, req.SweepID, err)
 			rejected = append(rejected, r.Job)
 			continue
 		}
@@ -381,8 +384,15 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 			w.strikes = 0 // productive again: forgive past blown deadlines
 		}
 	}
+	var requeue []int
 	l, known := c.leases[req.LeaseID]
 	if known && l.worker == req.WorkerID && l.sweep == req.SweepID {
+		for _, j := range rejected {
+			if l.remaining[j] {
+				requeue = append(requeue, j)
+				delete(l.remaining, j)
+			}
+		}
 		for _, r := range req.Rows {
 			delete(l.remaining, r.Job)
 		}
@@ -395,13 +405,13 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 	} else {
 		c.lateRows += int64(committed)
 	}
-	if len(rejected) > 0 {
-		sort.Ints(rejected)
-		c.requeueLocked(chunk{sweep: req.SweepID, jobs: rejected})
+	if len(requeue) > 0 {
+		sort.Ints(requeue)
+		c.requeueLocked(chunk{sweep: req.SweepID, jobs: requeue})
 		c.leasesReassigned++
 	}
 	c.mu.Unlock()
-	return CompleteResponse{Committed: committed, Requeued: rejected}, nil
+	return CompleteResponse{Committed: committed, Requeued: requeue}, nil
 }
 
 // dropLeaseLocked removes a finished lease; callers hold c.mu.

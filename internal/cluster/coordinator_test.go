@@ -1,7 +1,12 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -338,5 +343,63 @@ func TestHungWorkerStruckOut(t *testing.T) {
 	// With zero workers left, the chunk must have drained to the fallback.
 	waitFor(t, 5*time.Second, "fallback after strikeout", func() bool {
 		return len(h.fallbackJobs()) >= 1
+	})
+}
+
+// FuzzCoordinatorComplete posts arbitrary bodies to /v1/cluster/complete
+// on a coordinator whose one worker holds a lease on jobs [0, 8) of sweep
+// s1; rows that are not valid JSON fail the commit. Whatever the body, the
+// coordinator must not panic, must answer 200, 400 or 404, and must never
+// queue a job it did not lease (nor one job twice). A fresh coordinator
+// assigns the ids the seed corpus names: worker "w1-fuzz", lease "l-2".
+func FuzzCoordinatorComplete(f *testing.F) {
+	for _, body := range []string{
+		`{"workerId":"w1-fuzz","leaseId":"l-2","sweepId":"s1","rows":[{"job":0,"row":"{}\n"},{"job":1,"row":"garbage"}]}`,
+		`{"workerId":"w1-fuzz","leaseId":"l-2","sweepId":"s1","rows":[{"job":13,"row":"garbage"},{"job":-1,"row":"garbage"}]}`,
+		`{"workerId":"w1-fuzz","leaseId":"l-2","sweepId":"s1","rows":[{"job":2,"row":"x"},{"job":2,"row":"x"}],"failed":{"job":99,"cause":"boom"}}`,
+		`{"workerId":"w1-fuzz","leaseId":"l-gone","sweepId":"s1","rows":[{"job":3,"row":"garbage"}]}`,
+		`{"workerId":"w1-fuzz","leaseId":"l-2","sweepId":"s2","rows":[{"job":3,"row":"garbage"}]}`,
+		`{"workerId":"nobody","leaseId":"l-2","sweepId":"s1"}`,
+		`{"rows":[{"job":"x"}]}`,
+		`not json`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cfg := newHarness().config(time.Hour)
+		cfg.Commit = func(_ string, _ int, b []byte) error {
+			if !json.Valid(b) {
+				return errors.New("not a row")
+			}
+			return nil
+		}
+		c := NewCoordinator(cfg)
+		defer c.Close()
+		reg := c.register(RegisterRequest{Name: "fuzz"})
+		c.Dispatch("s1", []int{0, 1, 2, 3, 4, 5, 6, 7})
+		l, err := c.grant(reg.WorkerID, 0)
+		if err != nil || l == nil || reg.WorkerID != "w1-fuzz" || l.LeaseID != "l-2" {
+			t.Fatalf("setup: worker %q lease %+v err %v", reg.WorkerID, l, err)
+		}
+
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/complete", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound:
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		queued := map[int]bool{}
+		for _, ch := range c.pending {
+			for _, j := range ch.jobs {
+				if ch.sweep != "s1" || j < 0 || j >= 8 || queued[j] {
+					t.Fatalf("queued job %d of sweep %q, which was not leased once", j, ch.sweep)
+				}
+				queued[j] = true
+			}
+		}
 	})
 }

@@ -122,8 +122,9 @@ type CompleteResponse struct {
 	// Committed counts rows this request delivered to the re-sequencer
 	// (rows already below the watermark still count: they were accepted).
 	Committed int `json:"committed"`
-	// Requeued lists jobs whose bytes the coordinator rejected (they did
-	// not decode as a canonical row); they will be reassigned.
+	// Requeued lists the jobs of the worker's live lease whose bytes the
+	// coordinator rejected (they did not decode as a canonical row); they
+	// will be reassigned.
 	Requeued []int `json:"requeued,omitempty"`
 }
 

@@ -42,10 +42,6 @@ type WorkerOptions struct {
 	// Client is the HTTP client to use (nil selects a default with
 	// sensible timeouts disabled — lease long-polls hold connections open).
 	Client *http.Client
-	// PollWait bounds the lease long-poll (<= 0 selects the default).
-	PollWait time.Duration
-	// FlushEvery is the partial-completion batch size (<= 0: default).
-	FlushEvery int
 	// Logf logs operational events; nil silences.
 	Logf func(format string, args ...any)
 }
@@ -85,12 +81,6 @@ type Worker struct {
 func NewWorker(opts WorkerOptions) *Worker {
 	if opts.Parallel <= 0 {
 		opts.Parallel = 1
-	}
-	if opts.PollWait <= 0 {
-		opts.PollWait = defaultPollWait
-	}
-	if opts.FlushEvery <= 0 {
-		opts.FlushEvery = defaultFlushEvery
 	}
 	if opts.Client == nil {
 		opts.Client = &http.Client{}
@@ -239,7 +229,7 @@ func (w *Worker) executorLoop(ctx context.Context) {
 		id := w.currentID()
 		var leaseResp LeaseResponse
 		status, err := w.post(ctx, "/v1/cluster/lease",
-			LeaseRequest{WorkerID: id, WaitMillis: w.opts.PollWait.Milliseconds()}, &leaseResp)
+			LeaseRequest{WorkerID: id, WaitMillis: defaultPollWait.Milliseconds()}, &leaseResp)
 		switch {
 		case err != nil:
 			select {
@@ -301,8 +291,8 @@ func runJob(runner *engine.JobRunner, job int) (rowBytes []byte, err error) {
 }
 
 // execute runs one lease's jobs, streaming partial completions back every
-// FlushEvery jobs so the coordinator's watermark advances (and the lease
-// deadline extends) while long chunks are still running.
+// defaultFlushEvery jobs so the coordinator's watermark advances (and the
+// lease deadline extends) while long chunks are still running.
 func (w *Worker) execute(ctx context.Context, workerID string, l *LeaseResponse, runners map[string]*engine.JobRunner) {
 	exp, err := w.expand(l.SweepID, l.Spec)
 	if err != nil {
@@ -354,7 +344,7 @@ func (w *Worker) execute(ctx context.Context, workerID string, l *LeaseResponse,
 			return
 		}
 		batch = append(batch, RowResult{Job: job, Row: string(rowBytes)})
-		if len(batch) >= w.opts.FlushEvery {
+		if len(batch) >= defaultFlushEvery {
 			flush()
 		}
 	}

@@ -2,11 +2,9 @@ package engine
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"rotorring/internal/core"
@@ -417,40 +415,6 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	if _, err := ParsePointer("nope"); err == nil {
 		t.Error("bad pointer accepted")
-	}
-}
-
-// TestMap: order preservation, clamping, error propagation, parallelism.
-func TestMap(t *testing.T) {
-	var calls atomic.Int64
-	out, err := Map(8, 100, func(i int) (int, error) {
-		calls.Add(1)
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 100 {
-		t.Errorf("fn called %d times, want 100", calls.Load())
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-
-	boom := errors.New("boom")
-	if _, err := Map(4, 10, func(i int) (int, error) {
-		if i == 7 {
-			return 0, boom
-		}
-		return i, nil
-	}); !errors.Is(err, boom) {
-		t.Errorf("Map error = %v, want wrapped boom", err)
-	}
-
-	if out, err := Map(4, 0, func(int) (int, error) { return 0, nil }); err != nil || out != nil {
-		t.Errorf("empty Map = (%v, %v), want (nil, nil)", out, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 
 	"rotorring/internal/core"
@@ -90,13 +91,12 @@ func TestWalkReuseMatchesFreshWalks(t *testing.T) {
 	}
 }
 
-// TestKernelSystemsUnderMap runs specialized-kernel systems concurrently on
-// the generic Map pool; under `go test -race` this verifies the kernels
-// share no hidden mutable state (the Stepper singletons must be stateless).
+// TestKernelSystemsUnderMap runs specialized-kernel systems concurrently,
+// one goroutine each; under `go test -race` this verifies the kernels share
+// no hidden mutable state (the Stepper singletons must be stateless).
 func TestKernelSystemsUnderMap(t *testing.T) {
 	g := graph.Ring(96)
-	covers, err := Map(8, 32, func(i int) (int64, error) {
-		k := 12 + i
+	cover := func(k int) (int64, error) {
 		sys, err := core.NewSystem(g,
 			core.WithAgentsAt(core.EquallySpaced(96, k)...),
 			core.WithKernelMode(core.KernelFast))
@@ -107,20 +107,25 @@ func TestKernelSystemsUnderMap(t *testing.T) {
 			return 0, fmt.Errorf("kernel %q, want ring", name)
 		}
 		return sys.RunUntilCovered(1 << 20)
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+	covers := make([]int64, 32)
+	errs := make([]error, len(covers))
+	var wg sync.WaitGroup
+	for i := range covers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			covers[i], errs[i] = cover(12 + i)
+		}()
+	}
+	wg.Wait()
 	// Same workload sequentially must agree exactly.
 	for i, want := range covers {
 		k := 12 + i
-		sys, err := core.NewSystem(g,
-			core.WithAgentsAt(core.EquallySpaced(96, k)...),
-			core.WithKernelMode(core.KernelFast))
-		if err != nil {
-			t.Fatal(err)
+		if errs[i] != nil {
+			t.Fatalf("k=%d: %v", k, errs[i])
 		}
-		got, err := sys.RunUntilCovered(1 << 20)
+		got, err := cover(k)
 		if err != nil {
 			t.Fatal(err)
 		}

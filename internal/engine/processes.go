@@ -56,7 +56,7 @@ type rotorProc struct {
 }
 
 func newRotorProc(env *JobEnv) (Proc, error) {
-	pointers, err := initialPointers(env.Cell, env.Graph, env.Positions, env.RNG)
+	pointers, err := env.Cell.Pointer.Pointers(env.Graph, env.Positions, env.RNG)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,9 @@ import (
 	"strings"
 
 	"rotorring/internal/core"
+	"rotorring/internal/graph"
 	"rotorring/internal/randwalk"
+	"rotorring/internal/xrand"
 	"rotorring/probe"
 )
 
@@ -69,6 +71,21 @@ func (p Placement) String() string {
 	}
 }
 
+// Positions returns the initial positions of k agents on g under the
+// placement, drawing from rng for PlaceRandom.
+func (p Placement) Positions(g *graph.Graph, k int, rng *xrand.Rand) ([]int, error) {
+	switch p {
+	case PlaceSingle:
+		return core.AllOnNode(0, k), nil
+	case PlaceEqual:
+		return core.EquallySpaced(g.NumNodes(), k), nil
+	case PlaceRandom:
+		return core.RandomPositions(g.NumNodes(), k, rng), nil
+	default:
+		return nil, fmt.Errorf("engine: invalid placement %d", int(p))
+	}
+}
+
 // Pointer selects the initial port-pointer arrangement of a sweep cell
 // (rotor-router only; the root package's PointerPolicy).
 type Pointer int
@@ -115,6 +132,23 @@ func (p Pointer) String() string {
 		return "random"
 	default:
 		return fmt.Sprintf("pointer(%d)", int(p))
+	}
+}
+
+// Pointers returns the initial pointer arrangement of g for agents
+// starting at positions, drawing from rng for PtrRandom.
+func (p Pointer) Pointers(g *graph.Graph, positions []int, rng *xrand.Rand) ([]int, error) {
+	switch p {
+	case PtrZero:
+		return core.PointersUniform(g, 0), nil
+	case PtrNegative:
+		return core.PointersNegative(g, positions)
+	case PtrToward:
+		return core.PointersTowardNode(g, 0)
+	case PtrRandom:
+		return core.PointersRandom(g, rng), nil
+	default:
+		return nil, fmt.Errorf("engine: invalid pointer policy %d", int(p))
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"rotorring/internal/engine"
+	"rotorring/internal/stats"
 )
 
 // Scale selects sweep sizes.
@@ -206,88 +206,80 @@ func ByID(id string) (*Experiment, bool) {
 	return nil, false
 }
 
-// sweepPoint is one (n, k) measurement.
-type sweepPoint struct {
-	n, k  int
-	value float64
-	extra string // free-form annotation column
+// sweep runs spec on a cfg.Workers engine and fails on the first error
+// row. Every measurement in this package that is a registered (process,
+// metric) pair goes through here, so it exercises the same code path —
+// job seeds, round budgets, kernel selection — as library sweeps and the
+// CLI.
+func sweep(cfg Config, spec engine.SweepSpec) ([]engine.Row, error) {
+	rows, err := engine.New(engine.Workers(cfg.Workers)).Run(spec)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rows {
+		if r.Err != "" {
+			return nil, fmt.Errorf("expt: %s k=%d replica=%d: %s", r.Spec, r.K, r.Replica, r.Err)
+		}
+	}
+	return rows, nil
 }
 
-// registrySweep runs a named process/metric from the engine's process
-// registry over the ring grid ns × ks (one fixed placement/pointer cell
-// per point) and returns the measured values as sweep points, annotated
-// with the limit-cycle period where the metric reports one. Experiments
-// whose measurement is exactly a registered (process, metric) pair go
-// through here, so they exercise the same code path as sweeps and the
-// CLI; bespoke measurements (trial estimators, deployments, trackers) use
-// runSweep below.
-func registrySweep(cfg Config, ns, ks []int, process, metric string,
-	placement engine.Placement, pointer engine.Pointer) ([]sweepPoint, error) {
-	rows, err := engine.New(engine.Workers(cfg.Workers)).Run(engine.SweepSpec{
-		Topologies: []engine.Topo{"ring"},
+// ring is the sweep of one registered (process, metric) pair over the ring
+// grid ns × ks from one placement/pointer cell, run replicas times per
+// point and seeded from cfg. Walks ignore the pointer.
+func ring(cfg Config, process, metric string, ns, ks []int,
+	placement engine.Placement, pointer engine.Pointer, replicas int) engine.SweepSpec {
+	return engine.SweepSpec{
 		Sizes:      ns,
 		Agents:     ks,
 		Placements: []engine.Placement{placement},
 		Pointers:   []engine.Pointer{pointer},
 		Process:    process,
 		Metric:     metric,
+		Replicas:   replicas,
 		Seed:       cfg.Seed,
-	})
+	}
+}
+
+// sweepPoint is one cell's measurement: the row of its first replica with
+// Value replaced by the mean over all replicas, plus an annotation for the
+// measured column.
+type sweepPoint struct {
+	engine.Row
+	extra string
+}
+
+// cellPoints runs spec and folds each cell's replicas — adjacent in the
+// engine's canonical order — into one point. Several replicas fold into
+// their mean, annotated with its standard error and p95/mean (Lemma 16's
+// high-probability bound implies a light upper tail, p95 within a small
+// factor of the mean). A single replica keeps its value, annotated with
+// the period where the metric reports one: the limit cycle for the rotor,
+// the worst inter-visit gap for walks.
+func cellPoints(cfg Config, spec engine.SweepSpec) ([]sweepPoint, error) {
+	rows, err := sweep(cfg, spec)
 	if err != nil {
 		return nil, err
 	}
-	points := make([]sweepPoint, 0, len(rows))
-	for _, r := range rows {
-		if r.Err != "" {
-			return nil, fmt.Errorf("expt: point n=%d k=%d: %s", r.N, r.K, r.Err)
-		}
-		p := sweepPoint{n: r.N, k: r.K, value: r.Value}
-		if r.Period != 0 {
-			p.extra = fmt.Sprintf(" (period %d)", r.Period)
+	reps := max(spec.Replicas, 1)
+	points := make([]sweepPoint, 0, len(rows)/reps)
+	for i := 0; i < len(rows); i += reps {
+		p := sweepPoint{Row: rows[i]}
+		switch {
+		case reps > 1:
+			vs := make([]float64, reps)
+			for j := range vs {
+				vs[j] = rows[i+j].Value
+			}
+			p.Value = stats.Mean(vs)
+			p.extra = fmt.Sprintf("±%.0f (p95/mean %.2f)", stats.StdErr(vs), stats.Quantile(vs, 0.95)/p.Value)
+		case p.Period != 0 && p.Process == engine.ProcWalk:
+			p.extra = fmt.Sprintf(" (max gap %d)", p.Period)
+		case p.Period != 0:
+			p.extra = fmt.Sprintf(" (period %d)", p.Period)
 		}
 		points = append(points, p)
 	}
-	// The engine's canonical order is sizes then agents; normalize like
-	// runSweep so tables list points by (n, k) even with unsorted axes.
-	sort.SliceStable(points, func(a, b int) bool {
-		if points[a].n != points[b].n {
-			return points[a].n < points[b].n
-		}
-		return points[a].k < points[b].k
-	})
-	return points, nil
-}
-
-// runSweep evaluates measure on the cross product of ns × ks on the
-// experiment engine's deterministic parallel pool (bounded by cfg.Workers),
-// returning points in (n, k) grid order regardless of scheduling.
-func runSweep(cfg Config, ns, ks []int, measure func(n, k int) (float64, string, error)) ([]sweepPoint, error) {
-	type job struct{ n, k int }
-	jobs := make([]job, 0, len(ns)*len(ks))
-	for _, n := range ns {
-		for _, k := range ks {
-			jobs = append(jobs, job{n, k})
-		}
-	}
-	points, err := engine.Map(cfg.Workers, len(jobs), func(i int) (sweepPoint, error) {
-		j := jobs[i]
-		v, extra, err := measure(j.n, j.k)
-		if err != nil {
-			return sweepPoint{}, fmt.Errorf("expt: point n=%d k=%d: %w", j.n, j.k, err)
-		}
-		return sweepPoint{n: j.n, k: j.k, value: v, extra: extra}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Tables list points by (n, k) even when the caller's axes are
-	// unsorted.
-	sort.SliceStable(points, func(a, b int) bool {
-		if points[a].n != points[b].n {
-			return points[a].n < points[b].n
-		}
-		return points[a].k < points[b].k
-	})
 	return points, nil
 }
 
@@ -302,13 +294,13 @@ func coverSweepTable(title string, points []sweepPoint, predict func(n, k int) f
 	}
 	var ratios []float64
 	for _, p := range points {
-		pred := predict(p.n, p.k)
-		ratio := p.value / pred
+		pred := predict(p.N, p.K)
+		ratio := p.Value / pred
 		ratios = append(ratios, ratio)
 		row := []string{
-			fmt.Sprintf("%d", p.n),
-			fmt.Sprintf("%d", p.k),
-			fmt.Sprintf("%.0f%s", p.value, p.extra),
+			fmt.Sprintf("%d", p.N),
+			fmt.Sprintf("%d", p.K),
+			fmt.Sprintf("%.0f%s", p.Value, p.extra),
 			fmt.Sprintf("%.0f", pred),
 			fmt.Sprintf("%.3f", ratio),
 		}

@@ -92,21 +92,6 @@ func TestShapeCheck(t *testing.T) {
 	}
 }
 
-func TestRunSweepOrderAndErrors(t *testing.T) {
-	pts, err := runSweep(Config{Workers: 2}, []int{2, 1}, []int{3, 4}, func(n, k int) (float64, string, error) {
-		return float64(n * k), "", nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0].n != 1 || pts[0].k != 3 || pts[3].n != 2 || pts[3].k != 4 {
-		t.Fatalf("order wrong: %+v", pts)
-	}
-}
-
 // TestAllExperimentsQuick is the integration test of the whole harness:
 // every registered experiment must run at Quick scale, produce tables, and
 // pass all of its Θ-shape checks.

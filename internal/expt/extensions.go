@@ -3,9 +3,7 @@ package expt
 import (
 	"fmt"
 
-	"rotorring/internal/core"
 	"rotorring/internal/engine"
-	"rotorring/internal/graph"
 	"rotorring/internal/stats"
 )
 
@@ -24,26 +22,26 @@ func expX8() *Experiment {
 		PaperRef: "§1.2 open question / Yanovski et al. [27] experiments",
 		Claim:    "multi-agent speed-up on general graphs is nearly linear in k",
 		Run: func(cfg Config) (*Result, error) {
-			type topo struct {
-				name string
-				g    *graph.Graph
-			}
-			topos := []topo{
-				{"torus(12x12)", graph.Torus2D(12, 12)},
-				{"grid(12x12)", graph.Grid2D(12, 12)},
-				{"hypercube(7)", graph.Hypercube(7)},
-			}
+			topos := []engine.Topo{"torus:12x12", "grid:12x12", "hypercube:7"}
 			ks := []int{2, 4, 8}
 			seeds := 3
 			if cfg.Scale == Full {
-				topos = append(topos, topo{"torus(24x24)", graph.Torus2D(24, 24)})
-				rr, err := graph.RandomRegular(256, 4, seededRng(cfg.Seed, 256, 4))
-				if err != nil {
-					return nil, err
-				}
-				topos = append(topos, topo{"random-regular(256,4)", rr})
+				topos = append(topos, "torus:24x24", "rr:4x256")
 				ks = []int{2, 4, 8, 16, 32}
 				seeds = 5
+			}
+			// Each topology's points run k = 1 first: the baseline of its
+			// speed-ups.
+			points, err := cellPoints(cfg, engine.SweepSpec{
+				Topologies: topos,
+				Agents:     append([]int{1}, ks...),
+				Placements: []engine.Placement{engine.PlaceRandom},
+				Pointers:   []engine.Pointer{engine.PtrRandom},
+				Replicas:   seeds,
+				Seed:       cfg.Seed,
+			})
+			if err != nil {
+				return nil, err
 			}
 
 			table := &Table{
@@ -54,43 +52,16 @@ func expX8() *Experiment {
 					"the paper leaves general graphs open; [27] reports nearly-linear speed-up experimentally",
 				},
 			}
-
-			meanCover := func(g *graph.Graph, k int, salt uint64) (float64, error) {
-				var total float64
-				for s := 0; s < seeds; s++ {
-					rng := seededRng(cfg.Seed+salt+uint64(s)*101, g.NumNodes(), k)
-					sys, err := core.NewSystem(g,
-						core.WithAgentsAt(core.RandomPositions(g.NumNodes(), k, rng)...),
-						core.WithPointers(core.PointersRandom(g, rng)))
-					if err != nil {
-						return 0, err
-					}
-					cover, err := sys.RunUntilCovered(64 * int64(g.NumNodes()) * int64(g.NumEdges()))
-					if err != nil {
-						return 0, err
-					}
-					total += float64(cover)
-				}
-				return total / float64(seeds), nil
-			}
-
 			var perK []float64
-			for _, tp := range topos {
-				base, err := meanCover(tp.g, 1, 1)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", tp.name, err)
-				}
-				for _, k := range ks {
-					ck, err := meanCover(tp.g, k, uint64(k)*977)
-					if err != nil {
-						return nil, fmt.Errorf("%s k=%d: %w", tp.name, k, err)
-					}
-					su := base / ck
-					perK = append(perK, su/float64(k))
+			for i := 0; i < len(points); i += len(ks) + 1 {
+				base := points[i].Value
+				for _, p := range points[i+1 : i+1+len(ks)] {
+					su := base / p.Value
+					perK = append(perK, su/float64(p.K))
 					table.Rows = append(table.Rows, []string{
-						tp.name, fmt.Sprintf("%d", k),
+						p.Spec, fmt.Sprintf("%d", p.K),
 						fmt.Sprintf("%.2f", su),
-						fmt.Sprintf("%.2f", su/float64(k)),
+						fmt.Sprintf("%.2f", su/float64(p.K)),
 					})
 				}
 			}
@@ -141,7 +112,7 @@ func expX9() *Experiment {
 			for _, n := range ns {
 				fault := 8 * int64(n) * int64(n)
 				sched := engine.Schedule(fmt.Sprintf("edgefail:t=%d,count=1", fault))
-				rows, err := engine.New(engine.Workers(cfg.Workers)).Run(engine.SweepSpec{
+				rows, err := sweep(cfg, engine.SweepSpec{
 					Topologies: []engine.Topo{"ring"},
 					Sizes:      []int{n},
 					Agents:     agentCounts,
@@ -156,9 +127,6 @@ func expX9() *Experiment {
 					return nil, err
 				}
 				for _, r := range rows {
-					if r.Err != "" {
-						return nil, fmt.Errorf("X9: n=%d k=%d replica=%d: %s", r.N, r.K, r.Replica, r.Err)
-					}
 					bound := 2 * (n - 1) * (n - 1) // 2·D·|E| of the cut ring (path)
 					ratio := r.Value / float64(bound)
 					if ratio > worst {

@@ -6,8 +6,6 @@ import (
 	"rotorring/internal/core"
 	"rotorring/internal/deploy"
 	"rotorring/internal/engine"
-	"rotorring/internal/graph"
-	"rotorring/internal/randwalk"
 	"rotorring/internal/stats"
 )
 
@@ -21,37 +19,6 @@ import (
 // are the ones Table 1 predicts.
 const rangeNote = "theorem range is k < n^(1/11); sweeps rely on the extension Θ(max(n, n²/log k)) of [21]"
 
-// rotorCoverTime builds a ring rotor-router and measures its cover time.
-func rotorCoverTime(n, k int, placement func(n, k int) []int,
-	pointers func(g *graph.Graph, starts []int) ([]int, error)) (float64, error) {
-	g := graph.Ring(n)
-	starts := placement(n, k)
-	ptr, err := pointers(g, starts)
-	if err != nil {
-		return 0, err
-	}
-	sys, err := core.NewSystem(g, core.WithAgentsAt(starts...), core.WithPointers(ptr))
-	if err != nil {
-		return 0, err
-	}
-	cover, err := sys.RunUntilCovered(8 * int64(n) * int64(n))
-	if err != nil {
-		return 0, err
-	}
-	return float64(cover), nil
-}
-
-func worstPlacement(n, k int) []int { return core.AllOnNode(0, k) }
-func bestPlacement(n, k int) []int  { return core.EquallySpaced(n, k) }
-
-func towardStartPointers(g *graph.Graph, _ []int) ([]int, error) {
-	return core.PointersTowardNode(g, 0)
-}
-
-func negativePointers(g *graph.Graph, starts []int) ([]int, error) {
-	return core.PointersNegative(g, starts)
-}
-
 // expE1 — Table 1, rotor-router row, worst placement (Theorems 1 and 2):
 // all k agents on one node with pointers toward it cover in Θ(n²/log k).
 func expE1() *Experiment {
@@ -61,10 +28,8 @@ func expE1() *Experiment {
 		Claim:    "k-agent rotor-router, worst-case start: cover time Θ(n²/log k)",
 		Run: func(cfg Config) (*Result, error) {
 			ns, ks, _ := sweepSizes(cfg.Scale)
-			// Deterministic cover sweep: runs as a registered
-			// (process, metric) pair on the sweep engine itself.
-			points, err := registrySweep(cfg, ns, ks,
-				engine.ProcRotor, engine.MetricCover, engine.PlaceSingle, engine.PtrToward)
+			points, err := cellPoints(cfg, ring(cfg, engine.ProcRotor, engine.MetricCover,
+				ns, ks, engine.PlaceSingle, engine.PtrToward, 1))
 			if err != nil {
 				return nil, err
 			}
@@ -99,8 +64,8 @@ func expE2() *Experiment {
 		Claim:    "k-agent rotor-router, best-case start: cover time Θ(n²/k²)",
 		Run: func(cfg Config) (*Result, error) {
 			ns, ks, _ := sweepSizes(cfg.Scale)
-			points, err := registrySweep(cfg, ns, ks,
-				engine.ProcRotor, engine.MetricCover, engine.PlaceEqual, engine.PtrNegative)
+			points, err := cellPoints(cfg, ring(cfg, engine.ProcRotor, engine.MetricCover,
+				ns, ks, engine.PlaceEqual, engine.PtrNegative, 1))
 			if err != nil {
 				return nil, err
 			}
@@ -191,61 +156,41 @@ func anyInitTable(cfg Config) (*Table, ShapeCheck, error) {
 	if cfg.Scale == Full {
 		n, k, inits = 2048, 16, 80
 	}
-	g := graph.Ring(n)
-	worst, err := rotorCoverTime(n, k, worstPlacement, towardStartPointers)
+	worst, err := sweep(cfg, ring(cfg, engine.ProcRotor, engine.MetricCover,
+		[]int{n}, []int{k}, engine.PlaceSingle, engine.PtrToward, 1))
 	if err != nil {
 		return nil, ShapeCheck{}, err
 	}
-
-	maxRandom := 0.0
-	var argNote string
-	for i := 0; i < inits; i++ {
-		rng := seededRng(cfg.Seed+uint64(i)*61, n, k)
-		starts := core.RandomPositions(n, k, rng)
-		ptr := core.PointersRandom(g, rng)
-		sys, err := core.NewSystem(g, core.WithAgentsAt(starts...), core.WithPointers(ptr))
-		if err != nil {
-			return nil, ShapeCheck{}, err
-		}
-		cover, err := sys.RunUntilCovered(8 * int64(n) * int64(n))
-		if err != nil {
-			return nil, ShapeCheck{}, err
-		}
-		if c := float64(cover); c > maxRandom {
-			maxRandom = c
-			argNote = fmt.Sprintf("worst random init found at trial %d", i)
+	random, err := sweep(cfg, ring(cfg, engine.ProcRotor, engine.MetricCover,
+		[]int{n}, []int{k}, engine.PlaceRandom, engine.PtrRandom, inits))
+	if err != nil {
+		return nil, ShapeCheck{}, err
+	}
+	maxRandom := random[0]
+	for _, r := range random[1:] {
+		if r.Value > maxRandom.Value {
+			maxRandom = r
 		}
 	}
+	ratio := maxRandom.Value / worst[0].Value
 	table := &Table{
 		Title:   fmt.Sprintf("E1b (Theorem 2): random-initialization search, n=%d, k=%d, %d inits", n, k, inits),
 		Headers: []string{"initialization", "cover time", "vs constructed worst"},
 		Rows: [][]string{
-			{"constructed worst case", fmt.Sprintf("%.0f", worst), "1.000"},
-			{"max over random inits", fmt.Sprintf("%.0f", maxRandom), fmt.Sprintf("%.3f", maxRandom/worst)},
+			{"constructed worst case", fmt.Sprintf("%.0f", worst[0].Value), "1.000"},
+			{"max over random inits", fmt.Sprintf("%.0f", maxRandom.Value), fmt.Sprintf("%.3f", ratio)},
 		},
-		Notes: []string{argNote, "Theorem 2: every initialization is O(n²/log k)"},
+		Notes: []string{
+			fmt.Sprintf("worst random init found at replica %d", maxRandom.Replica),
+			"Theorem 2: every initialization is O(n²/log k)",
+		},
 	}
-	ratio := maxRandom / worst
 	return table, ShapeCheck{
 		Name:   "max random-init cover / constructed worst",
 		Spread: ratio,
 		Limit:  1.5,
 		OK:     ratio <= 1.5,
 	}, nil
-}
-
-// walkCoverMean estimates the expected cover time of k walks. The
-// annotation includes the 95th percentile: Lemma 16's high-probability
-// bound implies a light upper tail (p95 within a small factor of the mean).
-func walkCoverMean(n, k, trials int, seed uint64, placement func(n, k int) []int) (float64, string, error) {
-	g := graph.Ring(n)
-	times, err := randwalk.CoverTimes(g, placement(n, k), trials, seed, 64*int64(n)*int64(n))
-	if err != nil {
-		return 0, "", err
-	}
-	fs := stats.Floats(times)
-	mean := stats.Mean(fs)
-	return mean, fmt.Sprintf("±%.0f (p95/mean %.2f)", stats.StdErr(fs), stats.Quantile(fs, 0.95)/mean), nil
 }
 
 // expE3 — Table 1, random-walk row, worst placement ([4]): k walks from one
@@ -257,9 +202,8 @@ func expE3() *Experiment {
 		Claim:    "k random walks, worst-case start: E[cover] = Θ(n²/log k)",
 		Run: func(cfg Config) (*Result, error) {
 			ns, ks, trials := sweepSizes(cfg.Scale)
-			points, err := runSweep(cfg, ns, ks, func(n, k int) (float64, string, error) {
-				return walkCoverMean(n, k, trials, cfg.Seed+uint64(n)*31+uint64(k), worstPlacement)
-			})
+			points, err := cellPoints(cfg, ring(cfg, engine.ProcWalk, engine.MetricCover,
+				ns, ks, engine.PlaceSingle, 0, trials))
 			if err != nil {
 				return nil, err
 			}
@@ -283,9 +227,8 @@ func expE4() *Experiment {
 		Claim:    "k random walks, best-case start: E[cover] = Θ((n/k)²·log²k)",
 		Run: func(cfg Config) (*Result, error) {
 			ns, ks, trials := sweepSizes(cfg.Scale)
-			points, err := runSweep(cfg, ns, ks, func(n, k int) (float64, string, error) {
-				return walkCoverMean(n, k, trials, cfg.Seed+uint64(n)*17+uint64(k), bestPlacement)
-			})
+			points, err := cellPoints(cfg, ring(cfg, engine.ProcWalk, engine.MetricCover,
+				ns, ks, engine.PlaceEqual, 0, trials))
 			if err != nil {
 				return nil, err
 			}
@@ -314,13 +257,21 @@ func expE5() *Experiment {
 		Claim:    "rotor-router return time Θ(n/k) for any initialization; walk mean gap n/k",
 		Run: func(cfg Config) (*Result, error) {
 			ns, ks := returnSweepSizes(cfg.Scale)
-			best, err := registrySweep(cfg, ns, ks,
-				engine.ProcRotor, engine.MetricReturn, engine.PlaceEqual, engine.PtrNegative)
+			best, err := cellPoints(cfg, ring(cfg, engine.ProcRotor, engine.MetricReturn,
+				ns, ks, engine.PlaceEqual, engine.PtrNegative, 1))
 			if err != nil {
 				return nil, err
 			}
-			worst, err := registrySweep(cfg, ns, ks,
-				engine.ProcRotor, engine.MetricReturn, engine.PlaceSingle, engine.PtrToward)
+			worst, err := cellPoints(cfg, ring(cfg, engine.ProcRotor, engine.MetricReturn,
+				ns, ks, engine.PlaceSingle, engine.PtrToward, 1))
+			if err != nil {
+				return nil, err
+			}
+			// The walk return metric is the mean inter-visit gap over a
+			// window that dominates the (n/k)² diffusive scale, or nodes
+			// between two walkers could stay unvisited all window.
+			walkPoints, err := cellPoints(cfg, ring(cfg, engine.ProcWalk, engine.MetricReturn,
+				ns, ks, engine.PlaceEqual, 0, 1))
 			if err != nil {
 				return nil, err
 			}
@@ -333,23 +284,6 @@ func expE5() *Experiment {
 				worst, nk, "return·k/n (rotor, worst init)", 4,
 				"Theorem 6: the limit behavior forgets the initialization")
 
-			// Random-walk mean inter-visit gap for comparison. The window
-			// must dominate the (n/k)² diffusive scale, or nodes between
-			// two walkers can stay unvisited for the whole observation.
-			walkPoints, err := runSweep(cfg, ns, ks, func(n, k int) (float64, string, error) {
-				g := graph.Ring(n)
-				w, err := randwalk.New(g, bestPlacement(n, k), seededRng(cfg.Seed, n, k))
-				if err != nil {
-					return 0, "", err
-				}
-				span := int64(n / k)
-				window := 50*span*span + int64(200*n)
-				gs := w.MeasureGaps(int64(10*n), window)
-				return gs.MeanGap, fmt.Sprintf(" (max gap %d)", gs.MaxGap), nil
-			})
-			if err != nil {
-				return nil, err
-			}
 			tWalk, sWalk := coverSweepTable(
 				"E5c: parallel random-walk mean inter-visit gap (expectation n/k)",
 				walkPoints, nk, "mean-gap·k/n (walks)", 1.5)
@@ -385,26 +319,29 @@ func runE6(cfg Config) (*Result, error) {
 		trials = 32
 	}
 
-	// Baselines at k = 1.
-	baseRotor, err := rotorCoverTime(n, 1, worstPlacement, towardStartPointers)
-	if err != nil {
-		return nil, err
+	// Five k-series at one n. The series that supply a k = 1 baseline
+	// (rotor worst, walk worst, return) also run k = 1, as their first
+	// point; both best-case series share the worst-case baseline, since
+	// a single agent's placement is node 0 either way.
+	ns, withBase := []int{n}, append([]int{1}, ks...)
+	specs := []engine.SweepSpec{
+		ring(cfg, engine.ProcRotor, engine.MetricCover, ns, withBase, engine.PlaceSingle, engine.PtrToward, 1),
+		ring(cfg, engine.ProcRotor, engine.MetricCover, ns, ks, engine.PlaceEqual, engine.PtrNegative, 1),
+		ring(cfg, engine.ProcWalk, engine.MetricCover, ns, withBase, engine.PlaceSingle, 0, trials),
+		ring(cfg, engine.ProcWalk, engine.MetricCover, ns, ks, engine.PlaceEqual, 0, trials),
+		ring(cfg, engine.ProcRotor, engine.MetricReturn, ns, withBase, engine.PlaceEqual, engine.PtrNegative, 1),
 	}
-	baseWalk, _, err := walkCoverMean(n, 1, trials, cfg.Seed^0xabcd, worstPlacement)
-	if err != nil {
-		return nil, err
+	series := make([][]float64, len(specs))
+	for i, spec := range specs {
+		points, err := cellPoints(cfg, spec)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range points {
+			series[i] = append(series[i], p.Value)
+		}
 	}
-	baseReturnSys, err := core.NewSystem(graph.Ring(n),
-		core.WithAgentsAt(0),
-		core.WithPointers(core.PointersUniform(graph.Ring(n), 0)))
-	if err != nil {
-		return nil, err
-	}
-	baseReturnStats, err := core.MeasureReturnTime(baseReturnSys, 64*int64(n)*int64(n))
-	if err != nil {
-		return nil, err
-	}
-	baseReturn := float64(baseReturnStats.ReturnTime)
+	rotorWorst, rotorBest, walkWorst, walkBest, returns := series[0], series[1], series[2], series[3], series[4]
 
 	table := &Table{
 		Title: fmt.Sprintf("E6: speed-up over a single agent on the %d-node ring", n),
@@ -417,44 +354,13 @@ func runE6(cfg Config) (*Result, error) {
 	}
 
 	var worstRatios, bestRatios, returnRatios []float64
-	for _, k := range ks {
-		rw, err := rotorCoverTime(n, k, worstPlacement, towardStartPointers)
-		if err != nil {
-			return nil, err
-		}
-		rb, err := rotorCoverTime(n, k, bestPlacement, negativePointers)
-		if err != nil {
-			return nil, err
-		}
-		ww, _, err := walkCoverMean(n, k, trials, cfg.Seed+uint64(k)*7, worstPlacement)
-		if err != nil {
-			return nil, err
-		}
-		wb, _, err := walkCoverMean(n, k, trials, cfg.Seed+uint64(k)*13, bestPlacement)
-		if err != nil {
-			return nil, err
-		}
-		g := graph.Ring(n)
-		starts := core.EquallySpaced(n, k)
-		ptr, err := core.PointersNegative(g, starts)
-		if err != nil {
-			return nil, err
-		}
-		retSys, err := core.NewSystem(g, core.WithAgentsAt(starts...), core.WithPointers(ptr))
-		if err != nil {
-			return nil, err
-		}
-		rs, err := core.MeasureReturnTime(retSys, 64*int64(n)*int64(n))
-		if err != nil {
-			return nil, err
-		}
-
+	for i, k := range ks {
 		hk := stats.Harmonic(k)
-		suWorst := baseRotor / rw
-		suBest := baseRotor / rb
-		suWalkWorst := baseWalk / ww
-		suWalkBest := baseWalk / wb
-		suReturn := baseReturn / float64(rs.ReturnTime)
+		suWorst := rotorWorst[0] / rotorWorst[i+1]
+		suBest := rotorWorst[0] / rotorBest[i]
+		suWalkWorst := walkWorst[0] / walkWorst[i+1]
+		suWalkBest := walkWorst[0] / walkBest[i]
+		suReturn := returns[0] / returns[i+1]
 
 		worstRatios = append(worstRatios, suWorst/hk)
 		bestRatios = append(bestRatios, suBest/float64(k*k))

@@ -191,6 +191,43 @@ func TestClusterFallbackToLocal(t *testing.T) {
 	}
 }
 
+// TestClusterOutOfGridCompletion: a registered worker completes jobs that
+// lie outside the sweep's grid. The coordinator rejects them and must not
+// requeue them — it never leased them — so when the fleet dies and the
+// queue drains to the local pool, the pool sees only real jobs and the
+// sweep finishes byte-identically.
+func TestClusterOutOfGridCompletion(t *testing.T) {
+	spec := identitySpec()
+	want := libraryJSONL(t, spec)
+
+	ts := startClusterServer(t, 2, LeaseTTL(200*time.Millisecond))
+	var reg cluster.RegisterResponse
+	if code := postClusterJSON(t, ts.http.URL+"/v1/cluster/register",
+		cluster.RegisterRequest{Name: "rogue"}, &reg); code != http.StatusOK {
+		t.Fatalf("register: status %d", code)
+	}
+	st := ts.submit(t, wireSpec(t, spec))
+
+	var resp cluster.CompleteResponse
+	if code := postClusterJSON(t, ts.http.URL+"/v1/cluster/complete", cluster.CompleteRequest{
+		WorkerID: reg.WorkerID, LeaseID: "l-never-granted", SweepID: st.ID,
+		Rows: []cluster.RowResult{{Job: st.Jobs + 5, Row: "{}\n"}, {Job: -1, Row: "{}\n"}},
+	}, &resp); code != http.StatusOK {
+		t.Fatalf("complete: status %d", code)
+	}
+	if resp.Committed != 0 || len(resp.Requeued) != 0 {
+		t.Errorf("complete = %+v, want nothing committed or requeued", resp)
+	}
+
+	got := ts.get(t, "/v1/sweeps/"+st.ID+"/rows")
+	if !bytes.Equal(got, want) {
+		t.Errorf("rows differ from library bytes\n got %d bytes\nwant %d bytes", len(got), len(want))
+	}
+	if final := ts.statusOf(t, st.ID); final.State != "done" {
+		t.Errorf("state = %s (%s), want done", final.State, final.Error)
+	}
+}
+
 // TestClusterWorkerPanicFailsSweep: a job that panics on a worker fails
 // the sweep the same way a local panic would, naming the worker origin.
 func TestClusterWorkerPanicFailsSweep(t *testing.T) {

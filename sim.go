@@ -164,44 +164,28 @@ func Kernel(k KernelPolicy) SimOption {
 	}
 }
 
-// resolve computes concrete positions and pointers from the options.
+// resolve computes concrete positions and pointers from the options,
+// through the engine's placement and pointer policies (zero values select
+// PlaceSingleNode and PointerZero).
 func (c *simConfig) resolve(g *Graph) (positions []int, pointers []int, err error) {
 	rng := xrand.New(c.seed)
-	n := g.NumNodes()
-
 	positions = c.positions
 	if positions == nil {
-		k := c.k
-		if k == 0 {
-			k = 1
+		placement := c.placement
+		if placement == 0 {
+			placement = PlaceSingleNode
 		}
-		switch c.placement {
-		case PlaceEqualSpacing:
-			positions = core.EquallySpaced(n, k)
-		case PlaceRandom:
-			positions = core.RandomPositions(n, k, rng)
-		case PlaceSingleNode, 0:
-			positions = core.AllOnNode(0, k)
-		default:
-			return nil, nil, fmt.Errorf("rotorring: unknown placement policy %d", c.placement)
+		if positions, err = placement.Positions(g, max(c.k, 1), rng); err != nil {
+			return nil, nil, err
 		}
 	}
-
 	pointers = c.customPtr
 	if pointers == nil {
-		switch c.pointers {
-		case PointerNegative:
-			pointers, err = core.PointersNegative(g, positions)
-		case PointerTowardStart:
-			pointers, err = core.PointersTowardNode(g, 0)
-		case PointerRandom:
-			pointers = core.PointersRandom(g, rng)
-		case PointerZero, 0:
-			pointers = core.PointersUniform(g, 0)
-		default:
-			return nil, nil, fmt.Errorf("rotorring: unknown pointer policy %d", c.pointers)
+		policy := c.pointers
+		if policy == 0 {
+			policy = PointerZero
 		}
-		if err != nil {
+		if pointers, err = policy.Pointers(g, positions, rng); err != nil {
 			return nil, nil, err
 		}
 	}
