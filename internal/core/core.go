@@ -12,13 +12,17 @@
 // min(deg v, agents at v)) instead of O(k).
 //
 // Stepping is tiered (see internal/kernel): on ring and path topologies
-// with dense-enough agent populations, NewSystem selects a specialized flat
-// kernel whose rounds are a few linear scans with direct v±1 addressing and
-// closed-form degree-2 port splits — bit-identical to the generic engine,
-// several times faster. WithKernelMode forces either tier; anything off the
-// ring/path runs on the generic path. Every tier leaves the round's movers
-// behind, so ForEachFlow reads the last round's per-arc flows on demand
-// without recording anything while stepping.
+// with dense agent populations (k ≥ n/kernel.DenseFraction), NewSystem
+// selects a specialized flat kernel whose rounds are a few linear scans
+// with direct v±1 addressing and closed-form degree-2 port splits —
+// bit-identical to the generic engine, several times faster. Below that
+// density, fully-active rounds run the sparse degree-2 round (sparse.go):
+// the generic occupied-list round with the same closed forms, 1.6–2.3× as
+// fast as the generic engine in the paper's k ≪ n regime. WithKernelMode
+// forces the generic engine or the flat kernel; anything off the ring/path
+// runs on the generic path. Every tier leaves the round's movers behind, so
+// ForEachFlow reads the last round's per-arc flows on demand without
+// recording anything while stepping.
 //
 // The engine also supports delayed deployments (§2.1): StepHeld freezes a
 // chosen number of agents per node for one round, which is the primitive
@@ -42,9 +46,11 @@ type KernelMode int
 
 // Kernel modes.
 const (
-	// KernelAuto picks the specialized kernel when the topology has one and
-	// the agent population is dense enough to profit (k ≥ n/8), the generic
-	// engine otherwise. This is the default.
+	// KernelAuto picks by topology and density. On the canonical ring and
+	// path it runs the flat kernel when k ≥ n/kernel.DenseFraction (n/4)
+	// and the sparse degree-2 round below that; held rounds there take the
+	// flat kernel's held tier or, when sparse, the generic loop. Every
+	// other topology runs the generic engine. This is the default.
 	KernelAuto KernelMode = iota
 	// KernelGeneric forces the generic port-labeled-graph engine.
 	KernelGeneric
@@ -97,24 +103,28 @@ type System struct {
 	fast      kernel.Stepper
 	kmode     KernelMode
 	parShards int
+	// sparse is the degree-2 shape whose sparse round (sparse.go) runs
+	// fully-active rounds when fast is nil; ShapeGeneral means none.
+	sparse kernel.Shape
 
 	ptr0 []int32 // initial pointers, for InitialPointer and Reset
 	ag0  []int64 // initial agent counts, for Reset
 
-	// The occupied list is generic-engine bookkeeping: specialized kernels
-	// do not maintain it, so it is rebuilt lazily (occValid) when the
-	// generic engine or an accessor next needs it. occSorted tracks whether
-	// the list is in ascending node order — rebuilds produce it sorted, the
-	// generic move loop's candidate rebuild does not — so ForEachOccupied
-	// can pin its iteration order without re-sorting every round.
+	// The occupied list is bookkeeping of the generic and sparse rounds:
+	// the flat kernels do not maintain it, so it is rebuilt lazily
+	// (occValid) when a round or an accessor next needs it. occSorted
+	// tracks whether the list is in ascending node order — rebuilds
+	// produce it sorted, the generic and sparse rounds do not — so
+	// ForEachOccupied can pin its iteration order without re-sorting every
+	// round.
 	occupied  []int  // nodes with agents[v] > 0
 	inOcc     []bool // membership flags for occupied
 	occValid  bool
 	occSorted bool
 
-	// lastVisitedFast marks that the last completed round ran on a
-	// specialized kernel, which skips the per-round visited list: in a
-	// fully-active round the visited nodes are exactly the occupied ones,
+	// lastVisitedFast marks that the last completed round ran on a flat
+	// kernel or the sparse round, which skip the per-round visited list: in
+	// a fully-active round the visited nodes are exactly the occupied ones,
 	// so LastVisited derives the list on demand.
 	lastVisitedFast bool
 
@@ -126,14 +136,16 @@ type System struct {
 	changed   []int   // nodes touched this round
 
 	// movers says where ForEachFlow finds the last round's movers:
-	// srcNode/srcCnt after a generic round, st.Scratch (the pre-round
-	// counts a kernel swapped out) minus the clamped held after a kernel
-	// round. held is that kernel round's hold vector, nil when it was
-	// fully active.
+	// srcNode/srcCnt after a generic or sparse round, st.Scratch (the
+	// pre-round counts a kernel swapped out) minus the clamped held after
+	// a kernel round. held is that kernel round's hold vector, nil when it
+	// was fully active.
 	movers moverSource
 	held   []int64
 
-	// Scratch buffers reused across rounds.
+	// Scratch buffers reused across rounds. cand holds the generic
+	// round's candidates for the next occupied list, and the sparse
+	// round's newly occupied nodes.
 	srcNode []int
 	srcCnt  []int64
 	cand    []int
@@ -321,17 +333,17 @@ func NewSystem(g *graph.Graph, opts ...Option) (*System, error) {
 // fast paths re-specialize when the new shape has a kernel and fall back to
 // the generic engine otherwise.
 func (s *System) reselectKernel() {
-	if s.kmode != KernelGeneric {
-		force := s.kmode == KernelFast || s.kmode == KernelParallel
-		s.fast = kernel.Select(s.g, s.k, force)
-		if s.kmode == KernelParallel {
-			// Parallelize returns a fresh stepper (it carries merge
-			// scratch); shapes without a parallel tier keep the serial
-			// kernel it was handed.
-			s.fast = kernel.Parallelize(s.fast, s.parShards)
-		}
-	} else {
-		s.fast = nil
+	s.fast, s.sparse = nil, kernel.ShapeGeneral
+	if s.kmode == KernelGeneric {
+		return
+	}
+	force := s.kmode == KernelFast || s.kmode == KernelParallel
+	s.fast, s.sparse = kernel.Select(s.g, s.k, force)
+	if s.kmode == KernelParallel {
+		// Parallelize returns a fresh stepper (it carries merge
+		// scratch); shapes without a parallel tier keep the serial
+		// kernel it was handed.
+		s.fast = kernel.Parallelize(s.fast, s.parShards)
 	}
 }
 
@@ -361,14 +373,17 @@ func (s *System) Pointer(v int) int { return int(s.st.Ptr[v]) }
 // InitialPointer returns the pointer of v at construction time.
 func (s *System) InitialPointer(v int) int { return int(s.ptr0[v]) }
 
-// KernelName reports the stepping kernel fully-active rounds run on:
-// "ring", "path" or "ring-parallel" for the specialized tiers, "generic"
-// otherwise.
+// KernelName reports the stepping tier fully-active rounds run on: "ring",
+// "path" or "ring-parallel" for the flat kernels, "ring-sparse" or
+// "path-sparse" for the sparse degree-2 round, "generic" otherwise.
 func (s *System) KernelName() string {
-	if s.fast == nil {
-		return "generic"
+	switch {
+	case s.fast != nil:
+		return s.fast.Name()
+	case s.sparse != kernel.ShapeGeneral:
+		return s.sparse.String() + "-sparse"
 	}
-	return s.fast.Name()
+	return "generic"
 }
 
 // Visits returns n_v(t): the initial agent count of v plus the number of
@@ -433,14 +448,11 @@ func (s *System) Occupied() []int {
 // the next Step; callers must not retain it.
 func (s *System) LastVisited() []int {
 	if s.lastVisitedFast {
-		// Kernel rounds are fully active: every agent moved, so the
-		// arrival set of the round is exactly the occupied set after it.
-		s.st.LastVisited = s.st.LastVisited[:0]
-		for v, a := range s.st.Agents {
-			if a > 0 {
-				s.st.LastVisited = append(s.st.LastVisited, v)
-			}
-		}
+		// Kernel and sparse rounds are fully active: every agent moved,
+		// so the arrival set of the round is exactly the occupied set
+		// after it.
+		s.ensureOccupied()
+		s.st.LastVisited = append(s.st.LastVisited[:0], s.occupied...)
 		s.lastVisitedFast = false
 	}
 	return s.st.LastVisited
@@ -506,14 +518,17 @@ func emitFlows(v int, m int64, d, ptr int, f func(v, port int, agents int64)) {
 
 // Step runs one synchronous round with every agent active.
 func (s *System) Step() {
-	if s.fast != nil {
+	switch {
+	case s.fast != nil:
 		s.fast.Step(&s.st)
 		s.occValid = false
 		s.lastVisitedFast = true
 		s.movers, s.held = moversKernel, nil
-		return
+	case s.sparse != kernel.ShapeGeneral:
+		s.stepSparse()
+	default:
+		s.StepHeld(nil)
 	}
-	s.StepHeld(nil)
 }
 
 // Run executes the given number of rounds.
@@ -537,6 +552,15 @@ func (s *System) RunUntilCovered(maxRounds int64) (int64, error) {
 	return s.st.CoverRound, nil
 }
 
+// coverAt records v's first visit, in round.
+func (s *System) coverAt(v int, round int64) {
+	s.st.CoveredAt[v] = round
+	s.st.Covered++
+	if s.st.Covered == s.n {
+		s.st.CoverRound = round
+	}
+}
+
 // touchAgents records the pre-round agent count of v the first time v's
 // count changes in the current round, for end-of-round hash updates.
 func (s *System) touchAgents(v int) {
@@ -555,8 +579,9 @@ func (s *System) touchAgents(v int) {
 //
 // Held rounds run on the specialized kernel when it implements the held
 // tier (ring and path do; see kernel.HeldStepper), bit-identically to the
-// generic engine below, which everything else falls back to. StepHeld(nil)
-// on a system with a specialized kernel is equivalent to Step but
+// generic engine below, which everything else falls back to — sparse ring
+// and path populations included. StepHeld(nil) on a system with a
+// specialized kernel or a sparse round is equivalent to Step but
 // deliberately takes the generic path — it is the reference arm of the
 // differential tests.
 //
@@ -640,11 +665,7 @@ func (s *System) StepHeld(held []int64) {
 			}
 			s.st.Agents[dest] += cnt
 			if s.st.Visits[dest] == 0 {
-				s.st.CoveredAt[dest] = s.st.Round + 1
-				s.st.Covered++
-				if s.st.Covered == s.n {
-					s.st.CoverRound = s.st.Round + 1
-				}
+				s.coverAt(dest, s.st.Round+1)
 			}
 			s.st.Visits[dest] += cnt
 			if s.st.VisitStamp[dest] != s.st.Round+1 {
@@ -741,6 +762,7 @@ func (s *System) Clone() *System {
 		fast:            s.fast,
 		kmode:           s.kmode,
 		parShards:       s.parShards,
+		sparse:          s.sparse,
 		ptr0:            append([]int32(nil), s.ptr0...),
 		ag0:             append([]int64(nil), s.ag0...),
 		occupied:        append([]int(nil), s.occupied...),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rotorring/internal/graph"
+	"rotorring/internal/kernel"
 	"rotorring/internal/xrand"
 )
 
@@ -27,13 +28,15 @@ func referenceFlows(g *graph.Graph, ptr []int, agents, held []int64) map[arc]int
 }
 
 // TestFlowViewMatchesReference checks ForEachFlow against the round rule on
-// every tier — generic, serial fast and parallel at several shard counts —
-// over rings, paths, tori and grids, mixing plain, held and generic
-// StepHeld(nil) rounds.
+// every tier — generic, serial fast, parallel at several shard counts and
+// the sparse degree-2 round — over rings, paths, tori and grids, mixing
+// plain, held and generic StepHeld(nil) rounds. The sparse arm (KernelAuto
+// with k < n/kernel.DenseFraction) also steps a generic twin and must match
+// its occupied list, in order, every round.
 func TestFlowViewMatchesReference(t *testing.T) {
 	rng := xrand.New(0xf10e)
-	for trial := 0; trial < 60; trial++ {
-		n := 3 + rng.Intn(30)
+	for trial := 0; trial < 80; trial++ {
+		n := 8 + rng.Intn(60)
 		var g *graph.Graph
 		switch trial % 4 {
 		case 0:
@@ -46,11 +49,22 @@ func TestFlowViewMatchesReference(t *testing.T) {
 			g = graph.Grid2D(2+rng.Intn(4), 2+rng.Intn(4))
 		}
 		n = g.NumNodes()
-		positions := RandomPositions(n, 1+rng.Intn(4*n), rng)
+		mode := []KernelMode{KernelGeneric, KernelFast, KernelParallel, KernelAuto}[rng.Intn(4)]
+		k := 1 + rng.Intn(4*n)
+		if mode == KernelAuto {
+			k = 1 + rng.Intn(max(1, n/kernel.DenseFraction-1))
+		}
+		positions := RandomPositions(n, k, rng)
 		pointers := PointersRandom(g, rng)
-		mode := []KernelMode{KernelGeneric, KernelFast, KernelParallel}[rng.Intn(3)]
-		s := newTestSystem(t, g, WithAgentsAt(positions...), WithPointers(pointers),
-			WithKernelMode(mode), WithParallelShards(1+rng.Intn(4)))
+		opts := []Option{WithAgentsAt(positions...), WithPointers(pointers)}
+		s := newTestSystem(t, g, append(opts, WithKernelMode(mode), WithParallelShards(1+rng.Intn(4)))...)
+		var twin *System
+		if mode == KernelAuto {
+			if shape := kernel.DetectShape(g); shape != kernel.ShapeGeneral && s.KernelName() != shape.String()+"-sparse" {
+				t.Fatalf("%s k=%d: auto selected %q, want the sparse %v round", g.Name(), k, s.KernelName(), shape)
+			}
+			twin = newTestSystem(t, g, append(opts, WithKernelMode(KernelGeneric))...)
+		}
 		if got := flowsOf(t, s); len(got) != 0 {
 			t.Fatalf("%s: fresh system reports flows %v", g.Name(), got)
 		}
@@ -76,12 +90,19 @@ func TestFlowViewMatchesReference(t *testing.T) {
 				t.Fatalf("%s %s round %d (kernel %s): flows %v, want %v",
 					g.Name(), mode, r, s.KernelName(), got, want)
 			}
+			if twin != nil {
+				twin.StepHeld(h)
+				if a, b := twin.Occupied(), s.Occupied(); !equalInts(a, b) {
+					t.Fatalf("%s round %d (kernel %s): occupied %v, generic %v", g.Name(), r, s.KernelName(), b, a)
+				}
+			}
 		}
 	}
 }
 
 // TestFlowViewAfterMutations pins what each between-round mutation does to
-// the view, after a generic round, a kernel round and a held kernel round:
+// the view, after a generic round, a kernel round, a held kernel round and
+// a sparse round:
 // SetPointers, Rewire and Reset empty it (they move the pointers flows are
 // derived from), a Clone starts empty, and AddAgents, RemoveAgents and
 // ResetCoverage leave it equal to the last round's flows.
@@ -96,6 +117,19 @@ func TestFlowViewAfterMutations(t *testing.T) {
 		"generic": func(s *System) { s.StepHeld(nil) },
 		"kernel":  func(s *System) { s.Step() },
 		"held":    func(s *System) { s.StepHeld(held) },
+		"sparse":  func(s *System) { s.Step() },
+	}
+	// The sparse round runs under KernelAuto on a population below the
+	// flat kernels' threshold; the others force the flat kernel.
+	build := func(rname string) *System {
+		if rname == "sparse" {
+			s := newTestSystem(t, g, WithAgentsAt(positions[:3]...))
+			if s.KernelName() != "ring-sparse" {
+				t.Fatalf("sparse round: kernel %q", s.KernelName())
+			}
+			return s
+		}
+		return newTestSystem(t, g, WithAgentsAt(positions...), WithKernelMode(KernelFast))
 	}
 	mutations := map[string]struct {
 		apply func(t *testing.T, s *System)
@@ -110,7 +144,7 @@ func TestFlowViewAfterMutations(t *testing.T) {
 	}
 	for rname, round := range rounds {
 		for mname, mut := range mutations {
-			s := newTestSystem(t, g, WithAgentsAt(positions...), WithKernelMode(KernelFast))
+			s := build(rname)
 			s.Run(5)
 			round(s)
 			before := flowsOf(t, s)
@@ -126,7 +160,7 @@ func TestFlowViewAfterMutations(t *testing.T) {
 				t.Errorf("%s after a %s round: view %v, want the round's %v", mname, rname, got, before)
 			}
 		}
-		s := newTestSystem(t, g, WithAgentsAt(positions...), WithKernelMode(KernelFast))
+		s := build(rname)
 		round(s)
 		if got := flowsOf(t, s.Clone()); len(got) != 0 {
 			t.Errorf("Clone after a %s round: view %v, want empty", rname, got)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
+	"strings"
 	"testing"
 
 	"rotorring/internal/graph"
@@ -12,20 +13,22 @@ import (
 )
 
 // This file is the kernel-equivalence differential suite: the specialized
-// ring/path kernels must match the generic engine configuration-for-
-// configuration — pointers, agent counts, visit and exit counters, coverage
-// bookkeeping, the last round's flow view and (when enabled) the
-// incremental hash — on randomized initializations, including interleavings
-// with held rounds, generic StepHeld(nil) rounds, and accessors that force
-// occupied-list rebuilds.
+// ring/path kernels and the sparse degree-2 rounds must match the generic
+// engine configuration-for-configuration — pointers, agent counts, visit
+// and exit counters, coverage bookkeeping, the last round's flow view and
+// (when enabled) the incremental hash — on randomized initializations,
+// including interleavings with held rounds, generic StepHeld(nil) rounds,
+// and accessors that force occupied-list rebuilds. The sparse rounds keep
+// the generic round's occupied list, so they must match its order too.
 
 // diffConfig is one randomized differential scenario.
 type diffConfig struct {
-	ring   bool // ring vs path topology
-	n      int
-	k      int
-	hash   bool // enable config hashing on both systems
-	rounds int
+	ring    bool // ring vs path topology
+	n       int
+	k       int
+	hash    bool // enable config hashing on both systems
+	stacked bool // all agents start on one node, instead of at random
+	rounds  int
 }
 
 func (c diffConfig) String() string {
@@ -33,8 +36,12 @@ func (c diffConfig) String() string {
 	if c.ring {
 		shape = "ring"
 	}
-	return fmt.Sprintf("%s(n=%d,k=%d,hash=%v,rounds=%d)", shape, c.n, c.k, c.hash, c.rounds)
+	return fmt.Sprintf("%s(n=%d,k=%d,hash=%v,stacked=%v,rounds=%d)", shape, c.n, c.k, c.hash, c.stacked, c.rounds)
 }
+
+// sparse reports whether c's population is below the flat kernels'
+// threshold, where KernelAuto runs the sparse degree-2 round.
+func (c diffConfig) sparse() bool { return c.k < c.n/kernel.DenseFraction }
 
 // systemBuilder draws one random configuration for c and returns a factory
 // that instantiates it under any kernel mode, so differential tests can run
@@ -49,6 +56,9 @@ func systemBuilder(t *testing.T, c diffConfig, rng *xrand.Rand) func(mode Kernel
 		g = graph.Path(c.n)
 	}
 	positions := RandomPositions(c.n, c.k, rng)
+	if c.stacked {
+		positions = AllOnNode(rng.Intn(c.n), c.k)
+	}
 	pointers := PointersRandom(g, rng)
 	return func(mode KernelMode, extra ...Option) *System {
 		opts := []Option{
@@ -68,9 +78,11 @@ func systemBuilder(t *testing.T, c diffConfig, rng *xrand.Rand) func(mode Kernel
 	}
 }
 
-// buildPair constructs the same random configuration twice: once forced
-// onto the generic engine, once forced onto the specialized kernel.
-func buildPair(t *testing.T, c diffConfig, rng *xrand.Rand) (gen, fast *System) {
+// buildArms constructs the same random configuration under each tier:
+// forced onto the generic engine, forced onto the specialized kernel, and,
+// when c is sparse, under KernelAuto on the sparse degree-2 round (sparse
+// is nil otherwise).
+func buildArms(t *testing.T, c diffConfig, rng *xrand.Rand) (gen, fast, sparse *System) {
 	t.Helper()
 	mk := systemBuilder(t, c, rng)
 	gen = mk(KernelGeneric)
@@ -85,7 +97,32 @@ func buildPair(t *testing.T, c diffConfig, rng *xrand.Rand) (gen, fast *System) 
 	if fast.KernelName() != want {
 		t.Fatalf("%v: forced fast selected %q, want %q", c, fast.KernelName(), want)
 	}
-	return gen, fast
+	if c.sparse() {
+		sparse = mk(KernelAuto)
+		if got := sparse.KernelName(); got != want+"-sparse" {
+			t.Fatalf("%v: auto selected %q, want %q", c, got, want+"-sparse")
+		}
+	}
+	return gen, fast, sparse
+}
+
+// compareArm compares an arm with the generic engine: every observable of
+// compareSystems and, when the arm runs a sparse round, the occupied list
+// in order, which the sparse round keeps exactly as the generic round
+// builds it. A nil arm (the sparse arm of a dense configuration) is
+// skipped.
+func compareArm(t *testing.T, c diffConfig, round int, gen, arm *System) {
+	t.Helper()
+	if arm == nil {
+		return
+	}
+	compareSystems(t, c, round, gen, arm)
+	if !strings.HasSuffix(arm.KernelName(), "-sparse") {
+		return
+	}
+	if a, b := gen.Occupied(), arm.Occupied(); !equalInts(a, b) {
+		t.Fatalf("%v round %d: occupied order differs: generic %v, sparse %v", c, round, a, b)
+	}
 }
 
 // compareSystems asserts every observable piece of configuration state
@@ -175,9 +212,9 @@ func equalInts(a, b []int) bool {
 }
 
 // TestKernelDifferential is the main property test: random ring and path
-// configurations stepped in lockstep on both engines, compared after every
-// round. Runs a spread of sparse and dense populations with and without
-// hashing.
+// configurations stepped in lockstep on every tier, compared after every
+// round. Runs a spread of sparse and dense populations, from random and
+// all-on-one-node starts, with and without hashing.
 func TestKernelDifferential(t *testing.T) {
 	rng := xrand.New(0xd1ff)
 	for trial := 0; trial < 120; trial++ {
@@ -196,12 +233,18 @@ func TestKernelDifferential(t *testing.T) {
 		default:
 			c.k = c.n + rng.Intn(9*c.n)
 		}
-		gen, fast := buildPair(t, c, rng)
+		c.stacked = rng.Intn(4) == 0
+		gen, fast, sparse := buildArms(t, c, rng)
 		compareSystems(t, c, 0, gen, fast)
+		compareArm(t, c, 0, gen, sparse)
 		for r := 1; r <= c.rounds; r++ {
 			gen.Step()
 			fast.Step()
 			compareSystems(t, c, r, gen, fast)
+			if sparse != nil {
+				sparse.Step()
+				compareArm(t, c, r, gen, sparse)
+			}
 		}
 		if a, b := sortedCopy(gen.Occupied()), sortedCopy(fast.Occupied()); !equalInts(a, b) {
 			t.Fatalf("%v: occupied sets differ: %v vs %v", c, a, b)
@@ -215,13 +258,18 @@ func TestKernelDifferential(t *testing.T) {
 // also covers the occupied-bookkeeping rebuilds when holds interleave with
 // plain fast rounds. The fast system also takes generic StepHeld(nil)
 // rounds between kernel rounds, where a stale mover source would leak
-// into the flow view.
+// into the flow view. The sparse arm interleaves its own rounds with the
+// generic loop's held and StepHeld(nil) rounds.
 func TestKernelDifferentialHeldInterleaving(t *testing.T) {
 	rng := xrand.New(0x11e1d)
 	for trial := 0; trial < 40; trial++ {
 		c := diffConfig{ring: rng.Bool(), n: 4 + rng.Intn(40), hash: rng.Bool(), rounds: 60}
 		c.k = 1 + rng.Intn(4*c.n)
-		gen, fast := buildPair(t, c, rng)
+		if trial%2 == 0 {
+			c.k = 1 + rng.Intn(max(1, c.n/kernel.DenseFraction-1))
+		}
+		c.stacked = trial%4 == 0
+		gen, fast, sparse := buildArms(t, c, rng)
 		held := make([]int64, c.n)
 		for r := 1; r <= c.rounds; r++ {
 			switch rng.Intn(3) {
@@ -236,14 +284,24 @@ func TestKernelDifferentialHeldInterleaving(t *testing.T) {
 				}
 				gen.StepHeld(held)
 				fast.StepHeld(held)
+				if sparse != nil {
+					sparse.StepHeld(held)
+				}
 			case 1:
 				gen.Step()
 				fast.StepHeld(nil)
+				if sparse != nil {
+					sparse.StepHeld(nil)
+				}
 			default:
 				gen.Step()
 				fast.Step()
+				if sparse != nil {
+					sparse.Step()
+				}
 			}
 			compareSystems(t, c, r, gen, fast)
+			compareArm(t, c, r, gen, sparse)
 		}
 	}
 }
@@ -255,53 +313,79 @@ func TestKernelDifferentialCoverAndCycle(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		c := diffConfig{ring: rng.Bool(), n: 6 + rng.Intn(50)}
 		c.k = 1 + rng.Intn(2*c.n)
-		gen, fast := buildPair(t, c, rng)
-
+		gen, fast, sparse := buildArms(t, c, rng)
 		budget := int64(64 * c.n * c.n)
 		cg, errG := gen.RunUntilCovered(budget)
-		cf, errF := fast.RunUntilCovered(budget)
-		if (errG == nil) != (errF == nil) {
-			t.Fatalf("%v: cover errors diverge: %v vs %v", c, errG, errF)
+		lcG, errLG := FindLimitCycle(gen, 4*budget, true)
+		if errLG != nil {
+			t.Fatalf("%v: generic limit cycle: %v", c, errLG)
 		}
-		if cg != cf {
-			t.Fatalf("%v: cover time %d vs %d", c, cg, cf)
+		for _, arm := range []*System{fast, sparse} {
+			if arm == nil {
+				continue
+			}
+			ca, errA := arm.RunUntilCovered(budget)
+			if (errG == nil) != (errA == nil) {
+				t.Fatalf("%v %s: cover errors diverge: %v vs %v", c, arm.KernelName(), errG, errA)
+			}
+			if cg != ca {
+				t.Fatalf("%v %s: cover time %d vs %d", c, arm.KernelName(), cg, ca)
+			}
+			lcA, errA := FindLimitCycle(arm, 4*budget, true)
+			if errA != nil {
+				t.Fatalf("%v %s: limit cycle: %v", c, arm.KernelName(), errA)
+			}
+			if lcG.Period != lcA.Period || lcG.StabilizationRound != lcA.StabilizationRound {
+				t.Fatalf("%v %s: limit cycle (λ=%d, μ=%d) vs (λ=%d, μ=%d)", c, arm.KernelName(),
+					lcG.Period, lcG.StabilizationRound, lcA.Period, lcA.StabilizationRound)
+			}
 		}
-
-		lcG, errG := FindLimitCycle(gen, 4*budget, true)
-		lcF, errF := FindLimitCycle(fast, 4*budget, true)
-		if errG != nil || errF != nil {
-			t.Fatalf("%v: limit cycle errors: %v vs %v", c, errG, errF)
-		}
-		if lcG.Period != lcF.Period || lcG.StabilizationRound != lcF.StabilizationRound {
-			t.Fatalf("%v: limit cycle (λ=%d, μ=%d) vs (λ=%d, μ=%d)",
-				c, lcG.Period, lcG.StabilizationRound, lcF.Period, lcF.StabilizationRound)
-		}
+		compareArm(t, c, int(gen.Round()), gen, sparse)
 	}
 }
 
 // TestKernelDifferentialReset checks Reset and Clone keep the engines
-// aligned (the specialized kernel swaps count buffers, which Reset and
-// Clone must be oblivious to).
+// aligned (the specialized kernel swaps count buffers and the sparse round
+// swaps its source and occupied lists, which Reset and Clone must be
+// oblivious to).
 func TestKernelDifferentialReset(t *testing.T) {
 	rng := xrand.New(0x5e5e7)
-	c := diffConfig{ring: true, n: 33, k: 70, hash: true, rounds: 37}
-	gen, fast := buildPair(t, c, rng)
-	for r := 1; r <= c.rounds; r++ {
-		gen.Step()
-		fast.Step()
-	}
-	cg, cf := gen.Clone(), fast.Clone()
-	cg.Step()
-	cf.Step()
-	compareSystems(t, c, c.rounds+1, cg, cf)
+	for _, c := range []diffConfig{
+		{ring: true, n: 33, k: 70, hash: true, rounds: 37},
+		{ring: true, n: 64, k: 5, hash: true, rounds: 37},
+		{ring: false, n: 64, k: 9, hash: true, stacked: true, rounds: 37},
+	} {
+		gen, fast, sparse := buildArms(t, c, rng)
+		arms := []*System{fast}
+		if sparse != nil {
+			arms = append(arms, sparse)
+		}
+		for r := 1; r <= c.rounds; r++ {
+			gen.Step()
+			for _, arm := range arms {
+				arm.Step()
+			}
+		}
+		cg := gen.Clone()
+		cg.Step()
+		for _, arm := range arms {
+			ca := arm.Clone()
+			ca.Step()
+			compareArm(t, c, c.rounds+1, cg, ca)
+		}
 
-	gen.Reset()
-	fast.Reset()
-	compareSystems(t, c, 0, gen, fast)
-	for r := 1; r <= 10; r++ {
-		gen.Step()
-		fast.Step()
-		compareSystems(t, c, r, gen, fast)
+		gen.Reset()
+		for _, arm := range arms {
+			arm.Reset()
+			compareArm(t, c, 0, gen, arm)
+		}
+		for r := 1; r <= 10; r++ {
+			gen.Step()
+			for _, arm := range arms {
+				arm.Step()
+				compareArm(t, c, r, gen, arm)
+			}
+		}
 	}
 }
 
@@ -332,8 +416,12 @@ func TestKernelPathTwoNodes(t *testing.T) {
 }
 
 // TestKernelAutoSelection pins the density heuristic: dense ring and path
-// populations select the specialized kernel, sparse ones and unsupported
-// topologies fall back to the generic engine.
+// populations (k ≥ n/kernel.DenseFraction) select the flat kernel, sparse
+// ones the sparse degree-2 round, and unsupported topologies — a cut ring
+// included — the generic engine. Selection follows the population and the
+// topology as they change: a repaired sparse ring goes back to its sparse
+// round, and agents joining past the threshold switch it to the flat
+// kernel.
 func TestKernelAutoSelection(t *testing.T) {
 	ring := graph.Ring(64)
 	cases := []struct {
@@ -344,11 +432,14 @@ func TestKernelAutoSelection(t *testing.T) {
 		want string
 	}{
 		{"dense ring", ring, 16, nil, "ring"},
-		{"sparse ring", ring, 2, nil, "generic"},
+		{"sparse ring", ring, 15, nil, "ring-sparse"},
 		{"sparse ring forced", ring, 2, []Option{WithKernelMode(KernelFast)}, "ring"},
+		{"sparse ring forced generic", ring, 2, []Option{WithKernelMode(KernelGeneric)}, "generic"},
 		{"dense ring forced generic", ring, 64, []Option{WithKernelMode(KernelGeneric)}, "generic"},
-		{"dense path", graph.Path(32), 32, nil, "path"},
+		{"dense path", graph.Path(32), 8, nil, "path"},
+		{"sparse path", graph.Path(32), 7, nil, "path-sparse"},
 		{"torus", graph.Torus2D(4, 4), 64, nil, "generic"},
+		{"sparse torus", graph.Torus2D(8, 8), 2, nil, "generic"},
 		{"torus forced fast", graph.Torus2D(4, 4), 64, []Option{WithKernelMode(KernelFast)}, "generic"},
 	}
 	for _, tc := range cases {
@@ -359,6 +450,34 @@ func TestKernelAutoSelection(t *testing.T) {
 		}
 		if got := s.KernelName(); got != tc.want {
 			t.Errorf("%s: kernel %q, want %q", tc.name, got, tc.want)
+		}
+	}
+
+	s, err := NewSystem(ring, WithAgentsAt(EquallySpaced(64, 4)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deleted := make([]bool, ring.NumArcs())
+	deleted[ring.ArcID(0, graph.RingCW)] = true
+	cut, _, err := graph.MaskEdges(ring, deleted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		name   string
+		mutate func() error
+		want   string
+	}{
+		{"cut sparse ring", func() error { return s.Rewire(cut, make([]int, 64)) }, "generic"},
+		{"repaired sparse ring", func() error { return s.Rewire(ring, make([]int, 64)) }, "ring-sparse"},
+		{"joined past the threshold", func() error { return s.AddAgents(EquallySpaced(64, 12)...) }, "ring"},
+		{"left below the threshold", func() error { return s.RemoveAgents(EquallySpaced(64, 1)...) }, "ring-sparse"},
+	} {
+		if err := step.mutate(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if got := s.KernelName(); got != step.want {
+			t.Errorf("%s: kernel %q, want %q", step.name, got, step.want)
 		}
 	}
 }
@@ -573,7 +692,8 @@ func TestKernelParallelResetClone(t *testing.T) {
 // schedule subsystem keys its deterministic hold draws by (round, node), so
 // ForEachOccupied must visit nodes in ascending order on every code path —
 // after a fresh build, after kernel rounds and held rounds (which invalidate
-// the list), and after AddAgents appends out of order.
+// the list), after sparse rounds (which leave it in discovery order), and
+// after AddAgents appends out of order.
 func TestForEachOccupiedAscending(t *testing.T) {
 	rng := xrand.New(0xa5ce4d)
 	checkAscending := func(t *testing.T, s *System, when string) {
@@ -592,9 +712,13 @@ func TestForEachOccupiedAscending(t *testing.T) {
 			prev = v
 		})
 	}
-	for _, mode := range []KernelMode{KernelGeneric, KernelFast, KernelParallel} {
+	for _, arm := range []struct {
+		mode KernelMode
+		k    int
+	}{{KernelGeneric, 120}, {KernelFast, 120}, {KernelParallel, 120}, {KernelAuto, 6}} {
+		mode := arm.mode
 		s, err := NewSystem(graph.Ring(53),
-			WithAgentsAt(RandomPositions(53, 120, rng)...),
+			WithAgentsAt(RandomPositions(53, arm.k, rng)...),
 			WithKernelMode(mode))
 		if err != nil {
 			t.Fatal(err)
@@ -621,59 +745,86 @@ func TestForEachOccupiedAscending(t *testing.T) {
 
 // FuzzKernelEquivalence is a native fuzz harness over the differential
 // property; `go test` runs the seed corpus, `go test -fuzz` explores.
+// Sparse populations (k < n/kernel.DenseFraction) also run the KernelAuto
+// arm on the sparse degree-2 round, and stacked starts put every agent on
+// one node, so that nodes hold many agents.
 func FuzzKernelEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint8(12), uint16(5), true, false)
-	f.Add(uint64(2), uint8(40), uint16(200), false, true)
-	f.Add(uint64(3), uint8(3), uint16(1), true, true)
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, kRaw uint16, ring, hash bool) {
+	f.Add(uint64(1), uint8(12), uint16(5), true, false, false)
+	f.Add(uint64(2), uint8(40), uint16(200), false, true, false)
+	f.Add(uint64(3), uint8(3), uint16(1), true, true, false)
+	f.Add(uint64(4), uint8(77), uint16(9), true, true, true)
+	f.Add(uint64(5), uint8(61), uint16(15), false, false, true)
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, kRaw uint16, ring, hash, stacked bool) {
 		n := 3 + int(nRaw)%80
 		k := 1 + int(kRaw)%(4*n)
-		c := diffConfig{ring: ring, n: n, k: k, hash: hash, rounds: 48}
+		c := diffConfig{ring: ring, n: n, k: k, hash: hash, stacked: stacked, rounds: 48}
 		rng := xrand.New(seed)
-		gen, fast := buildPair(t, c, rng)
+		gen, fast, sparse := buildArms(t, c, rng)
 		for r := 1; r <= c.rounds; r++ {
 			gen.Step()
 			fast.Step()
 			compareSystems(t, c, r, gen, fast)
+			if sparse != nil {
+				sparse.Step()
+				compareArm(t, c, r, gen, sparse)
+			}
 		}
 	})
 }
 
 // FuzzKernelHeldEquivalence fuzzes the held-round tier: random hold
 // interleavings on ring and path shapes, fused held kernels vs the generic
-// engine, with occasional generic StepHeld(nil) rounds in between. holdSeed decouples the hold pattern from the configuration draw so
-// the fuzzer can vary them independently.
+// engine, with occasional generic StepHeld(nil) rounds in between. holdSeed
+// decouples the hold pattern from the configuration draw so the fuzzer can
+// vary them independently. Sparse populations add the KernelAuto arm, whose
+// held rounds run the generic loop between its sparse rounds.
 func FuzzKernelHeldEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint64(7), uint8(12), uint16(5), true, false)
-	f.Add(uint64(2), uint64(9), uint8(40), uint16(200), false, true)
-	f.Add(uint64(3), uint64(11), uint8(3), uint16(1), true, true)
-	f.Fuzz(func(t *testing.T, seed, holdSeed uint64, nRaw uint8, kRaw uint16, ring, hash bool) {
+	f.Add(uint64(1), uint64(7), uint8(12), uint16(5), true, false, false)
+	f.Add(uint64(2), uint64(9), uint8(40), uint16(200), false, true, false)
+	f.Add(uint64(3), uint64(11), uint8(3), uint16(1), true, true, false)
+	f.Add(uint64(4), uint64(13), uint8(77), uint16(9), true, true, true)
+	f.Add(uint64(5), uint64(17), uint8(61), uint16(15), false, false, true)
+	f.Fuzz(func(t *testing.T, seed, holdSeed uint64, nRaw uint8, kRaw uint16, ring, hash, stacked bool) {
 		n := 3 + int(nRaw)%80
 		k := 1 + int(kRaw)%(4*n)
-		c := diffConfig{ring: ring, n: n, k: k, hash: hash, rounds: 40}
+		c := diffConfig{ring: ring, n: n, k: k, hash: hash, stacked: stacked, rounds: 40}
 		rng := xrand.New(seed)
-		gen, fast := buildPair(t, c, rng)
+		gen, fast, sparse := buildArms(t, c, rng)
 		hrng := xrand.New(holdSeed)
 		held := make([]int64, n)
 		for r := 1; r <= c.rounds; r++ {
-			if hrng.Intn(5) == 0 {
+			switch hrng.Intn(5) {
+			case 0:
 				// A generic round between held kernel rounds.
 				gen.Step()
 				fast.StepHeld(nil)
-				compareSystems(t, c, r, gen, fast)
-				continue
-			}
-			for v := range held {
-				held[v] = 0
-			}
-			for _, v := range gen.Occupied() {
-				if hrng.Bool() {
-					held[v] = int64(hrng.Intn(int(gen.AgentsAt(v)) + 1))
+				if sparse != nil {
+					sparse.StepHeld(nil)
+				}
+			case 1:
+				// A fully-active round: kernel and sparse tiers.
+				gen.Step()
+				fast.Step()
+				if sparse != nil {
+					sparse.Step()
+				}
+			default:
+				for v := range held {
+					held[v] = 0
+				}
+				for _, v := range gen.Occupied() {
+					if hrng.Bool() {
+						held[v] = int64(hrng.Intn(int(gen.AgentsAt(v)) + 1))
+					}
+				}
+				gen.StepHeld(held)
+				fast.StepHeld(held)
+				if sparse != nil {
+					sparse.StepHeld(held)
 				}
 			}
-			gen.StepHeld(held)
-			fast.StepHeld(held)
 			compareSystems(t, c, r, gen, fast)
+			compareArm(t, c, r, gen, sparse)
 		}
 	})
 }

@@ -118,11 +118,7 @@ func (s *System) AddAgents(positions ...int) error {
 			s.occSorted = false // appended out of order
 		}
 		if s.st.Visits[v] == 0 {
-			s.st.CoveredAt[v] = s.st.Round
-			s.st.Covered++
-			if s.st.Covered == s.n {
-				s.st.CoverRound = s.st.Round
-			}
+			s.coverAt(v, s.st.Round)
 		}
 		s.st.Visits[v]++
 	}

@@ -12,10 +12,9 @@ import (
 	"rotorring/internal/graph"
 )
 
-// benchJSON, when set, makes TestEmitBenchJSON measure the sequential
-// baseline against the engine at several worker counts — plus the
-// per-kernel step throughputs — and write the trajectory to the given path
-// (BENCH_engine.json at the repo root via `make bench-json`).
+// benchJSON, when set, makes TestEmitBenchJSON measure the per-kernel step
+// throughputs and the graph build-versus-cache costs and write them to the
+// given path (BENCH_engine.json at the repo root via `make bench-json`).
 var benchJSON = flag.String("bench-json", "", "write engine benchmark results to this JSON file")
 
 // benchBaseline, when set, makes TestPrintBenchBaseline print the kernel
@@ -25,86 +24,10 @@ var benchJSON = flag.String("bench-json", "", "write engine benchmark results to
 var benchBaseline = flag.String("bench-baseline", "", "print the kernel entries of this BENCH_engine.json in go-bench format")
 
 // benchForce overrides the GOMAXPROCS guard of TestEmitBenchJSON: a
-// trajectory generated on one processor understates every parallel speedup
-// (worker ladder and parallel kernel alike), so emission refuses by default
-// and requires an explicit opt-in to commit a starved baseline.
+// trajectory generated on one processor understates the parallel ring
+// stepper's speedup, so emission refuses by default and requires an
+// explicit opt-in to commit a starved baseline.
 var benchForce = flag.Bool("bench-force", false, "emit bench JSON even when GOMAXPROCS==1 (starved baseline)")
-
-// benchSpec is the fixed workload benchmarks and the JSON trajectory share:
-// a rotor cover-time grid whose cells are heavy enough (~(n/k)^2 rounds)
-// that scheduling overhead is negligible against simulation work.
-func benchSpec() SweepSpec {
-	return SweepSpec{
-		Topologies: []Topo{"ring"},
-		Sizes:      []int{256, 384, 512, 640},
-		Agents:     []int{2, 3, 4, 6},
-		Placements: []Placement{PlaceEqual},
-		Pointers:   []Pointer{PtrNegative},
-		Replicas:   2,
-		Seed:       7,
-	}
-}
-
-// benchWorkerCounts is the worker-pool ladder of the sweep trajectory.
-var benchWorkerCounts = []int{1, 2, 4, 8}
-
-// runSequential is the pre-engine code path: every cell measured one after
-// another on a single goroutine, no pool, no sinks. It is the baseline the
-// engine's speedup is stated against.
-func runSequential(spec SweepSpec) ([]Row, error) {
-	norm, err := spec.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	cells, err := norm.Cells()
-	if err != nil {
-		return nil, err
-	}
-	w := newWorker(newGraphCache())
-	rows := make([]Row, 0, len(cells)*norm.Replicas)
-	for _, c := range cells {
-		for r := 0; r < norm.Replicas; r++ {
-			rows = append(rows, w.runJob(&norm, c, r))
-		}
-	}
-	return rows, nil
-}
-
-// BenchmarkSequentialSweep measures the single-goroutine baseline.
-func BenchmarkSequentialSweep(b *testing.B) {
-	spec := benchSpec()
-	for i := 0; i < b.N; i++ {
-		if _, err := runSequential(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineSweep measures the engine at increasing worker counts; on
-// a multi-core runner throughput scales near-linearly until the pool
-// exceeds the cores.
-func BenchmarkEngineSweep(b *testing.B) {
-	spec := benchSpec()
-	for _, workers := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := New(Workers(workers))
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// benchResult is one measured point of the sweep trajectory.
-type benchResult struct {
-	Workers    int     `json:"workers"`
-	Seconds    float64 `json:"seconds"`
-	JobsPerSec float64 `json:"jobsPerSec"`
-	// Speedup is throughput relative to the sequential baseline.
-	Speedup float64 `json:"speedup"`
-}
 
 // kernelResult is one measured kernel-tier throughput (see
 // KernelBenchCases).
@@ -148,14 +71,11 @@ type benchFile struct {
 	GOARCH    string `json:"goarch"`
 	// CPUs is the machine's logical core count (runtime.NumCPU);
 	// GoMaxProcs is how many of them the Go scheduler was allowed to use
-	// when the file was generated. Speedup trajectories are only
-	// meaningful when GoMaxProcs covers the worker counts measured.
+	// when the file was generated. The parallel ring stepper's speedup is
+	// only meaningful when GoMaxProcs is above one.
 	CPUs        int            `json:"cpus"`
 	GoMaxProcs  int            `json:"gomaxprocs"`
 	GoVersion   string         `json:"goVersion"`
-	Jobs        int            `json:"jobs"`
-	SeqSeconds  float64        `json:"sequentialSeconds"`
-	Results     []benchResult  `json:"results"`
 	Kernels     []kernelResult `json:"kernels"`
 	Graphs      []graphResult  `json:"graphs"`
 	GeneratedAt string         `json:"generatedAt"`
@@ -276,62 +196,23 @@ func TestEmitBenchJSON(t *testing.T) {
 	if *benchJSON == "" {
 		t.Skip("enable with -bench-json <path>")
 	}
-	spec := benchSpec()
-	cells, err := spec.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	maxWorkers := benchWorkerCounts[len(benchWorkerCounts)-1]
-	if procs := runtime.GOMAXPROCS(0); procs == 1 && !*benchForce {
-		// A one-processor run starves every parallel measurement (the worker
-		// ladder and the parallel ring stepper both degrade to serial);
-		// committing such a trajectory as the baseline misstates the
-		// engine's scaling. Refuse unless explicitly overridden.
-		t.Fatal("refusing to emit bench JSON with GOMAXPROCS=1: parallel speedups would be " +
+	if runtime.GOMAXPROCS(0) == 1 && !*benchForce {
+		// A one-processor run starves the parallel ring stepper, which then
+		// degrades to serial; committing such a trajectory as the baseline
+		// misstates its speedup. Refuse unless explicitly overridden.
+		t.Fatal("refusing to emit bench JSON with GOMAXPROCS=1: the parallel ring stepper would be " +
 			"measured starved (set GOMAXPROCS>=4, as the CI bench job does, or pass -bench-force " +
 			"to record a starved baseline deliberately)")
-	} else if procs < maxWorkers {
-		// The worker ladder cannot scale past the scheduler's processor
-		// cap; the committed trajectory should say so loudly.
-		fmt.Fprintf(os.Stderr,
-			"WARNING: GOMAXPROCS=%d < %d workers; speedups above %dx are unreachable on this run "+
-				"(set GOMAXPROCS, as the CI bench job does)\n",
-			procs, maxWorkers, procs)
-	}
-
-	// Warm up once so first-run effects (page faults, frequency ramp)
-	// don't land on the baseline.
-	if _, err := runSequential(spec); err != nil {
-		t.Fatal(err)
 	}
 
 	out := benchFile{
-		Benchmark:   "EngineSweep",
+		Benchmark:   "EngineKernels",
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 		CPUs:        runtime.NumCPU(),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		GoVersion:   runtime.Version(),
-		Jobs:        len(cells) * spec.Replicas,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-	}
-	out.SeqSeconds = timeIt(t, 3, func() error {
-		_, err := runSequential(spec)
-		return err
-	})
-	for _, workers := range benchWorkerCounts {
-		e := New(Workers(workers))
-		sec := timeIt(t, 3, func() error {
-			_, err := e.Run(spec)
-			return err
-		})
-		out.Results = append(out.Results, benchResult{
-			Workers:    workers,
-			Seconds:    sec,
-			JobsPerSec: float64(out.Jobs) / sec,
-			Speedup:    out.SeqSeconds / sec,
-		})
 	}
 	out.Kernels = measureKernels(t)
 	out.Graphs = measureGraphCache(t)
@@ -348,13 +229,9 @@ func TestEmitBenchJSON(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: sequential %.3fs, %d jobs, cpus=%d gomaxprocs=%d",
-		*benchJSON, out.SeqSeconds, out.Jobs, out.CPUs, out.GoMaxProcs)
-	for _, r := range out.Results {
-		t.Logf("  workers=%d  %.3fs  %.1f jobs/s  speedup %.2fx", r.Workers, r.Seconds, r.JobsPerSec, r.Speedup)
-	}
+	t.Logf("wrote %s: cpus=%d gomaxprocs=%d", *benchJSON, out.CPUs, out.GoMaxProcs)
 	for _, kr := range out.Kernels {
-		t.Logf("  kernel %-13s %s k=%-6d  %.3e steps/s  speedup %.2fx",
+		t.Logf("  kernel %-20s %s k=%-6d  %.3e steps/s  speedup %.2fx",
 			kr.Name, kr.Graph, kr.K, kr.StepsPerSec, kr.Speedup)
 	}
 	for _, gr := range out.Graphs {

@@ -8,15 +8,18 @@ import (
 
 	"rotorring/internal/core"
 	"rotorring/internal/graph"
+	"rotorring/internal/kernel"
 )
 
 // TestKernelNeverAffectsRotorResults runs the same rotor sweep on every
-// kernel tier and asserts byte-identical rows: the specialized kernels are
-// bit-identical to the generic engine, and the Kernel knob deliberately
-// stays out of seed derivation.
+// kernel tier and asserts byte-identical rows: the specialized kernels and
+// the sparse degree-2 rounds are bit-identical to the generic engine, and
+// the Kernel knob deliberately stays out of seed derivation. Both metrics
+// run rings and a path with cells on each side of the density threshold,
+// so the auto arm steps the flat kernels and the sparse rounds alike.
 func TestKernelNeverAffectsRotorResults(t *testing.T) {
 	spec := SweepSpec{
-		Topologies: []Topo{"ring"},
+		Topologies: []Topo{"ring", "path"},
 		Sizes:      []int{24, 48},
 		Agents:     []int{1, 6, 96},
 		Placements: []Placement{PlaceSingle, PlaceEqual, PlaceRandom},
@@ -36,6 +39,23 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 		}
 		return string(b)
 	}
+	straddles := func() {
+		t.Helper()
+		var sparse, dense int
+		for _, n := range spec.Sizes {
+			for _, k := range spec.Agents {
+				if k < n/kernel.DenseFraction {
+					sparse++
+				} else {
+					dense++
+				}
+			}
+		}
+		if sparse == 0 || dense == 0 {
+			t.Fatalf("sizes %v and agents %v do not straddle the density threshold", spec.Sizes, spec.Agents)
+		}
+	}
+	straddles()
 	auto, generic, fast := marshal(KernelAuto), marshal(KernelGeneric), marshal(KernelFast)
 	if auto != generic || generic != fast {
 		t.Fatal("kernel selection changed sweep results")
@@ -44,12 +64,14 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 		t.Fatal("parallel kernel changed sweep results")
 	}
 
-	// Return-time metric exercises cycle detection (hash-enabled clones).
+	// Return-time metric exercises cycle detection (hash-enabled clones)
+	// and the period measurement, which reads LastVisited.
 	spec.Metric = MetricReturn
 	spec.Agents = []int{3, 24}
 	spec.Placements = []Placement{PlaceEqual}
 	spec.Pointers = []Pointer{PtrNegative}
-	if g, f := marshal(KernelGeneric), marshal(KernelFast); g != f {
+	straddles()
+	if a, g, f := marshal(KernelAuto), marshal(KernelGeneric), marshal(KernelFast); a != g || g != f {
 		t.Fatal("kernel selection changed return-time results")
 	}
 }

@@ -460,7 +460,7 @@ func TestMissionObserverDetached(t *testing.T) {
 // mid-mission — plain, and under a delay schedule, whose held rounds run
 // the held ring kernel.
 func TestMissionKeepsRingKernel(t *testing.T) {
-	const n, k = 128, 32 // k >= n/8: KernelAuto selects the ring kernel
+	const n, k = 128, 32 // k >= n/4: KernelAuto selects the ring kernel
 	g := mustBuildGraph(t, "ring", n)
 	mi, err := parseMission("patrol:horizon=256,warmup=0")
 	if err != nil {

@@ -177,38 +177,48 @@ func sameValue(a, b float64) bool {
 
 // TestScheduledKernelRespecializesAcrossFaultEpochs is the epoch
 // re-specialization contract on the scheduled runner: a rotor job on the
-// ring runs the ring kernel, an edge failure degrades it to the generic
+// ring runs its ring tier, an edge failure degrades it to the generic
 // engine (the cut ring's ports are no longer the canonical ring shape), and
 // the repair — which restores the pristine topology — re-specializes back
-// to the ring kernel. KernelName is asserted in every epoch.
+// to the same tier. KernelName is asserted in every epoch, for a dense
+// population (the flat ring kernel) and a sparse one (the sparse round).
 func TestScheduledKernelRespecializesAcrossFaultEpochs(t *testing.T) {
-	// 8 agents on 48 nodes is past the density threshold, so KernelAuto
-	// selects the ring kernel exactly as a sweep job would.
-	sp := buildScheduledRotor(t, 48, 8, 2201, "edgefail:t=50,count=1,repair=150")
-	kernel := func() string { return sp.inner.(*rotorProc).sys.KernelName() }
+	for _, tc := range []struct {
+		k    int
+		tier string
+	}{
+		// 12 agents on 48 nodes reach the density threshold (k ≥ n/4), so
+		// KernelAuto selects the ring kernel exactly as a sweep job would;
+		// 3 agents stay below it and run the sparse ring round.
+		{12, "ring"},
+		{3, "ring-sparse"},
+	} {
+		sp := buildScheduledRotor(t, 48, tc.k, 2201, "edgefail:t=50,count=1,repair=150")
+		kernel := func() string { return sp.inner.(*rotorProc).sys.KernelName() }
 
-	if got := kernel(); got != "ring" {
-		t.Fatalf("pristine epoch: kernel %q, want ring", got)
-	}
-	sp.RunTo(60)
-	if got := kernel(); got != "generic" {
-		t.Fatalf("cut epoch: kernel %q, want generic", got)
-	}
-	if sp.next != 1 {
-		t.Fatalf("after RunTo(60): %d events applied, want 1", sp.next)
-	}
-	sp.RunTo(200)
-	if got := kernel(); got != "ring" {
-		t.Fatalf("repaired epoch: kernel %q, want ring (repair must re-specialize)", got)
-	}
-	if sp.next != 2 {
-		t.Fatalf("after RunTo(200): %d events applied, want 2", sp.next)
-	}
+		if got := kernel(); got != tc.tier {
+			t.Fatalf("k=%d pristine epoch: kernel %q, want %s", tc.k, got, tc.tier)
+		}
+		sp.RunTo(60)
+		if got := kernel(); got != "generic" {
+			t.Fatalf("k=%d cut epoch: kernel %q, want generic", tc.k, got)
+		}
+		if sp.next != 1 {
+			t.Fatalf("k=%d after RunTo(60): %d events applied, want 1", tc.k, sp.next)
+		}
+		sp.RunTo(200)
+		if got := kernel(); got != tc.tier {
+			t.Fatalf("k=%d repaired epoch: kernel %q, want %s (repair must re-specialize)", tc.k, got, tc.tier)
+		}
+		if sp.next != 2 {
+			t.Fatalf("k=%d after RunTo(200): %d events applied, want 2", tc.k, sp.next)
+		}
 
-	// Reset rewinds to the pristine epoch; the kernel must come back
-	// specialized there too.
-	sp.Reset()
-	if got := kernel(); got != "ring" {
-		t.Fatalf("after Reset: kernel %q, want ring", got)
+		// Reset rewinds to the pristine epoch; the kernel must come back
+		// specialized there too.
+		sp.Reset()
+		if got := kernel(); got != tc.tier {
+			t.Fatalf("k=%d after Reset: kernel %q, want %s", tc.k, got, tc.tier)
+		}
 	}
 }

@@ -332,9 +332,10 @@ func TestCSVHeaderPinned(t *testing.T) {
 
 // seedcompatMissionSpecs are the mission sweeps whose output was committed
 // before mission observation moved onto the per-round flow view. The rotor
-// sweep covers every mission family over a dense ring (k >= n/8, which runs
+// sweep covers every mission family over a dense ring (k >= n/4, which runs
 // on the ring kernel, and on the held ring kernel under delay), a sparse
-// ring, a grid and a torus, plain and composed with delay and reset
+// ring (the sparse ring round, and the generic loop's held rounds under
+// delay), a grid and a torus, plain and composed with delay and reset
 // schedules; the walk sweep covers the flow-reading families in both walk
 // modes (per-agent for k < 2n, counts for k >= 2n). An explicit MaxRounds
 // keeps predicate missions that never fire (return from a transient start)

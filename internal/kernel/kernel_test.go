@@ -40,21 +40,30 @@ func TestShapeStrings(t *testing.T) {
 }
 
 func TestSelectPolicy(t *testing.T) {
-	ring := graph.Ring(80)
-	if s := Select(ring, 80/DenseFraction, false); s == nil || s.Name() != "ring" {
-		t.Error("dense ring not selected at the threshold")
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		k     int64
+		force bool
+		want  string // the kernel's name, "" for none
+		shape Shape
+	}{
+		{"dense ring at the threshold", graph.Ring(80), 80 / DenseFraction, false, "ring", ShapeRing},
+		{"sparse ring", graph.Ring(80), 80/DenseFraction - 1, false, "", ShapeRing},
+		{"forced sparse ring", graph.Ring(80), 1, true, "ring", ShapeRing},
+		{"dense path", graph.Path(16), 16, false, "path", ShapePath},
+		{"sparse path", graph.Path(64), 2, false, "", ShapePath},
+		{"forced general graph", graph.Complete(8), 1000, true, "", ShapeGeneral},
 	}
-	if s := Select(ring, 80/DenseFraction-1, false); s != nil {
-		t.Error("sparse ring selected without force")
-	}
-	if s := Select(ring, 1, true); s == nil || s.Name() != "ring" {
-		t.Error("forced sparse ring not selected")
-	}
-	if s := Select(graph.Path(16), 16, false); s == nil || s.Name() != "path" {
-		t.Error("dense path not selected")
-	}
-	if s := Select(graph.Complete(8), 1000, true); s != nil {
-		t.Error("general graph got a specialized kernel")
+	for _, tc := range cases {
+		s, shape := Select(tc.g, tc.k, tc.force)
+		got := ""
+		if s != nil {
+			got = s.Name()
+		}
+		if got != tc.want || shape != tc.shape {
+			t.Errorf("%s: kernel %q shape %v, want %q %v", tc.name, got, shape, tc.want, tc.shape)
+		}
 	}
 }
 

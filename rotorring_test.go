@@ -171,40 +171,49 @@ func TestDomainFacade(t *testing.T) {
 }
 
 // TestTrackDomainsKeepsRingKernel: domain tracking reads the flow view, so
-// a tracked dense ring runs the ring kernel and reports exactly the lazy
-// domains and borders of a forced-generic run.
+// a tracked ring keeps its ring tier — the flat kernel when dense, the
+// sparse round when sparse — and reports exactly the lazy domains and
+// borders of a forced-generic run.
 func TestTrackDomainsKeepsRingKernel(t *testing.T) {
-	const n, k = 96, 16 // k >= n/8: KernelAuto selects the ring kernel
-	build := func(kernel KernelPolicy) *RotorSim {
-		sim, err := newRotorSim(Ring(n), Agents(k), Place(PlaceEqualSpacing),
-			Pointers(PointerRandom), Seed(3), Kernel(kernel), TrackDomains())
-		if err != nil {
-			t.Fatal(err)
+	const n = 96
+	for _, tc := range []struct {
+		k    int
+		tier string
+	}{
+		{24, "ring"},       // k ≥ n/4: KernelAuto selects the ring kernel
+		{5, "ring-sparse"}, // below it, the sparse ring round
+	} {
+		build := func(kernel KernelPolicy) *RotorSim {
+			sim, err := newRotorSim(Ring(n), Agents(tc.k), Place(PlaceEqualSpacing),
+				Pointers(PointerRandom), Seed(3), Kernel(kernel), TrackDomains())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sim
 		}
-		return sim
-	}
-	fast, gen := build(KernelAuto), build(KernelGeneric)
-	if fast.KernelName() != "ring" || gen.KernelName() != "generic" {
-		t.Fatalf("kernels %q and %q, want ring and generic", fast.KernelName(), gen.KernelName())
-	}
-	for i := 0; i < 40; i++ {
-		if err := fast.Run(29); err != nil {
-			t.Fatal(err)
+		fast, gen := build(KernelAuto), build(KernelGeneric)
+		if fast.KernelName() != tc.tier || gen.KernelName() != "generic" {
+			t.Fatalf("kernels %q and %q, want %s and generic", fast.KernelName(), gen.KernelName(), tc.tier)
 		}
-		if err := gen.Run(29); err != nil {
-			t.Fatal(err)
-		}
-		lf, errF := fast.LazyDomains()
-		lg, errG := gen.LazyDomains()
-		if !reflect.DeepEqual(lf, lg) || fmt.Sprint(errF) != fmt.Sprint(errG) {
-			t.Fatalf("round %d: lazy domains %+v (%v) on the ring kernel, %+v (%v) on generic",
-				fast.Round(), lf, errF, lg, errG)
-		}
-		bf, errF := fast.Borders()
-		bg, errG := gen.Borders()
-		if !reflect.DeepEqual(bf, bg) || fmt.Sprint(errF) != fmt.Sprint(errG) {
-			t.Fatalf("round %d: borders %+v (%v) on the ring kernel, %+v (%v) on generic",
-				fast.Round(), bf, errF, bg, errG)
+		for i := 0; i < 40; i++ {
+			if err := fast.Run(29); err != nil {
+				t.Fatal(err)
+			}
+			if err := gen.Run(29); err != nil {
+				t.Fatal(err)
+			}
+			lf, errF := fast.LazyDomains()
+			lg, errG := gen.LazyDomains()
+			if !reflect.DeepEqual(lf, lg) || fmt.Sprint(errF) != fmt.Sprint(errG) {
+				t.Fatalf("round %d: lazy domains %+v (%v) on %s, %+v (%v) on generic",
+					fast.Round(), lf, errF, tc.tier, lg, errG)
+			}
+			bf, errF := fast.Borders()
+			bg, errG := gen.Borders()
+			if !reflect.DeepEqual(bf, bg) || fmt.Sprint(errF) != fmt.Sprint(errG) {
+				t.Fatalf("round %d: borders %+v (%v) on %s, %+v (%v) on generic",
+					fast.Round(), bf, errF, tc.tier, bg, errG)
+			}
 		}
 	}
 }
