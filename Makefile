@@ -108,10 +108,12 @@ cluster-smoke:
 # (rotor tiers bit-identical), the topology-, schedule- and mission-spec
 # parser fuzz (canonical forms are parse/String fixed points with identical
 # compiled plans), the wire-spec decoder fuzz (no panics; accepted specs
-# re-encode to a decode/encode fixed point) and the cluster completion
+# re-encode to a decode/encode fixed point), the cluster completion
 # fuzz (no panics, only 200/400/404, never a job queued that was not
-# leased). Seed corpora also run under plain `go test`; this target
-# actually mutates.
+# leased) and the rotord HTTP fuzz (arbitrary submit bodies, row cursors
+# and formats: no panics, only documented statuses, no spool directory
+# for a rejected body). Seed corpora also run under plain `go test`; this
+# target actually mutates.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzKernelEquivalence$$' -fuzztime $(FUZZTIME)
@@ -122,6 +124,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzParseMission$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzDecodeWireSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzCoordinatorComplete$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzHTTPSubmitAndRows$$' -fuzztime $(FUZZTIME)
 
 ci: build vet fmt-check race bench-smoke bench-kernels-smoke bench-check examples-smoke service-smoke chaos-smoke cluster-smoke fuzz-smoke
 

@@ -96,9 +96,8 @@ type System struct {
 	st kernel.State
 
 	// fast is the specialized kernel selected for this system (nil when
-	// only the generic engine applies). Fully-active rounds run on it —
-	// and held rounds too, when the kernel implements kernel.HeldStepper;
-	// everything else takes the generic path. parShards fixes the shard
+	// only the generic engine applies). Fully-active and held rounds run on
+	// it; StepHeld(nil) takes the generic path. parShards fixes the shard
 	// count under KernelParallel (0 = GOMAXPROCS at step time).
 	fast      kernel.Stepper
 	kmode     KernelMode
@@ -112,15 +111,10 @@ type System struct {
 
 	// The occupied list is bookkeeping of the generic and sparse rounds:
 	// the flat kernels do not maintain it, so it is rebuilt lazily
-	// (occValid) when a round or an accessor next needs it. occSorted
-	// tracks whether the list is in ascending node order — rebuilds
-	// produce it sorted, the generic and sparse rounds do not — so
-	// ForEachOccupied can pin its iteration order without re-sorting every
-	// round.
-	occupied  []int  // nodes with agents[v] > 0
-	inOcc     []bool // membership flags for occupied
-	occValid  bool
-	occSorted bool
+	// (occValid) when a round or an accessor next needs it.
+	occupied []int  // nodes with agents[v] > 0
+	inOcc    []bool // membership flags for occupied
+	occValid bool
 
 	// lastVisitedFast marks that the last completed round ran on a flat
 	// kernel or the sparse round, which skip the per-round visited list: in
@@ -314,7 +308,6 @@ func NewSystem(g *graph.Graph, opts ...Option) (*System, error) {
 		}
 	}
 	s.occValid = true
-	s.occSorted = true
 	if s.st.Covered == n {
 		s.st.CoverRound = 0
 	}
@@ -361,10 +354,10 @@ func (s *System) AgentsAt(v int) int64 { return s.st.Agents[v] }
 
 // AgentCountsView returns the live per-node agent-count array, indexed by
 // node. It is a zero-copy view for flat read loops on hot paths (the
-// schedule runner's hold-draw fill) where per-node AgentsAt calls or a
-// ForEachOccupied closure would dominate. Callers must not mutate it, and
-// must re-fetch it after any step: the fused kernels advance by buffer
-// swap, so the slice goes stale each round.
+// schedule runner's hold-draw fill) where per-node AgentsAt calls would
+// dominate. Callers must not mutate it, and must re-fetch it after any
+// step: the fused kernels advance by buffer swap, so the slice goes stale
+// each round.
 func (s *System) AgentCountsView() []int64 { return s.st.Agents }
 
 // Pointer returns the current port pointer of v.
@@ -434,7 +427,6 @@ func (s *System) ensureOccupied() {
 		}
 	}
 	s.occValid = true
-	s.occSorted = true
 }
 
 // Occupied returns a copy of the list of nodes currently holding agents.
@@ -577,28 +569,25 @@ func (s *System) touchAgents(v int) {
 // nil held slice means every agent is active. Held agents do not advance
 // the pointer — exactly the paper's D(v,t) semantics.
 //
-// Held rounds run on the specialized kernel when it implements the held
-// tier (ring and path do; see kernel.HeldStepper), bit-identically to the
-// generic engine below, which everything else falls back to — sparse ring
-// and path populations included. StepHeld(nil) on a system with a
-// specialized kernel or a sparse round is equivalent to Step but
-// deliberately takes the generic path — it is the reference arm of the
-// differential tests.
+// Held rounds run on the flat kernel's held tier (kernel.Stepper.StepHeld)
+// when the system has a flat kernel, bit-identically to the generic engine
+// below, which everything else runs on — sparse ring and path populations
+// included. StepHeld(nil) on a system with a specialized kernel or a
+// sparse round is equivalent to Step but deliberately takes the generic
+// path — it is the reference arm of the differential tests.
 //
 // A kernel round keeps a reference to held for ForEachFlow, so a caller
 // that reads the round's flows must leave held unchanged until then.
 func (s *System) StepHeld(held []int64) {
 	if held != nil && s.fast != nil {
-		if hs, ok := s.fast.(kernel.HeldStepper); ok {
-			hs.StepHeld(&s.st, held)
-			s.occValid = false
-			// The kernel maintains the round's visited list eagerly (held
-			// stayers are occupied but not visited, so it cannot be derived
-			// from occupancy the way fully-active rounds allow).
-			s.lastVisitedFast = false
-			s.movers, s.held = moversKernel, held
-			return
-		}
+		s.fast.StepHeld(&s.st, held)
+		s.occValid = false
+		// The kernel maintains the round's visited list eagerly (held
+		// stayers are occupied but not visited, so it cannot be derived
+		// from occupancy the way fully-active rounds allow).
+		s.lastVisitedFast = false
+		s.movers, s.held = moversKernel, held
+		return
 	}
 	s.ensureOccupied()
 	s.movers, s.held = moversGeneric, nil
@@ -688,8 +677,8 @@ func (s *System) StepHeld(held []int64) {
 		}
 	}
 
-	// Rebuild the occupied list from candidates. Candidate order mixes
-	// sources and discovery order, so the list is no longer sorted.
+	// Rebuild the occupied list from candidates, in candidate order:
+	// sources first, then destinations in discovery order.
 	s.occupied = s.occupied[:0]
 	for _, v := range s.cand {
 		if s.st.Agents[v] > 0 && !s.inOcc[v] {
@@ -697,7 +686,6 @@ func (s *System) StepHeld(held []int64) {
 			s.occupied = append(s.occupied, v)
 		}
 	}
-	s.occSorted = false
 
 	s.st.Round++
 	if !anyHeld {
@@ -768,7 +756,6 @@ func (s *System) Clone() *System {
 		occupied:        append([]int(nil), s.occupied...),
 		inOcc:           append([]bool(nil), s.inOcc...),
 		occValid:        s.occValid,
-		occSorted:       s.occSorted,
 		lastVisitedFast: s.lastVisitedFast,
 		lastTouch:       make([]int64, s.n),
 		oldCnt:          make([]int64, s.n),
@@ -822,7 +809,6 @@ func (s *System) Reset() {
 		}
 	}
 	s.occValid = true
-	s.occSorted = true
 	if s.st.Covered == s.n {
 		s.st.CoverRound = 0
 	}

@@ -688,61 +688,6 @@ func TestKernelParallelResetClone(t *testing.T) {
 	}
 }
 
-// TestForEachOccupiedAscending pins the documented enumeration order: the
-// schedule subsystem keys its deterministic hold draws by (round, node), so
-// ForEachOccupied must visit nodes in ascending order on every code path —
-// after a fresh build, after kernel rounds and held rounds (which invalidate
-// the list), after sparse rounds (which leave it in discovery order), and
-// after AddAgents appends out of order.
-func TestForEachOccupiedAscending(t *testing.T) {
-	rng := xrand.New(0xa5ce4d)
-	checkAscending := func(t *testing.T, s *System, when string) {
-		t.Helper()
-		prev := -1
-		s.ForEachOccupied(func(v int, agents int64) {
-			if agents < 1 {
-				t.Fatalf("%s: zero count at node %d", when, v)
-			}
-			if v <= prev {
-				t.Fatalf("%s: node %d enumerated after %d", when, v, prev)
-			}
-			if got := s.AgentsAt(v); got != agents {
-				t.Fatalf("%s: node %d count %d, want %d", when, v, agents, got)
-			}
-			prev = v
-		})
-	}
-	for _, arm := range []struct {
-		mode KernelMode
-		k    int
-	}{{KernelGeneric, 120}, {KernelFast, 120}, {KernelParallel, 120}, {KernelAuto, 6}} {
-		mode := arm.mode
-		s, err := NewSystem(graph.Ring(53),
-			WithAgentsAt(RandomPositions(53, arm.k, rng)...),
-			WithKernelMode(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAscending(t, s, mode.String()+" fresh")
-		held := make([]int64, 53)
-		for r := 0; r < 12; r++ {
-			s.Step()
-			checkAscending(t, s, mode.String()+" after step")
-			for _, v := range s.Occupied() {
-				held[v] = s.AgentsAt(v) / 2
-			}
-			s.StepHeld(held)
-			checkAscending(t, s, mode.String()+" after held")
-			// Append high then low: a naive append order would enumerate
-			// descending here.
-			if err := s.AddAgents(52, 0); err != nil {
-				t.Fatal(err)
-			}
-			checkAscending(t, s, mode.String()+" after add")
-		}
-	}
-}
-
 // FuzzKernelEquivalence is a native fuzz harness over the differential
 // property; `go test` runs the seed corpus, `go test -fuzz` explores.
 // Sparse populations (k < n/kernel.DenseFraction) also run the KernelAuto

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"rotorring/internal/graph"
 	"rotorring/internal/kernel"
@@ -24,42 +23,6 @@ func (s *System) Pointers() []int {
 		out[v] = int(s.st.Ptr[v])
 	}
 	return out
-}
-
-// ForEachOccupied calls f(v, c) for every node v currently holding c >= 1
-// agents, in ascending node order, without allocating. f must not mutate
-// the system.
-//
-// The iteration order is pinned: the schedule subsystem's per-round hold
-// draws key their deterministic stream by (round, node), and its tests
-// assume enumeration order never depends on engine internals — a future
-// map-backed occupied set must sort before iterating.
-func (s *System) ForEachOccupied(f func(v int, agents int64)) {
-	if !s.occValid {
-		// Rebuild and enumerate in one ascending pass — held-round kernels
-		// invalidate the list every round, so the fused pass matters on the
-		// schedule hot path.
-		s.occupied = s.occupied[:0]
-		for v := 0; v < s.n; v++ {
-			c := s.st.Agents[v]
-			occ := c > 0
-			s.inOcc[v] = occ
-			if occ {
-				s.occupied = append(s.occupied, v)
-				f(v, c)
-			}
-		}
-		s.occValid = true
-		s.occSorted = true
-		return
-	}
-	if !s.occSorted {
-		sort.Ints(s.occupied)
-		s.occSorted = true
-	}
-	for _, v := range s.occupied {
-		f(v, s.st.Agents[v])
-	}
 }
 
 // Rewire swaps the topology under the running system — the edge-failure /
@@ -115,7 +78,6 @@ func (s *System) AddAgents(positions ...int) error {
 		if c == 0 && !s.inOcc[v] {
 			s.inOcc[v] = true
 			s.occupied = append(s.occupied, v)
-			s.occSorted = false // appended out of order
 		}
 		if s.st.Visits[v] == 0 {
 			s.coverAt(v, s.st.Round)

@@ -26,8 +26,7 @@ import "rotorring/internal/kernel"
 //
 // Held rounds stay on the generic loop. A closed-form held variant
 // measured 0–10% slower at (n, k) = (128, 2), (128, 8) and (512, 32): the
-// hold draw and ForEachOccupied's sort, not the round, dominate those
-// rounds.
+// hold draw, not the round, dominates those rounds.
 
 // stepSparse runs one fully-active round on the ring or path named by
 // s.sparse, bit-identically to StepHeld(nil).
@@ -138,7 +137,6 @@ func (s *System) stepSparse() {
 	}
 	s.occupied = append(occ, fresh...)
 	s.cand = fresh
-	s.occSorted = false
 
 	s.movers, s.held = moversGeneric, nil
 	s.lastVisitedFast = true

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -48,6 +49,39 @@ func TestExpandMatchesRun(t *testing.T) {
 		if got.Seed != exp.JobSeed(job) {
 			t.Errorf("job %d: JobSeed = %d, row carries %d", job, exp.JobSeed(job), got.Seed)
 		}
+	}
+}
+
+// TestSpecNumJobs: NumJobs counts exactly the jobs Expand builds (a
+// self-sized topology takes one size, a pointer-less process collapses the
+// pointer axis) and saturates on a grid far too large to build.
+func TestSpecNumJobs(t *testing.T) {
+	for _, spec := range []SweepSpec{
+		expandTestSpec(),
+		{Topologies: []Topo{"ring", "path"}, Sizes: []int{16, 32}, Agents: []int{2, 3}, Pointers: []Pointer{PtrZero, PtrRandom}},
+		{Sizes: []int{16}, Agents: []int{2, 4}, Process: ProcWalk, Pointers: []Pointer{PtrZero, PtrRandom}, Replicas: 3},
+		{Sizes: []int{16}, Agents: []int{2}, Schedules: []Schedule{"none", "delay:p=0.5"}, Missions: []Mission{"none", "explore"}},
+	} {
+		got, err := spec.NumJobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := Expand(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != exp.NumJobs() {
+			t.Errorf("%+v: NumJobs %d, Expand built %d jobs", spec, got, exp.NumJobs())
+		}
+	}
+	huge := SweepSpec{Replicas: 1 << 16}
+	for i := 0; i < 1<<16; i++ {
+		huge.Sizes = append(huge.Sizes, 8)
+		huge.Agents = append(huge.Agents, 1)
+		huge.Placements = append(huge.Placements, PlaceSingle)
+	}
+	if got, err := huge.NumJobs(); err != nil || got != math.MaxInt {
+		t.Errorf("2^64 jobs: NumJobs = %d, %v; want math.MaxInt", got, err)
 	}
 }
 

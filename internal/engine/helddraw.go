@@ -101,27 +101,11 @@ func scale64(cdf float64) uint64 {
 	return uint64(math.Ldexp(cdf, 64))
 }
 
-// roundBase folds the round number into the stream seed; the per-node draw
-// folds the node in. Two Mix64 layers keep neighboring (round, node) pairs
+// roundBase folds the round number into the stream seed; fill folds the
+// node in. Two Mix64 layers keep neighboring (round, node) pairs
 // decorrelated.
 func (hd *heldDraw) roundBase(round int64) uint64 {
 	return xrand.Mix64(hd.seed ^ (uint64(round)+1)*heldMixStep)
-}
-
-// draw returns the hold count for a node holding c agents, distributed
-// Binomial(c, p): the single-node form of exactly the arithmetic fill runs,
-// for Holder processes without a counts view.
-func (hd *heldDraw) draw(base uint64, v int, c int64) int64 {
-	u := xrand.Mix64(base + (uint64(v)+1)*heldMixStep)
-	if uint64(c) <= tinyHoldMax {
-		off := int(c) * tinyHoldMax
-		_, b0 := bits.Sub64(u, hd.tiny[off], 0)
-		_, b1 := bits.Sub64(u, hd.tiny[off+1], 0)
-		_, b2 := bits.Sub64(u, hd.tiny[off+2], 0)
-		_, b3 := bits.Sub64(u, hd.tiny[off+3], 0)
-		return tinyHoldMax - int64(b0+b1+b2+b3)
-	}
-	return hd.drawBig(u, c)
 }
 
 // drawBig handles counts above the fixed-width fast rows: mid-size counts
@@ -142,15 +126,15 @@ func (hd *heldDraw) drawBig(u uint64, c int64) int64 {
 	return hd.scratch.Binomial(c, hd.p)
 }
 
-// fill writes the hold count of every node into held, reading populations
-// from counts: empty nodes draw 0 through the all-sentinel row, so the pass
-// is branch-free node to node and leaves no stale entries. This is the
-// scheduled hot path — one flat loop, no per-node calls; it produces
-// exactly the values draw would, node by node.
+// fill writes the hold count of every node into held, Binomial(c, p) for a
+// node holding c agents, reading populations from counts: empty nodes draw
+// 0 through the all-sentinel row, so the pass is branch-free node to node
+// and leaves no stale entries. This is the scheduled hot path — one flat
+// loop, no per-node calls.
 func (hd *heldDraw) fill(held, counts []int64, base uint64) {
 	held = held[:len(counts)]
 	tiny := &hd.tiny
-	ctr := base // advanced by heldMixStep per node: base + (v+1)·step, as draw computes
+	ctr := base // advanced by heldMixStep per node: base + (v+1)·step
 	for v, c := range counts {
 		ctr += heldMixStep
 		u := xrand.Mix64(ctr)

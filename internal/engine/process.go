@@ -82,20 +82,12 @@ type ReturnMeasurer interface {
 
 // Holder is the capability of running delayed-deployment rounds (§2.1):
 // StepHeld advances one round in which held[v] agents at node v skip their
-// move, and ForEachOccupied enumerates the current population without
-// allocating (so the per-round hold draw stays cheap).
+// move, and AgentCountsView is a zero-copy, node-indexed view of the
+// current agent counts, from which the schedule runner fills each round's
+// hold draws in one flat loop. The view is read-only and stale after the
+// next step; consumers re-fetch it every round.
 type Holder interface {
 	StepHeld(held []int64)
-	ForEachOccupied(f func(v int, agents int64))
-}
-
-// CountsViewer is the optional fast-path companion to Holder: a zero-copy,
-// node-indexed view of the current agent counts. When present, the schedule
-// runner fills its hold draws with one flat loop over the view instead of a
-// per-node ForEachOccupied callback — same values, no per-node dispatch.
-// The view is read-only and stale after the next step; consumers re-fetch
-// it every round.
-type CountsViewer interface {
 	AgentCountsView() []int64
 }
 

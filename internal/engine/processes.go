@@ -90,7 +90,6 @@ func (p *rotorProc) ForEachFlow(fn func(v, port int, agents int64)) {
 // Schedule capabilities (see process.go): the rotor supports the full
 // perturbation surface.
 func (p *rotorProc) StepHeld(held []int64)                   { p.sys.StepHeld(held) }
-func (p *rotorProc) ForEachOccupied(f func(v int, c int64))  { p.sys.ForEachOccupied(f) }
 func (p *rotorProc) AgentCountsView() []int64                { return p.sys.AgentCountsView() }
 func (p *rotorProc) Rewire(g *graph.Graph, ptrs []int) error { return p.sys.Rewire(g, ptrs) }
 func (p *rotorProc) SetPointers(ptrs []int) error            { return p.sys.SetPointers(ptrs) }

@@ -230,29 +230,15 @@ func (sp *scheduledProc) applyDue() {
 // node is held with probability HoldP (one Binomial draw per node, from the
 // counter-based hold stream keyed by round and node), and the round executes
 // on the process's held path — the fused held kernels on ring and path
-// shapes.
-//
-// The draw pass writes every occupied node unconditionally (zero draws
-// included), so entries for nodes occupied this round are always fresh;
-// stale nonzero entries can only remain at nodes that emptied since their
-// last draw, where every held path clamps them against a zero population.
+// shapes. The draws fill from the counts view, which goes stale at every
+// step, so it is re-fetched each round; the fill writes every node (empty
+// ones draw 0), so no stale hold survives into the round.
 func (sp *scheduledProc) stepHeld() {
 	h := sp.inner.(Holder)
 	if sp.held == nil {
 		sp.held = make([]int64, sp.n)
 	}
-	base := sp.draw.roundBase(sp.inner.Round())
-	if cv, ok := sp.inner.(CountsViewer); ok {
-		// Fast path: one flat pass over the counts view, no per-node
-		// dispatch. The view goes stale at every step, so it is re-fetched
-		// each round. Values are identical to the fallback's, node by node.
-		sp.draw.fill(sp.held, cv.AgentCountsView(), base)
-	} else {
-		held := sp.held
-		h.ForEachOccupied(func(v int, agents int64) {
-			held[v] = sp.draw.draw(base, v, agents)
-		})
-	}
+	sp.draw.fill(sp.held, h.AgentCountsView(), sp.draw.roundBase(sp.inner.Round()))
 	h.StepHeld(sp.held)
 }
 

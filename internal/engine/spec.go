@@ -10,6 +10,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"rotorring/internal/core"
@@ -586,6 +587,43 @@ func (s SweepSpec) Cells() ([]Cell, error) {
 	return spec.expand(), nil
 }
 
+// NumJobs returns how many jobs the spec expands to, cells times replicas,
+// without building the grid, so admission control can refuse a grid too
+// large to build. Counts past math.MaxInt saturate.
+func (s SweepSpec) NumJobs() (int, error) {
+	spec, err := s.withDefaults()
+	if err != nil {
+		return 0, err
+	}
+	return satMul(spec.numCells(), spec.Replicas), nil
+}
+
+// numCells counts the cells expand builds from an already-normalized
+// spec, saturating at math.MaxInt.
+func (s SweepSpec) numCells() int {
+	sizes := 0 // (topology, size) pairs: a self-sized topology has one
+	for _, inst := range s.topos {
+		if inst.size != 0 {
+			sizes++
+		} else {
+			sizes += len(s.Sizes)
+		}
+	}
+	return satMul(sizes, len(s.Agents), len(s.Placements), len(s.Pointers), len(s.scheds), len(s.miss))
+}
+
+// satMul multiplies non-negative factors, saturating at math.MaxInt.
+func satMul(xs ...int) int {
+	p := 1
+	for _, x := range xs {
+		if x != 0 && p > math.MaxInt/x {
+			return math.MaxInt
+		}
+		p *= x
+	}
+	return p
+}
+
 // expand builds the canonical cell grid of an already-normalized spec.
 // Self-sized topologies contribute one size cell (their implied size)
 // instead of fanning out over the Sizes axis, which does not apply to
@@ -593,7 +631,7 @@ func (s SweepSpec) Cells() ([]Cell, error) {
 // configuration's variants (perturbed next to pristine, goal-directed next
 // to budgeted) land adjacently in the stream.
 func (s SweepSpec) expand() []Cell {
-	cells := make([]Cell, 0, len(s.topos)*len(s.Sizes)*len(s.Agents)*len(s.Placements)*len(s.Pointers)*len(s.scheds)*len(s.miss))
+	cells := make([]Cell, 0, s.numCells())
 	for _, inst := range s.topos {
 		sizes := s.Sizes
 		if inst.size != 0 {

@@ -27,18 +27,6 @@ package kernel
 //   - FullyActiveRounds only advances when the round held no agent, which
 //     the kernel detects from the clamped held sum.
 
-// HeldStepper is the held-round extension of Stepper: a kernel that can
-// advance a delayed-deployment round in which held[v] agents at node v skip
-// their move and leave their node's pointer share untouched. held must have
-// length N; entries are clamped to [0, agents[v]], so stale values at
-// unoccupied nodes are ignored. Like Step, StepHeld must be bit-identical
-// to the generic engine's StepHeld on the shared configuration state —
-// core's differential suite enforces it.
-type HeldStepper interface {
-	Stepper
-	StepHeld(st *State, held []int64)
-}
-
 func (ringStepper) StepHeld(st *State, held []int64) {
 	if !st.HashOn {
 		ringStepHeldFast(st, held)

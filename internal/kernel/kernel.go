@@ -16,14 +16,12 @@
 //     engine's occupied/candidate lists.
 //
 //   - Stepper: the interface a specialized kernel implements. A Stepper
-//     advances exactly one fully-active round (no held agents) and must be
-//     bit-identical to the generic engine on the configuration state it
-//     shares: pointers, agent counts, visits, exits, coverage, round
-//     counters, and — when State.HashOn is set — the incremental
-//     configuration hash. The differential tests in core enforce this
-//     configuration-for-configuration. Kernels that also cover
-//     delayed-deployment rounds implement HeldStepper (held.go), under the
-//     same bit-identity contract.
+//     advances exactly one round, fully active (Step) or with held agents
+//     (StepHeld, held.go), and must be bit-identical to the generic engine
+//     on the configuration state it shares: pointers, agent counts, visits,
+//     exits, coverage, round counters, and — when State.HashOn is set —
+//     the incremental configuration hash. The differential tests in core
+//     enforce this configuration-for-configuration.
 //
 // Tier 1 (this package) is the ring/path rotor kernel: a branch-light loop
 // over the flat count arrays with direct (v±1) mod n addressing and
@@ -123,19 +121,24 @@ func (st *State) Clone() State {
 	return c
 }
 
-// Stepper advances one synchronous, fully-active round over a State. A nil
-// Stepper means "generic only". The serial implementations are stateless
-// (all mutable state lives in the State), so one Stepper value may serve
-// many systems; the parallel stepper returned by Parallelize carries merge
-// scratch and must be per-system. A single State must not be stepped from
-// two goroutines at once. Kernels that also cover delayed-deployment
-// rounds additionally implement HeldStepper (held.go).
+// Stepper advances one synchronous round over a State. A nil Stepper means
+// "generic only". The serial implementations are stateless (all mutable
+// state lives in the State), so one Stepper value may serve many systems;
+// the parallel stepper returned by Parallelize carries merge scratch and
+// must be per-system. A single State must not be stepped from two
+// goroutines at once.
 type Stepper interface {
 	// Name identifies the kernel ("ring", "path") for logs and benchmarks.
 	Name() string
 	// Step advances one round in which every agent is active. The caller
 	// guarantees the State was built for a graph this kernel supports.
 	Step(st *State)
+	// StepHeld advances one delayed-deployment round (held.go) in which
+	// held[v] agents at node v skip their move and leave their node's
+	// pointer share untouched. held must have length N; entries are
+	// clamped to [0, agents[v]], so stale values at unoccupied nodes are
+	// ignored.
+	StepHeld(st *State, held []int64)
 }
 
 // Shape classifies a topology for kernel selection.
@@ -229,13 +232,6 @@ func isPathShape(g *graph.Graph, n int) bool {
 // Path(128) 1.11 at n/4, 1.12 and 0.97 at 5n/16). One constant serves
 // both shapes.
 const DenseFraction = 4
-
-// ForRing returns the ring kernel and ForPath the path kernel; both are
-// stateless singletons.
-func ForRing() Stepper { return ringStepper{} }
-
-// ForPath returns the path kernel.
-func ForPath() Stepper { return pathStepper{} }
 
 // Select picks the stepping tier for k agents on g and detects g's shape
 // once for both answers. On the canonical ring or path it returns the flat

@@ -93,7 +93,7 @@ func TestStateCloneIndependence(t *testing.T) {
 	st.Ptr[3] = 1
 	st.Covered = 1
 	c := st.Clone()
-	ForRing().Step(&c)
+	ringStepper{}.Step(&c)
 	if st.Agents[3] != 5 || st.Round != 0 {
 		t.Error("stepping a clone mutated the original")
 	}

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"rotorring/internal/graph"
@@ -330,138 +329,6 @@ func (w *Walk) stepCounts() {
 		}
 	}
 	w.cnt, w.next = next, cur
-}
-
-// StepHeld advances one round in which held[v] walkers at node v sit out
-// (clamped to the node's population; entries at empty nodes are ignored, so
-// callers may reuse a buffer with stale entries). Held walkers neither move
-// nor re-visit their node — visits count arrivals only, mirroring
-// core.System.StepHeld — and the movers walk exactly as in Step. Only the
-// counts engine supports holds: per-node hold counts have no per-walker
-// identity to apply under per-agent stepping.
-func (w *Walk) StepHeld(held []int64) {
-	if !w.counts {
-		panic("randwalk: StepHeld requires the counts engine (WithMode(ModeCounts))")
-	}
-	w.clearFlows()
-	cur, next := w.cnt, w.next
-	n := len(cur)
-	if w.ring {
-		// Pass 1: per-node mover counts into next, clockwise splits drawn.
-		split := w.split
-		rng := w.rng
-		for v, c := range cur {
-			h := held[v]
-			if h > c {
-				h = c
-			}
-			if h < 0 {
-				h = 0
-			}
-			m := c - h
-			next[v] = m
-			if m == 0 {
-				split[v] = 0
-				continue
-			}
-			split[v] = rng.BinomialHalf(m)
-			if w.flow != nil {
-				w.recordRing(v, split[v], m-split[v])
-			}
-		}
-		// Pass 2: next[v] = stayers + arrivals, overwriting the mover counts
-		// ascending — next[v+1] is still v+1's mover count when v reads it;
-		// node n-1 needs node 0's, saved before the overwrite.
-		m0 := next[0]
-		visits, visited := w.visits, w.visited
-		for v := 0; v < n; v++ {
-			m := next[v]
-			var a int64
-			switch v {
-			case 0:
-				a = split[n-1] + next[1] - split[1]
-			case n - 1:
-				a = split[n-2] + m0 - split[0]
-			default:
-				a = split[v-1] + next[v+1] - split[v+1]
-			}
-			next[v] = (cur[v] - m) + a
-			if a != 0 {
-				visits[v] += a
-				if !visited[v] {
-					visited[v] = true
-					w.covered++
-				}
-			}
-		}
-	} else {
-		for i := range next {
-			next[i] = 0
-		}
-		// Scatter the movers; arrivals accumulate in next.
-		for v, c := range cur {
-			h := held[v]
-			if h > c {
-				h = c
-			}
-			if h < 0 {
-				h = 0
-			}
-			if m := c - h; m > 0 {
-				w.scatter(v, m, next)
-			}
-		}
-		// Fold coverage from the arrivals before the stayers rejoin them.
-		for v, a := range next {
-			if a == 0 {
-				continue
-			}
-			w.visits[v] += a
-			if !w.visited[v] {
-				w.visited[v] = true
-				w.covered++
-			}
-		}
-		for v, c := range cur {
-			if c == 0 {
-				continue
-			}
-			h := held[v]
-			if h > c {
-				h = c
-			}
-			if h > 0 {
-				next[v] += h
-			}
-		}
-	}
-	w.cnt, w.next = next, cur
-	w.round++
-}
-
-// ForEachOccupied calls f(v, c) for every node currently holding c >= 1
-// walkers, in ascending node order (the order contract the engine's
-// schedule subsystem keys its deterministic hold draws by, matching
-// core.System.ForEachOccupied). f must not mutate the walk.
-func (w *Walk) ForEachOccupied(f func(v int, walkers int64)) {
-	if w.counts {
-		for v, c := range w.cnt {
-			if c > 0 {
-				f(v, c)
-			}
-		}
-		return
-	}
-	pos := append([]int(nil), w.pos...)
-	sort.Ints(pos)
-	for i := 0; i < len(pos); {
-		j := i
-		for j < len(pos) && pos[j] == pos[i] {
-			j++
-		}
-		f(pos[i], int64(j-i))
-		i = j
-	}
 }
 
 // scatter sends the m walkers leaving v (counts engine, general graphs)
@@ -855,23 +722,4 @@ func (w *Walk) MeasureGaps(burnIn, window int64) GapStats {
 	}
 	stats.MeanGap = meanSum / float64(n)
 	return stats
-}
-
-// HittingTime runs until some walker first reaches target, returning the
-// number of rounds taken (0 if a walker starts there). It returns an error
-// if maxRounds elapse first.
-func (w *Walk) HittingTime(target int, maxRounds int64) (int64, error) {
-	if w.At(target) > 0 {
-		return 0, nil
-	}
-	start := w.round
-	for {
-		if w.round-start >= maxRounds {
-			return 0, fmt.Errorf("randwalk: target %d not hit within %d rounds", target, maxRounds)
-		}
-		w.Step()
-		if w.At(target) > 0 {
-			return w.round - start, nil
-		}
-	}
 }

@@ -168,25 +168,6 @@ func TestMeasureGapsMeanIsNOverK(t *testing.T) {
 	}
 }
 
-func TestHittingTime(t *testing.T) {
-	g := graph.Ring(32)
-	w, _ := New(g, []int{5}, xrand.New(9))
-	if ht, err := w.HittingTime(5, 10); err != nil || ht != 0 {
-		t.Fatalf("hitting own start: %d, %v", ht, err)
-	}
-	ht, err := w.HittingTime(20, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ht <= 0 {
-		t.Fatalf("hitting time %d", ht)
-	}
-	w2, _ := New(g, []int{0}, xrand.New(1))
-	if _, err := w2.HittingTime(16, 3); err == nil {
-		t.Error("budget exhaustion not reported")
-	}
-}
-
 func TestVisitsCountArrivals(t *testing.T) {
 	g := graph.Ring(16)
 	w, _ := New(g, []int{3, 3}, xrand.New(2))
@@ -392,8 +373,8 @@ func TestWalkResetClone(t *testing.T) {
 	}
 }
 
-// TestCountsHittingAndAt covers the At accessor and hitting times under
-// counts-based stepping.
+// TestCountsHittingAndAt covers the At accessor under counts-based
+// stepping.
 func TestCountsHittingAndAt(t *testing.T) {
 	g := graph.Ring(16)
 	w, err := New(g, []int{3, 3, 8}, xrand.New(5), WithMode(ModeCounts))
@@ -403,166 +384,13 @@ func TestCountsHittingAndAt(t *testing.T) {
 	if w.At(3) != 2 || w.At(8) != 1 || w.At(0) != 0 {
 		t.Fatalf("At counts wrong: %d %d %d", w.At(3), w.At(8), w.At(0))
 	}
-	if ht, err := w.HittingTime(8, 10); err != nil || ht != 0 {
-		t.Fatalf("hitting own start: %d, %v", ht, err)
-	}
-	ht, err := w.HittingTime(12, 1<<20)
-	if err != nil || ht <= 0 {
-		t.Fatalf("hitting time %d, %v", ht, err)
-	}
-}
-
-// TestStepHeldZeroHoldsMatchesStep pins the held round's degenerate case:
-// with no walker held, StepHeld makes exactly the draws Step makes, so a
-// clone stepping held-with-zeros stays bit-identical to the original.
-func TestStepHeldZeroHoldsMatchesStep(t *testing.T) {
-	for _, g := range []*graph.Graph{graph.Ring(24), graph.Torus2D(5, 5), graph.Star(9)} {
-		w, err := New(g, core.EquallySpaced(g.NumNodes(), 60), xrand.New(9), WithMode(ModeCounts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := w.Clone()
-		held := make([]int64, g.NumNodes())
-		for round := 0; round < 80; round++ {
-			w.Step()
-			c.StepHeld(held)
-			for v := 0; v < g.NumNodes(); v++ {
-				if w.At(v) != c.At(v) || w.Visits(v) != c.Visits(v) {
-					t.Fatalf("%s round %d: node %d: Step (%d,%d) vs StepHeld (%d,%d)",
-						g.Name(), round, v, w.At(v), w.Visits(v), c.At(v), c.Visits(v))
-				}
-			}
-			if w.Round() != c.Round() || w.Covered() != c.Covered() {
-				t.Fatalf("%s round %d: counters diverged", g.Name(), round)
-			}
-		}
-	}
-}
-
-// TestStepHeldConservationAndVisits checks the held-round invariants on ring
-// and general topologies: walkers are conserved, held walkers stay put, and
-// visits count arrivals only (so the visit total grows by exactly the mover
-// count each round).
-func TestStepHeldConservationAndVisits(t *testing.T) {
-	for _, g := range []*graph.Graph{graph.Ring(24), graph.Torus2D(5, 5), graph.Star(9)} {
-		const k = 120
-		n := g.NumNodes()
-		w, err := New(g, core.EquallySpaced(n, k), xrand.New(3), WithMode(ModeCounts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := xrand.New(17)
-		held := make([]int64, n)
-		wantVisits := int64(k) // initial placements
-		for round := 0; round < 120; round++ {
-			var heldSum int64
-			for v := range held {
-				held[v] = 0
-			}
-			w.ForEachOccupied(func(v int, c int64) {
-				h := int64(rng.Intn(int(c) + 1))
-				held[v] = h
-				heldSum += h
-			})
-			before := append([]int64(nil), w.cnt...)
-			w.StepHeld(held)
-			wantVisits += k - heldSum
-			var total int64
-			for v, c := range w.cnt {
-				if c < 0 {
-					t.Fatalf("%s: negative count at %d", g.Name(), v)
-				}
-				total += c
-				if c < held[v] && before[v] >= held[v] {
-					t.Fatalf("%s: node %d dropped below its held count (%d < %d)", g.Name(), v, c, held[v])
-				}
-			}
-			if total != k {
-				t.Fatalf("%s: walker total %d after round %d", g.Name(), total, round+1)
-			}
-			var visitTotal int64
-			for v := 0; v < n; v++ {
-				visitTotal += w.Visits(v)
-			}
-			if visitTotal != wantVisits {
-				t.Fatalf("%s: visit total %d after round %d, want %d", g.Name(), visitTotal, round+1, wantVisits)
-			}
-		}
-	}
-
-	// All held: the configuration freezes, only the round clock moves.
-	w, err := New(graph.Ring(12), core.EquallySpaced(12, 24), xrand.New(1), WithMode(ModeCounts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]int64(nil), w.cnt...)
-	all := make([]int64, 12)
-	for v := range all {
-		all[v] = 99 // clamped to the population
-	}
-	w.StepHeld(all)
-	for v, c := range w.cnt {
-		if c != before[v] {
-			t.Fatalf("all-held round moved walkers at %d: %d -> %d", v, before[v], c)
-		}
-	}
-	if w.Round() != 1 {
-		t.Fatalf("round %d after one all-held round", w.Round())
-	}
-}
-
-// TestStepHeldAgentsModePanics pins the capability boundary: holds need
-// per-node counts, so the per-agent engine refuses loudly rather than
-// misapplying them.
-func TestStepHeldAgentsModePanics(t *testing.T) {
-	w, err := New(graph.Ring(8), []int{0, 4}, xrand.New(1), WithMode(ModeAgents))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StepHeld under the per-agent engine did not panic")
-		}
-	}()
-	w.StepHeld(make([]int64, 8))
-}
-
-// TestWalkForEachOccupiedAscending pins the enumeration order contract on
-// both engines (ascending nodes, aggregated counts), matching
-// core.System.ForEachOccupied.
-func TestWalkForEachOccupiedAscending(t *testing.T) {
-	positions := []int{13, 2, 7, 2, 13, 13, 0}
-	for _, mode := range []Mode{ModeAgents, ModeCounts} {
-		w, err := New(graph.Ring(16), positions, xrand.New(4), WithMode(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 8; round++ {
-			prev := -1
-			var total int64
-			w.ForEachOccupied(func(v int, c int64) {
-				if v <= prev {
-					t.Fatalf("%v round %d: node %d enumerated after %d", mode, round, v, prev)
-				}
-				if c < 1 || c != w.At(v) {
-					t.Fatalf("%v round %d: node %d count %d, At %d", mode, round, v, c, w.At(v))
-				}
-				prev = v
-				total += c
-			})
-			if total != int64(len(positions)) {
-				t.Fatalf("%v round %d: enumerated %d walkers, want %d", mode, round, total, len(positions))
-			}
-			w.Step()
-		}
-	}
 }
 
 // TestWalkFlowView: the first ForEachFlow call reports nothing and switches
-// recording on; from then on each round's flows leave every node with its
-// movers and land on every node as its arrivals, in both engines, on ring
-// and general shapes, and in held rounds. Reset empties the view, Clone
-// copies it, and recording never changes the trajectory.
+// recording on; from then on each round's flows leave every node with all
+// its walkers and land on every node as its arrivals, in both engines, on
+// ring and general shapes. Reset empties the view, Clone copies it, and
+// recording never changes the trajectory.
 func TestWalkFlowView(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Ring(17), graph.Torus2D(4, 5), graph.Path(9)} {
 		for _, mode := range []Mode{ModeAgents, ModeCounts} {
@@ -589,33 +417,20 @@ func TestWalkFlowView(t *testing.T) {
 			if out, _ := flows(); sumInt64(out) != 0 {
 				t.Fatalf("%s %s: first read reported flows", g.Name(), mode)
 			}
-			rng := xrand.New(3)
-			held := make([]int64, n)
 			for r := 0; r < 60; r++ {
 				before := make([]int64, n)
 				for v := range before {
 					before[v] = w.At(v)
-					held[v] = int64(rng.Intn(4)) - 1 // -1 exercises the clamp
 				}
-				heldRound := mode == ModeCounts && r%2 == 1
-				if heldRound {
-					w.StepHeld(held)
-					plain.StepHeld(held)
-				} else {
-					w.Step()
-					plain.Step()
-				}
+				w.Step()
+				plain.Step()
 				out, in := flows()
 				for v := 0; v < n; v++ {
-					stay := int64(0)
-					if heldRound {
-						stay = min(max(held[v], 0), before[v])
+					if out[v] != before[v] {
+						t.Fatalf("%s %s round %d: %d walkers left %d, want %d", g.Name(), mode, r, out[v], v, before[v])
 					}
-					if out[v] != before[v]-stay {
-						t.Fatalf("%s %s round %d: %d walkers left %d, want %d movers", g.Name(), mode, r, out[v], v, before[v]-stay)
-					}
-					if in[v] != w.At(v)-stay {
-						t.Fatalf("%s %s round %d: %d walkers reached %d, want %d arrivals", g.Name(), mode, r, in[v], v, w.At(v)-stay)
+					if in[v] != w.At(v) {
+						t.Fatalf("%s %s round %d: %d walkers reached %d, want %d", g.Name(), mode, r, in[v], v, w.At(v))
 					}
 				}
 			}

@@ -402,15 +402,23 @@ func (s *Server) Submit(wire []byte) (sw *sweepJob, created bool, err error) {
 	}
 	s.mu.Unlock()
 
+	// Count before expanding: a body of a few kilobytes can name a grid
+	// far too large to build.
+	if s.maxJobs > 0 {
+		jobs, err := spec.NumJobs()
+		if err != nil {
+			return nil, false, err
+		}
+		if jobs > s.maxJobs {
+			return nil, false, &admissionError{
+				status: 413,
+				msg:    fmt.Sprintf("spec expands to %d jobs, over the limit of %d", jobs, s.maxJobs),
+			}
+		}
+	}
 	exp, err := engine.Expand(spec)
 	if err != nil {
 		return nil, false, err
-	}
-	if s.maxJobs > 0 && exp.NumJobs() > s.maxJobs {
-		return nil, false, &admissionError{
-			status: 413,
-			msg:    fmt.Sprintf("spec expands to %d jobs, over the limit of %d", exp.NumJobs(), s.maxJobs),
-		}
 	}
 	sw = &sweepJob{
 		id:      id,

@@ -303,7 +303,7 @@ func killServer(t *testing.T, ts *testServer, id string) int {
 	return mustSweep(t, ts.srv, id).snapshot().completed
 }
 
-func mustSweep(t *testing.T, srv *Server, id string) *sweepJob {
+func mustSweep(t testing.TB, srv *Server, id string) *sweepJob {
 	t.Helper()
 	sw, ok := srv.Sweep(id)
 	if !ok {

@@ -239,9 +239,9 @@ func (s *RotorSim) Graph() *Graph { return s.sys.Graph() }
 func (s *RotorSim) ProcessName() string { return engine.ProcRotor }
 
 // KernelName reports the stepping tier fully-active rounds run on: "ring"
-// or "path" for the flat kernels, "ring-parallel" for the parallel ring
-// stepper, "ring-sparse" or "path-sparse" for the sparse degree-2 round
-// below the flat kernels' density threshold, and "generic" otherwise.
+// or "path" for the flat kernels, "ring-sparse" or "path-sparse" for the
+// sparse degree-2 round below the flat kernels' density threshold, and
+// "generic" otherwise.
 func (s *RotorSim) KernelName() string { return s.sys.KernelName() }
 
 // Round returns the number of completed rounds.
