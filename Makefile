@@ -105,7 +105,9 @@ cluster-smoke:
 	$(GO) test -count=1 -v ./cmd/rotord -run '^TestClusterSmoke$$'
 
 # Native fuzzing on a short fixed budget: the kernel differential fuzz
-# (rotor tiers bit-identical), the topology-, schedule- and mission-spec
+# (rotor tiers bit-identical), the interaction-free window fuzz (Run and
+# RunUntilCovered on the sparse tier equal round-by-round stepping, occupied
+# order included), the topology-, schedule- and mission-spec
 # parser fuzz (canonical forms are parse/String fixed points with identical
 # compiled plans), the wire-spec decoder fuzz (no panics; accepted specs
 # re-encode to a decode/encode fixed point), the cluster completion
@@ -119,6 +121,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzKernelEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzKernelHeldEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzKernelParallelEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSparseWindows$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzParseTopo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzParseMission$$' -fuzztime $(FUZZTIME)

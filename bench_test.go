@@ -446,7 +446,7 @@ func BenchmarkKernel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				step()
 			}
-			b.ReportMetric(float64(b.N)*float64(kc.K)/b.Elapsed().Seconds(), "steps/sec")
+			b.ReportMetric(float64(b.N)*float64(max(kc.Chunk, 1))*float64(kc.K)/b.Elapsed().Seconds(), "steps/sec")
 		})
 	}
 }

@@ -75,7 +75,7 @@ func run(args []string) error {
 	spool := fs.String("spool", "rotord-spool", "spool directory: sweep checkpoints and the content-addressed row cache (coordinator only)")
 	workers := fs.Int("workers", 0, "coordinator: local pool size; worker: parallel lease executors (0 = GOMAXPROCS); never affects result bytes")
 	maxBody := fs.Int64("max-body-bytes", 0, "largest accepted spec body in bytes (0 = the 1 MiB default); over-limit POSTs get 413")
-	maxJobs := fs.Int("max-jobs", 0, "largest job grid one sweep may expand to (0 = unlimited); larger sweeps get 413")
+	maxJobs := fs.Int("max-jobs", 0, "largest job grid one sweep may expand to (0 = the 2^20 default); larger sweeps get 413")
 	maxActive := fs.Int("max-active", 0, "most concurrently running sweeps (0 = unlimited); excess submissions get 429 + Retry-After")
 	drain := fs.Duration("drain", 0, "how long shutdown waits for in-flight jobs (0 = the 30s default); the spool watermark stays exact either way")
 	leaseTTL := fs.Duration("lease-ttl", 0, "coordinator: how long a worker lease may go without progress before it is reassigned (0 = the 15s default)")
@@ -98,7 +98,15 @@ func run(args []string) error {
 	}
 }
 
+// defaultMaxJobs is the job cap of a rotord started without -max-jobs: a
+// spec body of a few kilobytes can name a grid of billions of cells, and a
+// server open to clients must bound what one submission may expand to.
+const defaultMaxJobs = 1 << 20
+
 func runCoordinator(addr, spool string, workers int, maxBody int64, maxJobs, maxActive int, drain, leaseTTL time.Duration) error {
+	if maxJobs <= 0 {
+		maxJobs = defaultMaxJobs
+	}
 	srv, err := service.Open(spool,
 		service.Workers(workers),
 		service.MaxBodyBytes(maxBody),

@@ -394,3 +394,32 @@ func TestClusterSmoke(t *testing.T) {
 		t.Errorf("rotord_cluster_rows_remote_total = %g, want >= 1", v)
 	}
 }
+
+// TestDefaultJobCap starts rotord with no admission flags: a two-kilobyte
+// body naming 64^4 cells must get 413 from the default job cap, before any
+// grid is built, while an ordinary sweep is admitted.
+func TestDefaultJobCap(t *testing.T) {
+	bin := buildRotord(t)
+	_, base := startRotordArgs(t, bin, "-addr", "127.0.0.1:0", "-spool", t.TempDir())
+
+	list := func(item string) string { return strings.TrimSuffix(strings.Repeat(item+",", 64), ",") }
+	hugeGrid := `{"v":1,"sizes":[` + list("8") + `],"agents":[` + list("1") +
+		`],"placements":[` + list(`"single"`) + `],"pointers":[` + list(`"zero"`) + `]}`
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{hugeGrid, http.StatusRequestEntityTooLarge},
+		{`{"v":1,"topologies":["ring"],"sizes":[16],"agents":[2],"maxRounds":512}`, http.StatusCreated},
+	} {
+		resp, err := http.Post(base+"/v1/sweeps", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("POST /v1/sweeps: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("POST of %d bytes: status %d, want %d: %s", len(c.body), resp.StatusCode, c.want, body)
+		}
+	}
+}

@@ -18,7 +18,11 @@
 // bit-identical to the generic engine, several times faster. Below that
 // density, fully-active rounds run the sparse degree-2 round (sparse.go):
 // the generic occupied-list round with the same closed forms, 1.6–2.3× as
-// fast as the generic engine in the paper's k ≪ n regime. WithKernelMode
+// fast as the generic engine in the paper's k ≪ n regime. With fewer
+// agents still (n ≥ WindowSpread·k²), Run and RunUntilCovered move lone,
+// well-separated agents through interaction-free windows: stretches of
+// rounds in which no two agents can meet, run as one tight loop over the
+// agents, exact to the occupied order (sparse.go). WithKernelMode
 // forces the generic engine or the flat kernel; anything off the ring/path
 // runs on the generic path. Every tier leaves the round's movers behind, so
 // ForEachFlow reads the last round's per-arc flows on demand without
@@ -143,6 +147,10 @@ type System struct {
 	srcNode []int
 	srcCnt  []int64
 	cand    []int
+
+	// windowRounds counts the rounds run in interaction-free windows, so
+	// that tests can assert the windows ran.
+	windowRounds int64
 }
 
 // moverSource tells ForEachFlow where the last round left its movers.
@@ -523,25 +531,37 @@ func (s *System) Step() {
 	}
 }
 
-// Run executes the given number of rounds.
+// Run executes the given number of rounds, exactly as that many Steps. On
+// the sparse ring and path tier it moves well-separated lone agents through
+// interaction-free windows (sparse.go) instead of round by round.
 func (s *System) Run(rounds int64) {
-	for i := int64(0); i < rounds; i++ {
-		s.Step()
-	}
+	s.advance(s.st.Round+rounds, false)
 }
 
 // RunUntilCovered steps until every node has been visited, and returns the
 // cover time C (the first round t with all nodes covered). If maxRounds
-// elapse first it returns the rounds spent wrapped in ErrNotCovered.
+// elapse first it returns the rounds spent wrapped in ErrNotCovered. Like
+// Run it takes interaction-free windows on the sparse tier, and a window
+// stops at the cover round.
 func (s *System) RunUntilCovered(maxRounds int64) (int64, error) {
-	for s.st.Covered < s.n {
-		if s.st.Round >= maxRounds {
-			return s.st.Round, fmt.Errorf("%w after %d rounds (%d/%d nodes)",
-				ErrNotCovered, s.st.Round, s.st.Covered, s.n)
+	s.advance(maxRounds, true)
+	if s.st.Covered < s.n {
+		return s.st.Round, fmt.Errorf("%w after %d rounds (%d/%d nodes)",
+			ErrNotCovered, s.st.Round, s.st.Covered, s.n)
+	}
+	return s.st.CoverRound, nil
+}
+
+// advance steps until round end or, when cover is set, until every node
+// has been visited, through interaction-free windows wherever one opens.
+func (s *System) advance(end int64, cover bool) {
+	windows := s.windowsOn()
+	for s.st.Round < end && !(cover && s.st.Covered == s.n) {
+		if windows && s.window(end, cover) {
+			continue
 		}
 		s.Step()
 	}
-	return s.st.CoverRound, nil
 }
 
 // coverAt records v's first visit, in round.

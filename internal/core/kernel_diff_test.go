@@ -774,6 +774,185 @@ func FuzzKernelHeldEquivalence(f *testing.F) {
 	})
 }
 
+// windowArms builds c under the generic engine and under KernelAuto, and
+// checks that the auto arm runs the sparse round and tries interaction-free
+// windows.
+func windowArms(t *testing.T, c diffConfig, rng *xrand.Rand) (gen, auto *System) {
+	t.Helper()
+	mk := systemBuilder(t, c, rng)
+	gen, auto = mk(KernelGeneric), mk(KernelAuto)
+	if !strings.HasSuffix(auto.KernelName(), "-sparse") || !auto.windowsOn() {
+		t.Fatalf("%v: auto arm %q does not try windows", c, auto.KernelName())
+	}
+	return gen, auto
+}
+
+// runWindowOps applies ops, two bytes per call, to both arms: Run(r) or
+// RunUntilCovered(round + r) with r < 2^15. The generic arm steps round by
+// round; the auto arm takes its windows. Both must return the same and end
+// in the same state, occupied order included, after every call.
+func runWindowOps(t *testing.T, c diffConfig, gen, auto *System, ops []byte) {
+	t.Helper()
+	for i := 0; i+1 < len(ops); i += 2 {
+		r := int64(ops[i]>>1) | int64(ops[i+1])<<7
+		if ops[i]&1 == 0 {
+			gen.Run(r)
+			auto.Run(r)
+		} else {
+			budget := gen.Round() + r
+			cg, errG := gen.RunUntilCovered(budget)
+			ca, errA := auto.RunUntilCovered(budget)
+			if cg != ca || (errG == nil) != (errA == nil) {
+				t.Fatalf("%v: RunUntilCovered(%d) = %d, %v on generic, %d, %v with windows", c, budget, cg, errG, ca, errA)
+			}
+		}
+		compareArm(t, c, int(gen.Round()), gen, auto)
+	}
+}
+
+// windowOps encodes calls for runWindowOps: r ≥ 0 is Run(r), r < 0 is
+// RunUntilCovered(round − r).
+func windowOps(rs ...int) []byte {
+	var ops []byte
+	for _, r := range rs {
+		cover := 0
+		if r < 0 {
+			r, cover = -r, 1
+		}
+		ops = append(ops, byte(r<<1|cover), byte(r>>7))
+	}
+	return ops
+}
+
+// TestSparseWindows checks interaction-free windows against round-by-round
+// stepping at random budgets: after every Run and RunUntilCovered call the
+// auto arm must equal the generic engine, occupied order included. The
+// explicit cases pin windows that a budget cuts mid-way, a cover round
+// inside a window, a lone agent bouncing off path endpoints, stacked
+// starts, and two agents closing in head-on, whose window must end while
+// they are still 3 apart; windowRounds shows that the windows ran.
+func TestSparseWindows(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		ring      bool
+		n         int
+		positions []int
+		pointers  func(g *graph.Graph) []int
+		ops       []int
+		// want checks windowRounds after the ops.
+		want func(s *System) bool
+	}{
+		// A lone agent has no gap limit: the budget cuts every window, and
+		// the cover round falls inside one.
+		{"lone ring agent", true, 64, []int{5}, nil, []int{7, 0, 33, -100, -1 << 14},
+			func(s *System) bool { return s.windowRounds == s.Round() && s.CoverRound() == s.Round() }},
+		{"lone path agent at an endpoint", false, 40, []int{0}, nil, []int{3, -1 << 14, 500},
+			func(s *System) bool { return s.windowRounds == s.Round() && s.Covered() == 40 }},
+		{"lone agent at the far endpoint", false, 40, []int{39}, nil, []int{-1 << 14},
+			func(s *System) bool { return s.windowRounds == s.Round() && s.CoverRound() == s.Round() }},
+		// A gap of 512 opens a window of 255 rounds; Run(100) ends inside it.
+		{"budget ends mid-window", true, 1024, []int{0, 512}, nil, []int{100},
+			func(s *System) bool { return s.windowRounds == 100 }},
+		{"stacked start", true, 2048, AllOnNode(7, 4), nil, []int{-1 << 14, 3000},
+			func(s *System) bool { return s.windowRounds > 0 && s.windowRounds < s.Round() }},
+		// Agents 6 apart run straight at each other: a window of 2 rounds
+		// leaves them 2 apart, and the next round, stepped, collides them.
+		{"head-on", true, 1024, []int{100, 106}, func(g *graph.Graph) []int {
+			p := PointersUniform(g, 0)
+			p[104], p[105], p[106] = 1, 1, 1
+			return p
+		}, []int{4},
+			func(s *System) bool { return s.windowRounds == 2 }},
+	} {
+		for _, hash := range []bool{false, true} {
+			g := graph.Ring(tc.n)
+			if !tc.ring {
+				g = graph.Path(tc.n)
+			}
+			pointers := PointersRandom(g, xrand.New(uint64(tc.n)))
+			if tc.pointers != nil {
+				pointers = tc.pointers(g)
+			}
+			mk := func(mode KernelMode) *System {
+				opts := []Option{WithAgentsAt(tc.positions...), WithPointers(pointers), WithKernelMode(mode)}
+				if hash {
+					opts = append(opts, WithConfigHash())
+				}
+				s, err := NewSystem(g, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			c := diffConfig{ring: tc.ring, n: tc.n, k: len(tc.positions), hash: hash}
+			gen, auto := mk(KernelGeneric), mk(KernelAuto)
+			if !auto.windowsOn() {
+				t.Fatalf("%s: windows off", tc.name)
+			}
+			runWindowOps(t, c, gen, auto, windowOps(tc.ops...))
+			if !tc.want(auto) {
+				t.Errorf("%s (hash=%v): %d window rounds of %d (cover round %d)",
+					tc.name, hash, auto.windowRounds, auto.Round(), auto.CoverRound())
+			}
+		}
+	}
+
+	rng := xrand.New(0x3a1d0)
+	var windowRounds, rounds int64
+	for trial := 0; trial < 60; trial++ {
+		c := diffConfig{ring: rng.Bool(), n: 64 + rng.Intn(3000), hash: rng.Bool(), stacked: rng.Intn(4) == 0}
+		c.k = 1 + rng.Intn(maxWindowK(c.n))
+		gen, auto := windowArms(t, c, rng)
+		rs := make([]int, 1+rng.Intn(8))
+		for i := range rs {
+			if rs[i] = rng.Intn(4000); rng.Bool() {
+				rs[i] = -rs[i]
+			}
+		}
+		runWindowOps(t, c, gen, auto, windowOps(rs...))
+		windowRounds += auto.windowRounds
+		rounds += auto.Round()
+	}
+	if windowRounds == 0 {
+		t.Fatal("no window ran")
+	}
+	t.Logf("%d of %d rounds ran in windows", windowRounds, rounds)
+}
+
+// maxWindowK is the most agents the entry rule admits on n nodes.
+func maxWindowK(n int) int {
+	k := 1
+	for n >= WindowSpread*(k+1)*(k+1) {
+		k++
+	}
+	return k
+}
+
+// FuzzSparseWindows fuzzes interaction-free windows against the generic
+// engine: a sparse ring or path with k under the entry rule, from a random
+// or stacked start, hashed or not, driven through a fuzzed sequence of Run
+// and RunUntilCovered calls (see runWindowOps).
+func FuzzSparseWindows(f *testing.F) {
+	// A lone agent (kRaw = 0) opens a window every round: budgets end
+	// inside one, the cover round falls inside one, and on the path the
+	// agent passes both endpoints inside them.
+	f.Add(uint64(1), uint16(1000), uint8(0), true, false, false, windowOps(100, 7))
+	f.Add(uint64(2), uint16(200), uint8(0), true, true, false, windowOps(-1<<14))
+	f.Add(uint64(3), uint16(48), uint8(0), false, true, false, windowOps(5, -3000))
+	f.Add(uint64(4), uint16(2500), uint8(7), false, false, true, windowOps(300, -1<<14, 40))
+	f.Add(uint64(5), uint16(4000), uint8(20), true, true, false, windowOps(1000, 1, 2, -5000))
+	f.Add(uint64(6), uint16(1000), uint8(1), true, false, false, windowOps(100, 7, -4000))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, kRaw uint8, ring, hash, stacked bool, ops []byte) {
+		n := 16 + int(nRaw)%4000
+		c := diffConfig{ring: ring, n: n, k: 1 + int(kRaw)%maxWindowK(n), hash: hash, stacked: stacked}
+		if len(ops) > 16 {
+			ops = ops[:16]
+		}
+		gen, auto := windowArms(t, c, xrand.New(seed))
+		runWindowOps(t, c, gen, auto, ops)
+	})
+}
+
 // FuzzKernelParallelEquivalence fuzzes the parallel ring stepper's
 // serial-identity property across shard counts, mixing plain, held and
 // generic StepHeld(nil) rounds.

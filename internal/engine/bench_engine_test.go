@@ -110,6 +110,7 @@ func measureKernels(t *testing.T) []kernelResult {
 		if rounds == 0 {
 			rounds = defaultRounds
 		}
+		chunk := max(kc.Chunk, 1)
 		// Best of three fresh builds; construction stays off the clock.
 		var sec float64
 		for rep := 0; rep < 3; rep++ {
@@ -118,7 +119,7 @@ func measureKernels(t *testing.T) []kernelResult {
 				t.Fatal(err)
 			}
 			start := time.Now()
-			for i := 0; i < rounds; i++ {
+			for i := 0; i < rounds; i += chunk {
 				step()
 			}
 			if elapsed := time.Since(start).Seconds(); rep == 0 || elapsed < sec {

@@ -16,12 +16,14 @@ import (
 // the sparse degree-2 rounds are bit-identical to the generic engine, and
 // the Kernel knob deliberately stays out of seed derivation. Both metrics
 // run rings and a path with cells on each side of the density threshold,
-// so the auto arm steps the flat kernels and the sparse rounds alike.
+// so the auto arm steps the flat kernels and the sparse rounds alike, and
+// sparse cells on each side of the window entry rule, so that Run and
+// RunUntilCovered take interaction-free windows in some of them.
 func TestKernelNeverAffectsRotorResults(t *testing.T) {
 	spec := SweepSpec{
 		Topologies: []Topo{"ring", "path"},
-		Sizes:      []int{24, 48},
-		Agents:     []int{1, 6, 96},
+		Sizes:      []int{24, 48, 256},
+		Agents:     []int{1, 2, 6, 96},
 		Placements: []Placement{PlaceSingle, PlaceEqual, PlaceRandom},
 		Pointers:   []Pointer{PtrNegative, PtrRandom},
 		Replicas:   2,
@@ -41,18 +43,22 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 	}
 	straddles := func() {
 		t.Helper()
-		var sparse, dense int
+		var windows, sparse, dense int
 		for _, n := range spec.Sizes {
 			for _, k := range spec.Agents {
-				if k < n/kernel.DenseFraction {
-					sparse++
-				} else {
+				switch {
+				case k >= n/kernel.DenseFraction:
 					dense++
+				case n >= core.WindowSpread*k*k:
+					windows++
+				default:
+					sparse++
 				}
 			}
 		}
-		if sparse == 0 || dense == 0 {
-			t.Fatalf("sizes %v and agents %v do not straddle the density threshold", spec.Sizes, spec.Agents)
+		if windows == 0 || sparse == 0 || dense == 0 {
+			t.Fatalf("sizes %v and agents %v do not straddle the density threshold and the window entry rule",
+				spec.Sizes, spec.Agents)
 		}
 	}
 	straddles()
@@ -67,7 +73,7 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 	// Return-time metric exercises cycle detection (hash-enabled clones)
 	// and the period measurement, which reads LastVisited.
 	spec.Metric = MetricReturn
-	spec.Agents = []int{3, 24}
+	spec.Agents = []int{2, 3, 24}
 	spec.Placements = []Placement{PlaceEqual}
 	spec.Pointers = []Pointer{PtrNegative}
 	straddles()

@@ -14,7 +14,8 @@ import (
 // trajectory (TestEmitBenchJSON): the rotor tiers (generic engine, ring
 // kernel, the scheduled and mission paths) on the acceptance configuration
 // Ring(2^16), the sparse ring round against the generic engine in the
-// paper's k ≪ n regime, the serial-versus-parallel ring pair at 2^24 nodes,
+// paper's k ≪ n regime, the same regime's interaction-free windows, the
+// serial-versus-parallel ring pair at 2^24 nodes,
 // and one walk pair (per-agent versus counts-based) at k = 10·n. Keeping
 // the workload in one place means `make bench-kernels` and the committed
 // JSON always measure the same thing.
@@ -35,11 +36,16 @@ type KernelBenchCase struct {
 	// Rounds overrides the measured round count (0 = the shared default
 	// in measureKernels): heavyweight cases run fewer rounds, after a
 	// proportionally shorter warmup in NewStepper, and the light sparse
-	// pair more, so that its clock reads milliseconds.
+	// pairs more, so that their clocks read milliseconds.
 	Rounds int
+	// Chunk is how many rounds one call of the stepper advances (0 = 1).
+	// The window pair advances through core.System.Run in fixed chunks,
+	// because interaction-free windows open only inside Run and
+	// RunUntilCovered.
+	Chunk int
 	// NewStepper builds a fresh simulator, runs a short warmup so the
 	// measurement starts in the steady state (spread-out occupancy, warm
-	// caches), and returns a function advancing one synchronous round.
+	// caches), and returns a function advancing Chunk synchronous rounds.
 	NewStepper func() (func(), error)
 }
 
@@ -69,6 +75,16 @@ const (
 	kernelBenchSparseRounds = 1 << 14
 )
 
+// The window pair runs the regime where interaction-free windows open: a
+// few agents on a large ring, n = 64k², from a random start. It advances
+// in Run chunks against its generic-engine twin.
+const (
+	kernelBenchWindowN      = 4096
+	kernelBenchWindowK      = 8
+	kernelBenchWindowChunk  = 256
+	kernelBenchWindowRounds = 1 << 18
+)
+
 // The big-ring pair exercises the parallel-within-round stepper at a scale
 // where sharding pays: a round touches ~1 GB of state, far past any cache.
 // Rounds cost ~100 ms each, so the pair overrides its measured round count
@@ -87,7 +103,7 @@ func KernelBenchCases() []KernelBenchCase {
 	// irregular occupancy — the steady-state shape of real simulations —
 	// rather than the lock-step march of an equally-spaced all-clockwise
 	// start.
-	rotor := func(n, k, warmup int, mode core.KernelMode, want string) func() (func(), error) {
+	rotor := func(n, k, warmup, chunk int, mode core.KernelMode, want string) func() (func(), error) {
 		return func() (func(), error) {
 			g := graph.Ring(n)
 			rng := xrand.New(1)
@@ -102,7 +118,10 @@ func KernelBenchCases() []KernelBenchCase {
 				return nil, fmt.Errorf("engine: kernel %q selected, want %q", sys.KernelName(), want)
 			}
 			sys.Run(int64(warmup))
-			return sys.Step, nil
+			if chunk == 0 {
+				return sys.Step, nil
+			}
+			return func() { sys.Run(int64(chunk)) }, nil
 		}
 	}
 	walk := func(mode randwalk.Mode) func() (func(), error) {
@@ -193,31 +212,38 @@ func KernelBenchCases() []KernelBenchCase {
 	}
 	ringName := fmt.Sprintf("ring(%d)", kernelBenchRotorN)
 	sparseRing := fmt.Sprintf("ring(%d)", kernelBenchSparseN)
+	windowRing := fmt.Sprintf("ring(%d)", kernelBenchWindowN)
 	walkRing := fmt.Sprintf("ring(%d)", kernelBenchWalkN)
 	bigRing := fmt.Sprintf("ring(%d)", kernelBenchBigN)
 	return []KernelBenchCase{
 		{Name: "rotor-generic", Process: "rotor", Graph: ringName, K: kernelBenchRotorK,
-			NewStepper: rotor(kernelBenchRotorN, kernelBenchRotorK, kernelBenchWarmup, core.KernelGeneric, "generic")},
+			NewStepper: rotor(kernelBenchRotorN, kernelBenchRotorK, kernelBenchWarmup, 0, core.KernelGeneric, "generic")},
 		{Name: "rotor-ring", Process: "rotor", Graph: ringName, K: kernelBenchRotorK,
-			Baseline: "rotor-generic", NewStepper: rotor(kernelBenchRotorN, kernelBenchRotorK, kernelBenchWarmup, core.KernelFast, "ring")},
+			Baseline: "rotor-generic", NewStepper: rotor(kernelBenchRotorN, kernelBenchRotorK, kernelBenchWarmup, 0, core.KernelFast, "ring")},
 		{Name: "rotor-sched-delay", Process: "rotor", Graph: ringName, K: kernelBenchRotorK,
 			Baseline: "rotor-generic", NewStepper: scheduled},
 		{Name: "rotor-mission-patrol", Process: "rotor", Graph: ringName, K: kernelBenchRotorK,
 			Baseline: "rotor-generic", NewStepper: mission},
 		{Name: "rotor-sparse-generic", Process: "rotor", Graph: sparseRing, K: kernelBenchSparseK,
-			Rounds: kernelBenchSparseRounds, NewStepper: rotor(kernelBenchSparseN, kernelBenchSparseK, kernelBenchWarmup, core.KernelGeneric, "generic")},
+			Rounds: kernelBenchSparseRounds, NewStepper: rotor(kernelBenchSparseN, kernelBenchSparseK, kernelBenchWarmup, 0, core.KernelGeneric, "generic")},
 		{Name: "rotor-sparse", Process: "rotor", Graph: sparseRing, K: kernelBenchSparseK,
 			Baseline: "rotor-sparse-generic", Rounds: kernelBenchSparseRounds,
-			NewStepper: rotor(kernelBenchSparseN, kernelBenchSparseK, kernelBenchWarmup, core.KernelAuto, "ring-sparse")},
+			NewStepper: rotor(kernelBenchSparseN, kernelBenchSparseK, kernelBenchWarmup, 0, core.KernelAuto, "ring-sparse")},
+		{Name: "rotor-window-generic", Process: "rotor", Graph: windowRing, K: kernelBenchWindowK,
+			Rounds: kernelBenchWindowRounds, Chunk: kernelBenchWindowChunk,
+			NewStepper: rotor(kernelBenchWindowN, kernelBenchWindowK, kernelBenchWarmup, kernelBenchWindowChunk, core.KernelGeneric, "generic")},
+		{Name: "rotor-window", Process: "rotor", Graph: windowRing, K: kernelBenchWindowK,
+			Baseline: "rotor-window-generic", Rounds: kernelBenchWindowRounds, Chunk: kernelBenchWindowChunk,
+			NewStepper: rotor(kernelBenchWindowN, kernelBenchWindowK, kernelBenchWarmup, kernelBenchWindowChunk, core.KernelAuto, "ring-sparse")},
 		// The big-ring pair: the dense regime at 2^24 nodes, serial ring
 		// kernel versus the parallel-within-round stepper (bit-identical by
 		// construction; the differential suite proves it, this pair prices
 		// it).
 		{Name: "ring-2^24-serial", Process: "rotor", Graph: bigRing, K: kernelBenchBigK,
-			Rounds: kernelBenchBigRounds, NewStepper: rotor(kernelBenchBigN, kernelBenchBigK, kernelBenchBigWarmup, core.KernelFast, "ring")},
+			Rounds: kernelBenchBigRounds, NewStepper: rotor(kernelBenchBigN, kernelBenchBigK, kernelBenchBigWarmup, 0, core.KernelFast, "ring")},
 		{Name: "ring-2^24-parallel", Process: "rotor", Graph: bigRing, K: kernelBenchBigK,
 			Baseline: "ring-2^24-serial", Rounds: kernelBenchBigRounds,
-			NewStepper: rotor(kernelBenchBigN, kernelBenchBigK, kernelBenchBigWarmup, core.KernelParallel, "ring-parallel")},
+			NewStepper: rotor(kernelBenchBigN, kernelBenchBigK, kernelBenchBigWarmup, 0, core.KernelParallel, "ring-parallel")},
 		{Name: "walk-agents", Process: "walk", Graph: walkRing, K: kernelBenchWalkK,
 			NewStepper: walk(randwalk.ModeAgents)},
 		{Name: "walk-counts", Process: "walk", Graph: walkRing, K: kernelBenchWalkK,
