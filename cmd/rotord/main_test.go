@@ -7,10 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -304,7 +309,10 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 // cluster-smoke): one real coordinator binary plus two real worker
 // binaries run a sweep; one worker is SIGKILLed while it holds a lease,
 // forcing the coordinator to reassign its unfinished jobs; the finished
-// stream must still be byte-identical to library-mode output.
+// stream must still be byte-identical to library-mode output. The kill is
+// deterministic: w1 joins through a reverse proxy that kills it when the
+// coordinator grants it a lease, before the grant reaches it, so the
+// coordinator holds a lease w1 can never complete.
 func TestClusterSmoke(t *testing.T) {
 	spec := engine.SweepSpec{
 		Topologies: []engine.Topo{"ring", "grid:32x32"},
@@ -329,8 +337,32 @@ func TestClusterSmoke(t *testing.T) {
 	// A short lease TTL so the killed worker's lease reassigns quickly.
 	_, base := startRotordArgs(t, bin,
 		"-addr", "127.0.0.1:0", "-spool", spool, "-workers", "1", "-lease-ttl", "1s")
-	w1, w1Base := startRotordArgs(t, bin,
-		"-mode", "worker", "-join", base, "-name", "w1", "-workers", "2", "-addr", "127.0.0.1:0")
+	target, err := url.Parse(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w1 atomic.Pointer[exec.Cmd]
+	var kill sync.Once
+	killed := make(chan struct{})
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	proxy.ModifyResponse = func(resp *http.Response) error {
+		if resp.Request.URL.Path == "/v1/cluster/lease" && resp.StatusCode == http.StatusOK {
+			kill.Do(func() {
+				if err := w1.Load().Process.Kill(); err != nil {
+					t.Errorf("kill w1: %v", err)
+				}
+				close(killed)
+			})
+		}
+		return nil
+	}
+	front := httptest.NewServer(proxy)
+	// Registered before w1 starts, so the cleanup that kills w1 runs first
+	// and no long-poll of w1's holds the proxy open.
+	t.Cleanup(front.Close)
+	w1Cmd, w1Base := startRotordArgs(t, bin,
+		"-mode", "worker", "-join", front.URL, "-name", "w1", "-workers", "2", "-addr", "127.0.0.1:0")
+	w1.Store(w1Cmd)
 	startRotordArgs(t, bin,
 		"-mode", "worker", "-join", base, "-name", "w2", "-workers", "2", "-addr", "127.0.0.1:0")
 
@@ -368,15 +400,14 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	id := resp.Header.Get("Location")[len("/v1/sweeps/"):]
 
-	// SIGKILL w1 the moment it holds a lease: its unfinished jobs must be
+	// w1 dies the moment it is granted a lease: its jobs must be
 	// reassigned, not lost.
-	waitUntil(t, 60*time.Second, "w1 to hold a lease", func() bool {
-		return metricValue(t, base, `rotord_cluster_worker_active_leases{worker="w1"`) >= 1
-	})
-	if err := w1.Process.Kill(); err != nil {
-		t.Fatal(err)
+	select {
+	case <-killed:
+	case <-time.After(60 * time.Second):
+		t.Fatal("timed out waiting for w1 to be granted a lease")
 	}
-	w1.Wait()
+	w1Cmd.Wait()
 	t.Log("killed w1 while it held a lease")
 
 	waitUntil(t, 120*time.Second, "sweep completion after worker kill", func() bool {

@@ -9,7 +9,10 @@
 // next^{c-1}(π_v) and its pointer ends advanced by c. Agents are
 // indistinguishable, so the engine stores agent counts per node and
 // processes only occupied nodes, making a round cost O(Σ_{occupied v}
-// min(deg v, agents at v)) instead of O(k).
+// min(deg v, agents at v)) instead of O(k). Beyond the configuration a
+// System keeps the paper's visit counters n_v(t), which coverage reads;
+// its exit counters follow by conservation, e_v(t) = n_v(t) − (agents at
+// v), and are not stored.
 //
 // Stepping is tiered (see internal/kernel): on ring and path topologies
 // with dense agent populations (k ≥ n/kernel.DenseFraction), NewSystem
@@ -110,7 +113,7 @@ type System struct {
 	// fully-active rounds when fast is nil; ShapeGeneral means none.
 	sparse kernel.Shape
 
-	ptr0 []int32 // initial pointers, for InitialPointer and Reset
+	ptr0 []int32 // initial pointers, for Reset
 	ag0  []int64 // initial agent counts, for Reset
 
 	// The occupied list is bookkeeping of the generic and sparse rounds:
@@ -119,19 +122,6 @@ type System struct {
 	occupied []int  // nodes with agents[v] > 0
 	inOcc    []bool // membership flags for occupied
 	occValid bool
-
-	// lastVisitedFast marks that the last completed round ran on a flat
-	// kernel or the sparse round, which skip the per-round visited list: in
-	// a fully-active round the visited nodes are exactly the occupied ones,
-	// so LastVisited derives the list on demand.
-	lastVisitedFast bool
-
-	// Round-stamped change tracking for incremental hashing: the first
-	// modification of agents[v] in a round records the pre-round count.
-	// Only maintained while hashing is enabled (WithConfigHash).
-	lastTouch []int64 // round stamp of last touch, 0 = never
-	oldCnt    []int64 // agents[v] before this round's first modification
-	changed   []int   // nodes touched this round
 
 	// movers says where ForEachFlow finds the last round's movers:
 	// srcNode/srcCnt after a generic or sparse round, st.Scratch (the
@@ -260,8 +250,6 @@ func NewSystem(g *graph.Graph, opts ...Option) (*System, error) {
 		ptr0:      make([]int32, n),
 		ag0:       make([]int64, n),
 		inOcc:     make([]bool, n),
-		lastTouch: make([]int64, n),
-		oldCnt:    make([]int64, n),
 	}
 
 	if c.pointers != nil {
@@ -272,10 +260,9 @@ func NewSystem(g *graph.Graph, opts ...Option) (*System, error) {
 			if p < 0 || p >= g.Degree(v) {
 				return nil, fmt.Errorf("core: pointer %d invalid at node %d (degree %d)", p, v, g.Degree(v))
 			}
-			s.st.Ptr[v] = int32(p)
+			s.ptr0[v] = int32(p)
 		}
 	}
-	copy(s.ptr0, s.st.Ptr)
 
 	switch {
 	case c.positions != nil && c.counts != nil:
@@ -285,7 +272,7 @@ func NewSystem(g *graph.Graph, opts ...Option) (*System, error) {
 			if v < 0 || v >= n {
 				return nil, fmt.Errorf("core: agent position %d out of range [0,%d)", v, n)
 			}
-			s.st.Agents[v]++
+			s.ag0[v]++
 			s.k++
 		}
 	case c.counts != nil:
@@ -296,32 +283,15 @@ func NewSystem(g *graph.Graph, opts ...Option) (*System, error) {
 			if cnt < 0 {
 				return nil, fmt.Errorf("core: negative agent count at node %d", v)
 			}
-			s.st.Agents[v] = cnt
+			s.ag0[v] = cnt
 			s.k += cnt
 		}
 	}
 	if s.k == 0 {
 		return nil, errors.New("core: no agents placed")
 	}
-	copy(s.ag0, s.st.Agents)
 
-	for v := 0; v < n; v++ {
-		s.st.CoveredAt[v] = -1
-		if s.st.Agents[v] > 0 {
-			s.occupied = append(s.occupied, v)
-			s.inOcc[v] = true
-			s.st.Visits[v] = s.st.Agents[v] // n_v(0)
-			s.st.CoveredAt[v] = 0
-			s.st.Covered++
-		}
-	}
-	s.occValid = true
-	if s.st.Covered == n {
-		s.st.CoverRound = 0
-	}
-
-	s.reselectKernel()
-
+	s.Reset()
 	if c.hash {
 		s.EnableConfigHash()
 	}
@@ -371,9 +341,6 @@ func (s *System) AgentCountsView() []int64 { return s.st.Agents }
 // Pointer returns the current port pointer of v.
 func (s *System) Pointer(v int) int { return int(s.st.Ptr[v]) }
 
-// InitialPointer returns the pointer of v at construction time.
-func (s *System) InitialPointer(v int) int { return int(s.ptr0[v]) }
-
 // KernelName reports the stepping tier fully-active rounds run on: "ring",
 // "path" or "ring-parallel" for the flat kernels, "ring-sparse" or
 // "path-sparse" for the sparse degree-2 round, "generic" otherwise.
@@ -388,18 +355,13 @@ func (s *System) KernelName() string {
 }
 
 // Visits returns n_v(t): the initial agent count of v plus the number of
-// arrivals at v during rounds [1, t], matching the paper's counters.
+// arrivals at v during rounds [1, t], matching the paper's counters. The
+// paper's exit counter follows by conservation: e_v(t) = Visits(v) −
+// AgentsAt(v).
 func (s *System) Visits(v int) int64 { return s.st.Visits[v] }
-
-// Exits returns e_v(t): the number of departures from v during [1, t].
-func (s *System) Exits(v int) int64 { return s.st.Exits[v] }
 
 // Covered returns how many nodes have been covered so far.
 func (s *System) Covered() int { return s.st.Covered }
-
-// CoveredAt returns the round at which v was first covered (0 for nodes
-// holding agents initially) and -1 if v is still uncovered.
-func (s *System) CoveredAt(v int) int64 { return s.st.CoveredAt[v] }
 
 // CoverRound returns the first round after which every node had been
 // visited, or -1 if the graph is not yet covered.
@@ -441,21 +403,6 @@ func (s *System) ensureOccupied() {
 func (s *System) Occupied() []int {
 	s.ensureOccupied()
 	return append([]int(nil), s.occupied...)
-}
-
-// LastVisited returns the nodes that received at least one arrival during
-// the last completed round, in no particular order. The slice is reused on
-// the next Step; callers must not retain it.
-func (s *System) LastVisited() []int {
-	if s.lastVisitedFast {
-		// Kernel and sparse rounds are fully active: every agent moved,
-		// so the arrival set of the round is exactly the occupied set
-		// after it.
-		s.ensureOccupied()
-		s.st.LastVisited = append(s.st.LastVisited[:0], s.occupied...)
-		s.lastVisitedFast = false
-	}
-	return s.st.LastVisited
 }
 
 // ForEachFlow calls f(v, port, agents) for every arc that agents traversed
@@ -522,7 +469,6 @@ func (s *System) Step() {
 	case s.fast != nil:
 		s.fast.Step(&s.st)
 		s.occValid = false
-		s.lastVisitedFast = true
 		s.movers, s.held = moversKernel, nil
 	case s.sparse != kernel.ShapeGeneral:
 		s.stepSparse()
@@ -564,23 +510,11 @@ func (s *System) advance(end int64, cover bool) {
 	}
 }
 
-// coverAt records v's first visit, in round.
-func (s *System) coverAt(v int, round int64) {
-	s.st.CoveredAt[v] = round
+// coverAt records a node's first visit, in round.
+func (s *System) coverAt(round int64) {
 	s.st.Covered++
 	if s.st.Covered == s.n {
 		s.st.CoverRound = round
-	}
-}
-
-// touchAgents records the pre-round agent count of v the first time v's
-// count changes in the current round, for end-of-round hash updates.
-func (s *System) touchAgents(v int) {
-	stamp := s.st.Round + 1
-	if s.lastTouch[v] != stamp {
-		s.lastTouch[v] = stamp
-		s.oldCnt[v] = s.st.Agents[v]
-		s.changed = append(s.changed, v)
 	}
 }
 
@@ -602,24 +536,20 @@ func (s *System) StepHeld(held []int64) {
 	if held != nil && s.fast != nil {
 		s.fast.StepHeld(&s.st, held)
 		s.occValid = false
-		// The kernel maintains the round's visited list eagerly (held
-		// stayers are occupied but not visited, so it cannot be derived
-		// from occupancy the way fully-active rounds allow).
-		s.lastVisitedFast = false
 		s.movers, s.held = moversKernel, held
 		return
 	}
 	s.ensureOccupied()
 	s.movers, s.held = moversGeneric, nil
 
+	// The occupied list is exactly the nodes with agents, before the round
+	// and after it, so the incremental hash drops each source's count at
+	// the snapshot and adds each node's new count as the rebuild appends it.
 	hashOn := s.st.HashOn
 
 	// Snapshot sources: moves are based on start-of-round positions.
 	s.srcNode = s.srcNode[:0]
 	s.srcCnt = s.srcCnt[:0]
-	s.changed = s.changed[:0]
-	s.st.LastVisited = s.st.LastVisited[:0]
-	s.lastVisitedFast = false
 	anyHeld := false
 	for _, v := range s.occupied {
 		c := s.st.Agents[v]
@@ -636,7 +566,7 @@ func (s *System) StepHeld(held []int64) {
 		s.srcNode = append(s.srcNode, v)
 		s.srcCnt = append(s.srcCnt, c-h)
 		if hashOn {
-			s.touchAgents(v)
+			s.st.Hash -= kernel.HashCnt(v, c)
 		}
 		s.st.Agents[v] = h // held agents stay; arrivals accumulate below
 	}
@@ -666,23 +596,15 @@ func (s *System) StepHeld(held []int64) {
 			cnt := (m - j + d - 1) / d
 			port := int((p + j) % d)
 			dest := s.g.Neighbor(v, port)
-			if hashOn {
-				s.touchAgents(dest)
-			}
 			if s.st.Agents[dest] == 0 {
 				s.cand = append(s.cand, dest)
 			}
 			s.st.Agents[dest] += cnt
 			if s.st.Visits[dest] == 0 {
-				s.coverAt(dest, s.st.Round+1)
+				s.coverAt(s.st.Round + 1)
 			}
 			s.st.Visits[dest] += cnt
-			if s.st.VisitStamp[dest] != s.st.Round+1 {
-				s.st.VisitStamp[dest] = s.st.Round + 1
-				s.st.LastVisited = append(s.st.LastVisited, dest)
-			}
 		}
-		s.st.Exits[v] += m
 		newPtr := int32((p + m) % d)
 		if hashOn {
 			s.st.Hash += kernel.HashPtr(v, newPtr) - kernel.HashPtr(v, s.st.Ptr[v])
@@ -690,20 +612,16 @@ func (s *System) StepHeld(held []int64) {
 		s.st.Ptr[v] = newPtr
 	}
 
-	// Fold agent-count changes into the incremental hash.
-	if hashOn {
-		for _, v := range s.changed {
-			s.st.Hash += kernel.HashCnt(v, s.st.Agents[v]) - kernel.HashCnt(v, s.oldCnt[v])
-		}
-	}
-
 	// Rebuild the occupied list from candidates, in candidate order:
 	// sources first, then destinations in discovery order.
 	s.occupied = s.occupied[:0]
 	for _, v := range s.cand {
-		if s.st.Agents[v] > 0 && !s.inOcc[v] {
+		if c := s.st.Agents[v]; c > 0 && !s.inOcc[v] {
 			s.inOcc[v] = true
 			s.occupied = append(s.occupied, v)
+			if hashOn {
+				s.st.Hash += kernel.HashCnt(v, c)
+			}
 		}
 	}
 
@@ -729,9 +647,6 @@ func (s *System) EnableConfigHash() {
 	s.st.HashOn = true
 	s.st.Hash = s.fullHash()
 }
-
-// HashEnabled reports whether incremental configuration hashing is on.
-func (s *System) HashEnabled() bool { return s.st.HashOn }
 
 // ConfigHash returns the incrementally maintained hash of the current
 // configuration (pointers and agent positions; visit counters excluded),
@@ -762,23 +677,20 @@ func (s *System) StateEqual(o *System) bool {
 // and the (stateless) stepping kernel. The copy's flow view starts empty.
 func (s *System) Clone() *System {
 	c := &System{
-		g:               s.g,
-		g0:              s.g0,
-		n:               s.n,
-		k:               s.k,
-		st:              s.st.Clone(),
-		fast:            s.fast,
-		kmode:           s.kmode,
-		parShards:       s.parShards,
-		sparse:          s.sparse,
-		ptr0:            append([]int32(nil), s.ptr0...),
-		ag0:             append([]int64(nil), s.ag0...),
-		occupied:        append([]int(nil), s.occupied...),
-		inOcc:           append([]bool(nil), s.inOcc...),
-		occValid:        s.occValid,
-		lastVisitedFast: s.lastVisitedFast,
-		lastTouch:       make([]int64, s.n),
-		oldCnt:          make([]int64, s.n),
+		g:         s.g,
+		g0:        s.g0,
+		n:         s.n,
+		k:         s.k,
+		st:        s.st.Clone(),
+		fast:      s.fast,
+		kmode:     s.kmode,
+		parShards: s.parShards,
+		sparse:    s.sparse,
+		ptr0:      append([]int32(nil), s.ptr0...),
+		ag0:       append([]int64(nil), s.ag0...),
+		occupied:  append([]int(nil), s.occupied...),
+		inOcc:     append([]bool(nil), s.inOcc...),
+		occValid:  s.occValid,
 	}
 	// A parallel stepper carries per-shard merge scratch that must not be
 	// shared between systems, so parallel clones re-select to get their own
@@ -809,22 +721,11 @@ func (s *System) Reset() {
 	s.st.CoverRound = -1
 	s.st.Round = 0
 	s.st.FullyActiveRounds = 0
-	for v := 0; v < s.n; v++ {
-		s.inOcc[v] = false
-		s.st.Exits[v] = 0
-		s.st.Visits[v] = 0
-		s.st.CoveredAt[v] = -1
-		s.lastTouch[v] = 0
-		s.st.VisitStamp[v] = 0
-	}
-	s.st.LastVisited = s.st.LastVisited[:0]
-	s.lastVisitedFast = false
-	for v := 0; v < s.n; v++ {
-		if s.st.Agents[v] > 0 {
+	for v, a := range s.st.Agents {
+		s.st.Visits[v] = a // n_v(0)
+		s.inOcc[v] = a > 0
+		if a > 0 {
 			s.occupied = append(s.occupied, v)
-			s.inOcc[v] = true
-			s.st.Visits[v] = s.st.Agents[v]
-			s.st.CoveredAt[v] = 0
 			s.st.Covered++
 		}
 	}

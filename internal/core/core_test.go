@@ -103,9 +103,9 @@ func TestEngineMatchesReferenceOnRandomConfigs(t *testing.T) {
 							t.Fatalf("trial %d round %d: visits at %d = %d, ref %d",
 								trial, round, v, s.Visits(v), ref.visits[v])
 						}
-						if s.Exits(v) != ref.exits[v] {
+						if e := s.Visits(v) - s.AgentsAt(v); e != ref.exits[v] {
 							t.Fatalf("trial %d round %d: exits at %d = %d, ref %d",
-								trial, round, v, s.Exits(v), ref.exits[v])
+								trial, round, v, e, ref.exits[v])
 						}
 					}
 				}
@@ -154,9 +154,6 @@ func TestInitialState(t *testing.T) {
 	if s.Covered() != 2 {
 		t.Fatalf("covered = %d", s.Covered())
 	}
-	if s.CoveredAt(2) != 0 || s.CoveredAt(0) != -1 {
-		t.Fatal("coveredAt wrong")
-	}
 	if got := s.Positions(); len(got) != 3 || got[0] != 2 || got[1] != 2 || got[2] != 5 {
 		t.Fatalf("Positions() = %v", got)
 	}
@@ -188,7 +185,8 @@ func TestAgentConservation(t *testing.T) {
 func TestExitVisitBalance(t *testing.T) {
 	// For the undelayed deployment, e_v(t+1) = n_v(t) (paper Eq. 2 with
 	// D = 0): everything that was at v at the end of round t leaves in
-	// round t+1.
+	// round t+1. The exit counter is derived by conservation: e_v(t) =
+	// n_v(t) − (agents at v after round t).
 	g := graph.Grid2D(4, 4)
 	rng := xrand.New(5)
 	s := newTestSystem(t, g,
@@ -201,9 +199,9 @@ func TestExitVisitBalance(t *testing.T) {
 		}
 		s.Step()
 		for v := 0; v < 16; v++ {
-			if s.Exits(v) != prevVisits[v] {
+			if e := s.Visits(v) - s.AgentsAt(v); e != prevVisits[v] {
 				t.Fatalf("round %d: e_%d = %d, want n_%d(t-1) = %d",
-					round+1, v, s.Exits(v), v, prevVisits[v])
+					round+1, v, e, v, prevVisits[v])
 			}
 		}
 	}
@@ -213,15 +211,16 @@ func TestArcTraversalLaw(t *testing.T) {
 	// Paper §1.3: with ports labeled so that the initial pointer has label
 	// 0, the number of traversals of arc (v,u) after any round equals
 	// ceil((e_v - port_v(u)) / deg(v)). Traversals are the per-round flow
-	// views summed over the run.
+	// views summed over the run; e_v = n_v − (agents at v).
 	graphs := []*graph.Graph{graph.Ring(7), graph.Complete(5), graph.Grid2D(3, 3)}
 	rng := xrand.New(99)
 	for _, g := range graphs {
 		g := g
 		t.Run(g.Name(), func(t *testing.T) {
+			ptr0 := PointersRandom(g, rng)
 			s := newTestSystem(t, g,
 				WithAgentsAt(RandomPositions(g.NumNodes(), 4, rng)...),
-				WithPointers(PointersRandom(g, rng)))
+				WithPointers(ptr0))
 			traversals := make([]int64, g.NumArcs())
 			for _, horizon := range []int64{1, 7, 50, 200} {
 				for s.Round() < horizon {
@@ -230,9 +229,9 @@ func TestArcTraversalLaw(t *testing.T) {
 				}
 				for v := 0; v < g.NumNodes(); v++ {
 					d := int64(g.Degree(v))
-					ev := s.Exits(v)
+					ev := s.Visits(v) - s.AgentsAt(v)
 					for p := 0; p < g.Degree(v); p++ {
-						label := (int64(p) - int64(s.InitialPointer(v)) + d) % d
+						label := (int64(p) - int64(ptr0[v]) + d) % d
 						var want int64
 						if ev > label {
 							want = (ev - label + d - 1) / d
@@ -500,33 +499,6 @@ func TestResetRestoresInitialConfiguration(t *testing.T) {
 	}
 }
 
-func TestLastVisitedMatchesVisitDeltas(t *testing.T) {
-	g := graph.Complete(6)
-	rng := xrand.New(17)
-	s := newTestSystem(t, g,
-		WithAgentsAt(RandomPositions(6, 4, rng)...),
-		WithPointers(PointersRandom(g, rng)))
-	prev := make([]int64, 6)
-	for round := 0; round < 100; round++ {
-		for v := range prev {
-			prev[v] = s.Visits(v)
-		}
-		s.Step()
-		visited := make(map[int]bool)
-		for _, v := range s.LastVisited() {
-			if visited[v] {
-				t.Fatalf("round %d: node %d reported twice", round+1, v)
-			}
-			visited[v] = true
-		}
-		for v := 0; v < 6; v++ {
-			if (s.Visits(v) > prev[v]) != visited[v] {
-				t.Fatalf("round %d: LastVisited disagrees with visit delta at node %d", round+1, v)
-			}
-		}
-	}
-}
-
 func TestFlowRecordingBalances(t *testing.T) {
 	g := graph.Ring(15)
 	rng := xrand.New(4)
@@ -534,18 +506,19 @@ func TestFlowRecordingBalances(t *testing.T) {
 		WithAgentsAt(RandomPositions(15, 6, rng)...),
 		WithPointers(PointersRandom(g, rng)))
 	out := make([]int64, 15)
+	exits := func(v int) int64 { return s.Visits(v) - s.AgentsAt(v) }
 	for round := 0; round < 200; round++ {
 		exitsBefore := make([]int64, 15)
 		for v := range exitsBefore {
-			exitsBefore[v] = s.Exits(v)
+			exitsBefore[v] = exits(v)
 			out[v] = 0
 		}
 		s.Step()
 		s.ForEachFlow(func(v, _ int, agents int64) { out[v] += agents })
 		for v := 0; v < 15; v++ {
-			if out[v] != s.Exits(v)-exitsBefore[v] {
+			if out[v] != exits(v)-exitsBefore[v] {
 				t.Fatalf("round %d: outflow of %d = %d, exits delta %d",
-					round+1, v, out[v], s.Exits(v)-exitsBefore[v])
+					round+1, v, out[v], exits(v)-exitsBefore[v])
 			}
 		}
 	}
@@ -568,14 +541,18 @@ func TestCoverRoundIsFirstCoverage(t *testing.T) {
 	if s.CoverRound() != 29 {
 		t.Fatalf("CoverRound drifted to %d", s.CoverRound())
 	}
-	// Max CoveredAt equals the cover round.
-	var maxAt int64
+	// One round earlier a node was still unvisited.
+	twin := newTestSystem(t, g,
+		WithAgentsAt(0),
+		WithPointers(PointersUniform(g, graph.RingCW)))
+	twin.Run(28)
+	unvisited := 0
 	for v := 0; v < 30; v++ {
-		if s.CoveredAt(v) > maxAt {
-			maxAt = s.CoveredAt(v)
+		if twin.Visits(v) == 0 {
+			unvisited++
 		}
 	}
-	if maxAt != 29 {
-		t.Fatalf("max CoveredAt = %d", maxAt)
+	if unvisited != 1 || twin.CoverRound() != -1 {
+		t.Fatalf("round 28: %d unvisited nodes, cover round %d; want 1 and -1", unvisited, twin.CoverRound())
 	}
 }

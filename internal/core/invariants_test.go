@@ -12,7 +12,9 @@ import (
 // worst case in its path form: a single agent starting at the end of a path
 // whose pointers all reflect toward the origin first reaches node d at
 // round d², exactly. (Each excursion extends the explored prefix by one
-// node and is one round-trip longer than the previous: Σ odd numbers.)
+// node and is one round-trip longer than the previous: Σ odd numbers.) The
+// rounds between first visits run through Run, so on the sparse path they
+// take interaction-free windows.
 func TestZigzagExactFirstVisitLaw(t *testing.T) {
 	const n = 24
 	g := graph.Path(n)
@@ -21,14 +23,21 @@ func TestZigzagExactFirstVisitLaw(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newTestSystem(t, g, WithAgentsAt(0), WithPointers(ptr))
-	s.Run(int64(n * n))
 	for d := 1; d < n; d++ {
-		if got := s.CoveredAt(d); got != int64(d*d) {
-			t.Fatalf("node %d first covered at %d, want exactly %d", d, got, d*d)
+		s.Run(int64(d*d-1) - s.Round())
+		if s.Visits(d) != 0 {
+			t.Fatalf("node %d visited by round %d, want first at %d", d, s.Round(), d*d)
+		}
+		s.Run(1)
+		if s.Visits(d) == 0 {
+			t.Fatalf("node %d unvisited at round %d, want first visit then", d, d*d)
 		}
 	}
 	if cover := s.CoverRound(); cover != int64((n-1)*(n-1)) {
 		t.Fatalf("cover time %d, want (n-1)² = %d", cover, (n-1)*(n-1))
+	}
+	if s.windowRounds == 0 {
+		t.Fatal("no interaction-free window ran")
 	}
 }
 
@@ -62,7 +71,8 @@ func TestVisitMassBalance(t *testing.T) {
 	}
 }
 
-// TestExitMassBalance: Σ_v e_v(t) = k·t for undelayed deployments.
+// TestExitMassBalance: Σ_v e_v(t) = k·t for undelayed deployments, with
+// e_v(t) = n_v(t) − (agents at v) derived by conservation.
 func TestExitMassBalance(t *testing.T) {
 	g := graph.Grid2D(4, 5)
 	rng := xrand.New(8)
@@ -73,7 +83,7 @@ func TestExitMassBalance(t *testing.T) {
 	for round := int64(0); round <= 200; round++ {
 		var total int64
 		for v := 0; v < 20; v++ {
-			total += s.Exits(v)
+			total += s.Visits(v) - s.AgentsAt(v)
 		}
 		if total != int64(k)*round {
 			t.Fatalf("round %d: exit mass %d, want %d", round, total, int64(k)*round)

@@ -155,7 +155,7 @@ func MeasureReturnTimeStop(s *System, maxRounds int64, stop func() bool) (*Retur
 	if err != nil {
 		return nil, err
 	}
-	n := s.n
+	n, g := s.n, s.g
 	first := make([]int64, n)
 	last := make([]int64, n)
 	gap := make([]int64, n)
@@ -163,20 +163,28 @@ func MeasureReturnTimeStop(s *System, maxRounds int64, stop func() bool) (*Retur
 	for v := range first {
 		first[v] = -1
 	}
-	for t := int64(1); t <= lc.Period; t++ {
+	// A node is visited in round t when it heads an arc of that round's
+	// flow view; last[v] == t skips its other incoming arcs.
+	var t int64
+	visit := func(u, port int, _ int64) {
+		v := g.Neighbor(u, port)
+		if last[v] == t {
+			return
+		}
+		if first[v] < 0 {
+			first[v] = t
+		} else if d := t - last[v]; d > gap[v] {
+			gap[v] = d
+		}
+		last[v] = t
+		count[v]++
+	}
+	for t = 1; t <= lc.Period; t++ {
 		if stopped(stop, t) {
 			return nil, fmt.Errorf("%w during period measurement (round %d of %d)", ErrStopped, t, lc.Period)
 		}
 		s.Step()
-		for _, v := range s.LastVisited() {
-			if first[v] < 0 {
-				first[v] = t
-			} else if g := t - last[v]; g > gap[v] {
-				gap[v] = g
-			}
-			last[v] = t
-			count[v]++
-		}
+		s.ForEachFlow(visit)
 	}
 	stats := &ReturnStats{Period: lc.Period, MinNodeVisits: -1}
 	var meanSum float64

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rotorring/internal/graph"
+	"rotorring/internal/kernel"
 	"rotorring/internal/xrand"
 )
 
@@ -226,4 +227,108 @@ func TestMuIsMinimal(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReturnTimeAcrossTiers checks MeasureReturnTime, which reads each
+// round's visited nodes from the flow view, on every tier. Random rings
+// and paths must give identical stats under the generic engine,
+// KernelAuto (the sparse round below n/kernel.DenseFraction), the flat
+// kernel and the parallel stepper; on the generic engine the stats must
+// also equal a brute-force pass over one period built from per-round visit
+// deltas. Tori and complete graphs, whose nodes are entered over up to
+// four and n−1 arcs, take the generic and brute-force arms.
+func TestReturnTimeAcrossTiers(t *testing.T) {
+	rng := xrand.New(0x2e7)
+	const budget = 1 << 22
+	for trial := 0; trial < 30; trial++ {
+		n := 3 + rng.Intn(126)
+		var g *graph.Graph
+		switch trial % 5 {
+		case 0, 1:
+			g = graph.Ring(n)
+		case 2, 3:
+			g = graph.Path(n)
+		default:
+			if trial%2 == 0 {
+				g = graph.Torus2D(3+rng.Intn(4), 3+rng.Intn(4))
+			} else {
+				g = graph.Complete(3 + rng.Intn(6))
+			}
+		}
+		n = g.NumNodes()
+		k := 1 + rng.Intn(2*n)
+		if trial%2 == 0 {
+			k = 1 + rng.Intn(max(1, n/kernel.DenseFraction-1))
+		}
+		opts := []Option{WithAgentsAt(RandomPositions(n, k, rng)...), WithPointers(PointersRandom(g, rng))}
+		measure := func(extra ...Option) *ReturnStats {
+			s := newTestSystem(t, g, append(opts, extra...)...)
+			rs, err := MeasureReturnTime(s, budget)
+			if err != nil {
+				t.Fatalf("%s k=%d (kernel %s): %v", g.Name(), k, s.KernelName(), err)
+			}
+			return rs
+		}
+
+		gen := newTestSystem(t, g, append(opts, WithKernelMode(KernelGeneric))...)
+		want, err := MeasureReturnTime(gen, budget)
+		if err != nil {
+			t.Fatalf("%s k=%d: %v", g.Name(), k, err)
+		}
+		if got := bruteReturnStats(gen, want.Period); got != *want {
+			t.Fatalf("%s k=%d: MeasureReturnTime %+v, brute force %+v", g.Name(), k, *want, got)
+		}
+		if kernel.DetectShape(g) == kernel.ShapeGeneral {
+			continue
+		}
+		for _, extra := range [][]Option{
+			{WithKernelMode(KernelAuto)},
+			{WithKernelMode(KernelFast)},
+			{WithKernelMode(KernelParallel), WithParallelShards(2 + rng.Intn(2))},
+		} {
+			if got := measure(extra...); *got != *want {
+				t.Fatalf("%s k=%d %v: stats %+v, generic %+v", g.Name(), k, extra, *got, *want)
+			}
+		}
+	}
+}
+
+// bruteReturnStats steps s through one period and computes its return
+// stats from the visit counters alone: v is visited in round t when
+// Visits(v) grows in that round.
+func bruteReturnStats(s *System, period int64) ReturnStats {
+	rounds := make([][]int64, s.n) // rounds[v]: the rounds that visit v
+	prev := make([]int64, s.n)
+	for v := range prev {
+		prev[v] = s.Visits(v)
+	}
+	for t := int64(1); t <= period; t++ {
+		s.Step()
+		for v := range prev {
+			if s.Visits(v) > prev[v] {
+				rounds[v] = append(rounds[v], t)
+			}
+			prev[v] = s.Visits(v)
+		}
+	}
+	stats := ReturnStats{Period: period, MinNodeVisits: -1}
+	var meanSum float64
+	for _, rs := range rounds {
+		if len(rs) == 0 {
+			return ReturnStats{} // a node left unvisited; MeasureReturnTime errors
+		}
+		gap := rs[0] + period - rs[len(rs)-1] // across the period boundary
+		for i := 1; i < len(rs); i++ {
+			gap = max(gap, rs[i]-rs[i-1])
+		}
+		count := int64(len(rs))
+		stats.ReturnTime = max(stats.ReturnTime, gap)
+		if stats.MinNodeVisits < 0 || count < stats.MinNodeVisits {
+			stats.MinNodeVisits = count
+		}
+		stats.MaxNodeVisits = max(stats.MaxNodeVisits, count)
+		meanSum += float64(period) / float64(count)
+	}
+	stats.MeanGap = meanSum / float64(s.n)
+	return stats
 }

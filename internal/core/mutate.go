@@ -80,7 +80,7 @@ func (s *System) AddAgents(positions ...int) error {
 			s.occupied = append(s.occupied, v)
 		}
 		if s.st.Visits[v] == 0 {
-			s.coverAt(v, s.st.Round)
+			s.coverAt(s.st.Round)
 		}
 		s.st.Visits[v]++
 	}
@@ -157,18 +157,11 @@ func (s *System) SetPointers(pointers []int) error {
 func (s *System) ResetCoverage() {
 	s.st.Covered = 0
 	s.st.CoverRound = -1
-	for v := 0; v < s.n; v++ {
-		s.st.Visits[v] = 0
-		s.st.CoveredAt[v] = -1
-	}
-	s.ensureOccupied()
-	for _, v := range s.occupied {
-		if s.st.Agents[v] == 0 {
-			continue
+	for v, a := range s.st.Agents {
+		s.st.Visits[v] = a
+		if a > 0 {
+			s.st.Covered++
 		}
-		s.st.Visits[v] = s.st.Agents[v]
-		s.st.CoveredAt[v] = s.st.Round
-		s.st.Covered++
 	}
 	if s.st.Covered == s.n {
 		s.st.CoverRound = s.st.Round

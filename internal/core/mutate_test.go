@@ -103,14 +103,22 @@ func TestChurnAndPointerMutations(t *testing.T) {
 	}
 	s.Run(4)
 
+	visits7, visits20, covered := s.Visits(7), s.Visits(20), s.Covered()
 	if err := s.AddAgents(7, 7, 20); err != nil {
 		t.Fatal(err)
 	}
 	if s.NumAgents() != 5 {
 		t.Fatalf("k = %d after join, want 5", s.NumAgents())
 	}
-	if s.Visits(20) == 0 || s.CoveredAt(20) != s.Round() {
-		t.Fatal("joined agent did not count as a visit")
+	if s.Visits(7) != visits7+2 || visits20 != 0 || s.Visits(20) != 1 {
+		t.Fatal("joined agents did not count as visits")
+	}
+	want := covered + 1 // node 20
+	if visits7 == 0 {
+		want++
+	}
+	if s.Covered() != want {
+		t.Fatalf("covered %d after join, want %d", s.Covered(), want)
 	}
 	if s.ConfigHash() != s.fullHash() {
 		t.Fatal("hash out of sync after AddAgents")
@@ -182,10 +190,10 @@ func TestResetCoverageEpoch(t *testing.T) {
 	for v := 0; v < n; v++ {
 		if s.AgentsAt(v) > 0 {
 			occ++
-			if s.Visits(v) != s.AgentsAt(v) || s.CoveredAt(v) != round {
+			if s.Visits(v) != s.AgentsAt(v) {
 				t.Fatalf("occupied node %d not re-seeded as visited", v)
 			}
-		} else if s.Visits(v) != 0 || s.CoveredAt(v) != -1 {
+		} else if s.Visits(v) != 0 {
 			t.Fatalf("empty node %d still marked visited", v)
 		}
 	}

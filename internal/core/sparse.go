@@ -22,12 +22,7 @@ import (
 //   - the adjacency loads: neighbours are v±1;
 //   - the candidate list: a node joins the occupied list either as a
 //     source that still holds agents or as a node that was empty before
-//     the round, so only the latter need recording;
-//   - the visit stamps and the visited list: every agent moves, so the
-//     round's visited nodes are the occupied ones after it, and
-//     LastVisited derives them on demand;
-//   - the per-node hash touch stamps: only sources and newly occupied
-//     nodes change count, and their pre-round counts are srcCnt and 0.
+//     the round, so only the latter need recording.
 //
 // Held rounds stay on the generic loop. A closed-form held variant
 // measured 0–10% slower at (n, k) = (128, 2), (128, 8) and (512, 32): the
@@ -40,7 +35,7 @@ import (
 func (s *System) stepSparse() {
 	s.ensureOccupied()
 	st := &s.st
-	agents, visits, ptr, exits := st.Agents, st.Visits, st.Ptr, st.Exits
+	agents, visits, ptr := st.Agents, st.Visits, st.Ptr
 	round := st.Round + 1
 
 	// Snapshot: the occupied list becomes the round's sources without a
@@ -99,7 +94,7 @@ func (s *System) stepSparse() {
 		}
 		agents[a] += hi
 		if visits[a] == 0 {
-			s.coverAt(a, round)
+			s.coverAt(round)
 		}
 		visits[a] += hi
 		if lo > 0 {
@@ -109,12 +104,11 @@ func (s *System) stepSparse() {
 			}
 			agents[b] += lo
 			if visits[b] == 0 {
-				s.coverAt(b, round)
+				s.coverAt(round)
 			}
 			visits[b] += lo
 		}
 
-		exits[v] += m
 		if hashOn && np != p {
 			dh += kernel.HashPtr(v, np) - kernel.HashPtr(v, p)
 		}
@@ -146,7 +140,6 @@ func (s *System) stepSparse() {
 	s.cand = fresh
 
 	s.movers, s.held = moversGeneric, nil
-	s.lastVisitedFast = true
 	st.Round = round
 	st.FullyActiveRounds++
 }
@@ -163,12 +156,12 @@ func (s *System) stepSparse() {
 // so the occupied order is kept exactly. A lone agent (k = 1) has no limit.
 //
 // window runs such rounds time-major in one tight loop. Per agent step it
-// touches only the pointer, exits, visits, coverage and, when on, the hash;
-// it stops at the budget and at the cover round, and leaves the agent
-// counts, inOcc, the last round's movers and lastVisitedFast exactly as
-// stepSparse would. Windows run back to back while the gap allows, each
-// further gap read in O(k) from the agents' order by position (ord). A try
-// that fails costs O(k) membership probes (crowded), never a sort.
+// touches only the pointer, visits, coverage and, when on, the hash; it
+// stops at the budget and at the cover round, and leaves the agent counts,
+// inOcc and the last round's movers exactly as stepSparse would. Windows
+// run back to back while the gap allows, each further gap read in O(k)
+// from the agents' order by position (ord). A try that fails costs O(k)
+// membership probes (crowded), never a sort.
 
 // WindowSpread is the entry rule of interaction-free windows: Run and
 // RunUntilCovered try them on the sparse tier when n ≥ WindowSpread·k².
@@ -233,7 +226,7 @@ func (s *System) window(end int64, cover bool) bool {
 		return false
 	}
 
-	agents, visits, ptr, exits, inOcc := st.Agents, st.Visits, st.Ptr, st.Exits, s.inOcc
+	agents, visits, ptr, inOcc := st.Agents, st.Visits, st.Ptr, s.inOcc
 	for _, v := range cur {
 		agents[v] = 0
 		inOcc[v] = false
@@ -274,9 +267,8 @@ windows:
 					}
 				}
 				ptr[v] = np
-				exits[v]++
 				if visits[a] == 0 {
-					s.coverAt(a, round)
+					s.coverAt(round)
 				}
 				visits[a]++
 				next[i] = a
@@ -300,7 +292,6 @@ windows:
 	s.occupied, s.srcNode, s.srcCnt = cur, next, cnt
 	st.Hash += dh
 	s.movers, s.held = moversGeneric, nil
-	s.lastVisitedFast = true
 	st.FullyActiveRounds += round - start
 	st.Round = round
 	s.windowRounds += round - start

@@ -71,7 +71,7 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 	}
 
 	// Return-time metric exercises cycle detection (hash-enabled clones)
-	// and the period measurement, which reads LastVisited.
+	// and the period measurement, which reads the flow view.
 	spec.Metric = MetricReturn
 	spec.Agents = []int{2, 3, 24}
 	spec.Placements = []Placement{PlaceEqual}

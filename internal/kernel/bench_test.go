@@ -16,7 +16,6 @@ func benchState(n int, k int64) (State, []int64) {
 		st.Agents[v]++
 		if st.Visits[v] == 0 {
 			st.Covered++
-			st.CoveredAt[v] = 0
 		}
 		st.Visits[v]++
 	}

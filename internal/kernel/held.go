@@ -10,20 +10,16 @@ package kernel
 // u-1's arrivals are fully determined (they need the clockwise share of u-2
 // and the anticlockwise movers of u), so the kernel finalizes u-1 on the
 // spot — one pass over the flat arrays instead of three, which is what the
-// held fold (clamp, stayer add-back, eager visited list) would otherwise
-// cost. The path kernel uses the same fusion without the wrap-around.
+// held fold (clamp, stayer add-back) would otherwise cost. The path kernel
+// uses the same fusion without the wrap-around.
 //
 // Differences from the fully-active kernels, forced by held semantics:
 //
 //   - next[v] = held_v + arrivals_v: stayers are added back after the split
 //     of the m = c - held movers. held is clamped to [0, agents[v]] exactly
 //     like the generic engine, so stale entries at unoccupied nodes are
-//     harmless.
-//   - The per-round visited list cannot be derived lazily from occupancy
-//     (held stayers are occupied but not visited), so the kernel appends to
-//     LastVisited eagerly, in no particular order — the same contract the
-//     generic engine's list carries. VisitStamp is still skipped: stale
-//     stamps stay strictly below any future generic round stamp.
+//     harmless. The owner re-applies the same clamp to the pre-round counts
+//     left in Scratch to recover the round's movers.
 //   - FullyActiveRounds only advances when the round held no agent, which
 //     the kernel detects from the clamped held sum.
 
@@ -38,22 +34,16 @@ func (ringStepper) StepHeld(st *State, held []int64) {
 // ringStepHeldFast is the hash-off held ring round — the hot path of every
 // delay schedule. Beyond the fusion, it keeps the per-node work branch-lean:
 // the visit fold adds zero arrivals unconditionally (the identity) instead
-// of branching, and the visited list advances its length by a flag so the
-// ~50% arrival branch never mispredicts.
+// of branching on the ~50% arrival test.
 func ringStepHeldFast(st *State, held []int64) {
 	n := st.N
 	next, _ := st.buffers()
 	// Reslice everything to n so the compiler can drop the per-node bounds
 	// checks in the sweep below.
 	cur, held, next := st.Agents[:n], held[:n], next[:n]
-	ptr, exits, visits := st.Ptr[:n], st.Exits[:n], st.Visits[:n]
+	ptr, visits := st.Ptr[:n], st.Visits[:n]
 	round := st.Round + 1
 	covered := st.Covered
-	if cap(st.LastVisited) < n {
-		st.LastVisited = make([]int, n)
-	}
-	lv := st.LastVisited[:n]
-	lvn := 0
 	var heldSum int64
 
 	// Prologue: compute nodes 0 and 1 (node 0 finalizes after n-1).
@@ -69,7 +59,6 @@ func ringStepHeldFast(st *State, held []int64) {
 	p := int64(ptr[0])
 	s0 := (m0 + 1 - p) >> 1
 	ptr[0] = int32((p + m0) & 1)
-	exits[0] += m0
 	heldSum += h0
 
 	c = cur[1]
@@ -84,7 +73,6 @@ func ringStepHeldFast(st *State, held []int64) {
 	p = int64(ptr[1])
 	s1 := (m1 + 1 - p) >> 1
 	ptr[1] = int32((p + m1) & 1)
-	exits[1] += m1
 	heldSum += h1
 
 	// Main sweep: compute node u, finalize node v = u-1.
@@ -102,19 +90,15 @@ func ringStepHeldFast(st *State, held []int64) {
 		p = int64(ptr[u])
 		s := (m + 1 - p) >> 1
 		ptr[u] = int32((p + m) & 1)
-		exits[u] += m
 		heldSum += h
 
 		v := u - 1
 		a := sPrev2 + m - s
 		next[v] = hPrev + a
 		if visits[v] == 0 && a != 0 {
-			st.CoveredAt[v] = round
 			covered++
 		}
 		visits[v] += a
-		lv[lvn] = v
-		lvn += int((uint64(a) | uint64(-a)) >> 63)
 
 		sPrev2, sPrev, hPrev = sPrev, s, h
 	}
@@ -123,28 +107,21 @@ func ringStepHeldFast(st *State, held []int64) {
 	a := sPrev2 + m0 - s0
 	next[n-1] = hPrev + a
 	if visits[n-1] == 0 && a != 0 {
-		st.CoveredAt[n-1] = round
 		covered++
 	}
 	visits[n-1] += a
-	lv[lvn] = n - 1
-	lvn += int((uint64(a) | uint64(-a)) >> 63)
 
 	a = sPrev + m1 - s1
 	next[0] = h0 + a
 	if visits[0] == 0 && a != 0 {
-		st.CoveredAt[0] = round
 		covered++
 	}
 	visits[0] += a
-	lv[lvn] = 0
-	lvn += int((uint64(a) | uint64(-a)) >> 63)
 
 	if covered == n && st.Covered != n {
 		st.CoverRound = round
 	}
 	st.Covered = covered
-	st.LastVisited = lv[:lvn]
 	st.Agents, st.Scratch = next, cur
 	st.Round = round
 	if heldSum == 0 {
@@ -157,11 +134,10 @@ func ringStepHeldHash(st *State, held []int64) {
 	n := st.N
 	next, _ := st.buffers()
 	cur, held, next := st.Agents[:n], held[:n], next[:n]
-	ptr, exits, visits := st.Ptr[:n], st.Exits[:n], st.Visits[:n]
+	ptr, visits := st.Ptr[:n], st.Visits[:n]
 	hashOn := true
 	round := st.Round + 1
 	covered := st.Covered
-	lv := st.LastVisited[:0]
 	var dh uint64
 	var heldSum int64
 
@@ -183,7 +159,6 @@ func ringStepHeldHash(st *State, held []int64) {
 		dh += HashPtr(0, np) - HashPtr(0, p)
 	}
 	ptr[0] = np
-	exits[0] += m0
 	heldSum += h0
 
 	c = cur[1]
@@ -201,7 +176,6 @@ func ringStepHeldHash(st *State, held []int64) {
 		dh += HashPtr(1, np) - HashPtr(1, p)
 	}
 	ptr[1] = np
-	exits[1] += m1
 	heldSum += h1
 
 	// Main sweep: compute node u, finalize node v = u-1. Registers carry
@@ -223,7 +197,6 @@ func ringStepHeldHash(st *State, held []int64) {
 			dh += HashPtr(u, np) - HashPtr(u, p)
 		}
 		ptr[u] = np
-		exits[u] += m
 		heldSum += h
 
 		// Finalize v = u-1: arrivals are the clockwise movers of v-1 plus
@@ -234,11 +207,9 @@ func ringStepHeldHash(st *State, held []int64) {
 		next[v] = nv
 		if a != 0 {
 			if visits[v] == 0 {
-				st.CoveredAt[v] = round
 				covered++
 			}
 			visits[v] += a
-			lv = append(lv, v)
 		}
 		if hashOn && nv != cur[v] {
 			dh += HashCnt(v, nv) - HashCnt(v, cur[v])
@@ -253,11 +224,9 @@ func ringStepHeldHash(st *State, held []int64) {
 	next[n-1] = nv
 	if a != 0 {
 		if visits[n-1] == 0 {
-			st.CoveredAt[n-1] = round
 			covered++
 		}
 		visits[n-1] += a
-		lv = append(lv, n-1)
 	}
 	if hashOn && nv != cur[n-1] {
 		dh += HashCnt(n-1, nv) - HashCnt(n-1, cur[n-1])
@@ -268,11 +237,9 @@ func ringStepHeldHash(st *State, held []int64) {
 	next[0] = nv
 	if a != 0 {
 		if visits[0] == 0 {
-			st.CoveredAt[0] = round
 			covered++
 		}
 		visits[0] += a
-		lv = append(lv, 0)
 	}
 	if hashOn && nv != cur[0] {
 		dh += HashCnt(0, nv) - HashCnt(0, cur[0])
@@ -285,7 +252,6 @@ func ringStepHeldHash(st *State, held []int64) {
 	if hashOn {
 		st.Hash += dh
 	}
-	st.LastVisited = lv
 	st.Agents, st.Scratch = next, cur
 	st.Round = round
 	if heldSum == 0 {
@@ -297,11 +263,10 @@ func (pathStepper) StepHeld(st *State, held []int64) {
 	n := st.N
 	cur := st.Agents
 	next, _ := st.buffers()
-	ptr, exits, visits := st.Ptr, st.Exits, st.Visits
+	ptr, visits := st.Ptr, st.Visits
 	hashOn := st.HashOn
 	round := st.Round + 1
 	covered := st.Covered
-	lv := st.LastVisited[:0]
 	var dh uint64
 	var heldSum int64
 
@@ -312,11 +277,9 @@ func (pathStepper) StepHeld(st *State, held []int64) {
 		next[v] = nv
 		if a != 0 {
 			if visits[v] == 0 {
-				st.CoveredAt[v] = round
 				covered++
 			}
 			visits[v] += a
-			lv = append(lv, v)
 		}
 		if hashOn && nv != cur[v] {
 			dh += HashCnt(v, nv) - HashCnt(v, cur[v])
@@ -334,7 +297,6 @@ func (pathStepper) StepHeld(st *State, held []int64) {
 		h0 = c
 	}
 	m0 := c - h0
-	exits[0] += m0
 	heldSum += h0
 
 	// n == 2: both nodes are endpoints exchanging their movers.
@@ -347,7 +309,6 @@ func (pathStepper) StepHeld(st *State, held []int64) {
 			h1 = c
 		}
 		m1 := c - h1
-		exits[1] += m1
 		heldSum += h1
 		finalize(0, h0, m1)
 		finalize(1, h1, m0)
@@ -367,7 +328,6 @@ func (pathStepper) StepHeld(st *State, held []int64) {
 			dh += HashPtr(1, np) - HashPtr(1, p)
 		}
 		ptr[1] = np
-		exits[1] += m1
 		heldSum += h1
 		finalize(0, h0, s1)
 
@@ -392,7 +352,6 @@ func (pathStepper) StepHeld(st *State, held []int64) {
 				dh += HashPtr(u, np) - HashPtr(u, p)
 			}
 			ptr[u] = np
-			exits[u] += m
 			heldSum += h
 
 			finalize(u-1, hPrev, mPrev2-sPrev2+s)
@@ -410,7 +369,6 @@ func (pathStepper) StepHeld(st *State, held []int64) {
 			hLast = c
 		}
 		mLast := c - hLast
-		exits[n-1] += mLast
 		heldSum += hLast
 
 		finalize(n-2, hPrev, mPrev2-sPrev2+mLast)
@@ -424,7 +382,6 @@ func (pathStepper) StepHeld(st *State, held []int64) {
 	if hashOn {
 		st.Hash += dh
 	}
-	st.LastVisited = lv
 	st.Agents, st.Scratch = next, cur
 	st.Round = round
 	if heldSum == 0 {

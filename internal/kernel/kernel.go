@@ -10,7 +10,7 @@
 // The package owns two things:
 //
 //   - State: the flat configuration arrays of a running system (pointers,
-//     agent counts, visit/exit counters, coverage bookkeeping). core.System
+//     agent counts, visit counters, coverage bookkeeping). core.System
 //     embeds a State so that a kernel can advance a round without any
 //     indirection through the graph adjacency structure or the generic
 //     engine's occupied/candidate lists.
@@ -19,7 +19,7 @@
 //     advances exactly one round, fully active (Step) or with held agents
 //     (StepHeld, held.go), and must be bit-identical to the generic engine
 //     on the configuration state it shares: pointers, agent counts, visits,
-//     exits, coverage, round counters, and — when State.HashOn is set —
+//     coverage, round counters, and — when State.HashOn is set —
 //     the incremental configuration hash. The differential tests in core
 //     enforce this configuration-for-configuration.
 //
@@ -41,8 +41,11 @@ import (
 
 // State is the flat rotor-router configuration a Stepper advances. It is
 // owned by core.System, which exposes its own accessors over these arrays;
-// kernels mutate them directly. All slices have length N except LastVisited
-// and Scratch, which are kernel-managed.
+// kernels mutate them directly. Ptr, Agents and Visits have length N; the
+// scratch buffers are kernel-managed. A round's movements are not stored:
+// the owner derives them from the pre-round counts a kernel leaves in
+// Scratch. The paper's exit counter e_v(t) is not stored either; by
+// conservation it is Visits[v] − Agents[v].
 type State struct {
 	// N is the number of nodes.
 	N int
@@ -52,13 +55,10 @@ type State struct {
 	// may swap this slice with Scratch; callers must re-read it after a
 	// Step rather than retaining the backing array.
 	Agents []int64
-	// Visits holds n_v(t): initial agents at v plus arrivals in [1, t].
+	// Visits holds n_v(t): initial agents at v plus arrivals in [1, t]. A
+	// node is covered once its count is nonzero.
 	Visits []int64
-	// Exits holds e_v(t): departures from v in [1, t].
-	Exits []int64
 
-	// CoveredAt records the round of first visit per node (-1 uncovered).
-	CoveredAt []int64
 	// Covered is the number of covered nodes; CoverRound the first round
 	// with Covered == N (-1 before that).
 	Covered    int
@@ -67,11 +67,6 @@ type State struct {
 	// held (the paper's τ).
 	Round             int64
 	FullyActiveRounds int64
-
-	// VisitStamp marks, per node, the last round with at least one arrival;
-	// LastVisited lists the nodes stamped in the last completed round.
-	VisitStamp  []int64
-	LastVisited []int
 
 	// HashOn enables incremental configuration hashing (tier 2). When off —
 	// the default — neither the generic engine nor the kernels spend any
@@ -97,10 +92,7 @@ func NewState(n int) State {
 		Ptr:        make([]int32, n),
 		Agents:     make([]int64, n),
 		Visits:     make([]int64, n),
-		Exits:      make([]int64, n),
-		CoveredAt:  make([]int64, n),
 		CoverRound: -1,
-		VisitStamp: make([]int64, n),
 	}
 }
 
@@ -111,10 +103,6 @@ func (st *State) Clone() State {
 	c.Ptr = append([]int32(nil), st.Ptr...)
 	c.Agents = append([]int64(nil), st.Agents...)
 	c.Visits = append([]int64(nil), st.Visits...)
-	c.Exits = append([]int64(nil), st.Exits...)
-	c.CoveredAt = append([]int64(nil), st.CoveredAt...)
-	c.VisitStamp = append([]int64(nil), st.VisitStamp...)
-	c.LastVisited = append([]int(nil), st.LastVisited...)
 	c.Scratch = nil
 	c.Split = nil
 	c.Active = nil

@@ -7,16 +7,16 @@ package kernel
 // tolerance:
 //
 //   - Phase 1 (split): each shard owns a contiguous node range [lo, hi) and
-//     computes port splits, pointer advances and exit counters for its own
-//     nodes only. No cross-shard state is touched.
+//     computes port splits and pointer advances for its own nodes only. No
+//     cross-shard state is touched.
 //   - Barrier, then phase 2 (assemble): arrivals at v read only phase-1
 //     outputs (the splits and movers of v±1), which are stable after the
-//     barrier; every write (next counts, visit counters, coverage stamps)
-//     is again shard-owned at node granularity.
+//     barrier; every write (next counts, visit counters) is again
+//     shard-owned at node granularity.
 //   - Merge: the per-shard hash deltas, coverage counts and held sums fold
 //     into the State serially. The incremental hash is a sum of per-node
 //     deltas mod 2^64, so any grouping of the additions produces the same
-//     value; the per-shard visited lists concatenate in shard order.
+//     value.
 //
 // Because nothing about the arithmetic depends on the shard boundaries, the
 // result is bit-identical at every shard count — including 1, where the
@@ -49,7 +49,6 @@ type ringShard struct {
 	dh      uint64
 	covered int
 	heldSum int64
-	lv      []int
 }
 
 // parallelRing is the parallel-within-round ring stepper.
@@ -110,13 +109,13 @@ func (pk *parallelRing) Step(st *State) {
 	}
 	cur := st.Agents
 	next, split := st.buffers()
-	ptr, exits, visits := st.Ptr, st.Exits, st.Visits
+	ptr, visits := st.Ptr, st.Visits
 	hashOn := st.HashOn
 	round := st.Round + 1
 	allCovered := st.Covered == n
 	res := pk.results(s)
 
-	// Phase 1: shard-owned splits, pointer advances, exits.
+	// Phase 1: shard-owned splits and pointer advances.
 	parallelFor(n, s, func(i, lo, hi int) {
 		var dh uint64
 		if hashOn {
@@ -131,7 +130,6 @@ func (pk *parallelRing) Step(st *State) {
 				np := int32((int64(p) + m) & 1)
 				dh += HashPtr(v, np) - HashPtr(v, p)
 				ptr[v] = np
-				exits[v] += m
 			}
 		} else {
 			for v := lo; v < hi; v++ {
@@ -139,7 +137,6 @@ func (pk *parallelRing) Step(st *State) {
 				p := int64(ptr[v])
 				split[v] = (m + 1 - p) >> 1
 				ptr[v] = int32((p + m) & 1)
-				exits[v] += m
 			}
 		}
 		res[i].dh = dh
@@ -163,7 +160,6 @@ func (pk *parallelRing) Step(st *State) {
 			next[v] = a
 			if a != 0 {
 				if !allCovered && visits[v] == 0 {
-					st.CoveredAt[v] = round
 					covered++
 				}
 				visits[v] += a
@@ -207,7 +203,7 @@ func (pk *parallelRing) StepHeld(st *State, held []int64) {
 		st.Active = make([]int64, n)
 	}
 	active := st.Active
-	ptr, exits, visits := st.Ptr, st.Exits, st.Visits
+	ptr, visits := st.Ptr, st.Visits
 	hashOn := st.HashOn
 	round := st.Round + 1
 	res := pk.results(s)
@@ -232,7 +228,6 @@ func (pk *parallelRing) StepHeld(st *State, held []int64) {
 				dh += HashPtr(v, np) - HashPtr(v, p)
 			}
 			ptr[v] = np
-			exits[v] += m
 			active[v] = m
 			heldSum += h
 		}
@@ -240,12 +235,10 @@ func (pk *parallelRing) StepHeld(st *State, held []int64) {
 		res[i].heldSum = heldSum
 	})
 
-	// Phase 2: next[v] = stayers + arrivals; eager per-shard visited lists
-	// (held rounds cannot derive the list from occupancy).
+	// Phase 2: next[v] = stayers + arrivals.
 	parallelFor(n, s, func(i, lo, hi int) {
 		var dh uint64
 		covered := 0
-		lv := res[i].lv[:0]
 		for v := lo; v < hi; v++ {
 			var a int64
 			switch v {
@@ -260,11 +253,9 @@ func (pk *parallelRing) StepHeld(st *State, held []int64) {
 			next[v] = nv
 			if a != 0 {
 				if visits[v] == 0 {
-					st.CoveredAt[v] = round
 					covered++
 				}
 				visits[v] += a
-				lv = append(lv, v)
 			}
 			if hashOn && nv != cur[v] {
 				dh += HashCnt(v, nv) - HashCnt(v, cur[v])
@@ -272,18 +263,15 @@ func (pk *parallelRing) StepHeld(st *State, held []int64) {
 		}
 		res[i].dh += dh
 		res[i].covered = covered
-		res[i].lv = lv
 	})
 
 	covered := st.Covered
 	var dh uint64
 	var heldSum int64
-	lv := st.LastVisited[:0]
 	for i := range res {
 		dh += res[i].dh
 		covered += res[i].covered
 		heldSum += res[i].heldSum
-		lv = append(lv, res[i].lv...)
 	}
 	if covered == n && st.Covered != n {
 		st.CoverRound = round
@@ -292,7 +280,6 @@ func (pk *parallelRing) StepHeld(st *State, held []int64) {
 	if hashOn {
 		st.Hash += dh
 	}
-	st.LastVisited = lv
 	st.Agents, st.Scratch = next, cur
 	st.Round = round
 	if heldSum == 0 {

@@ -6,7 +6,7 @@ package kernel
 // no scatter read-modify-writes:
 //
 //  1. split: per node, the closed-form degree-2 port split of its m
-//     departing agents, pointer advance and exit counter. On the ring the
+//     departing agents and the pointer advance. On the ring the
 //     pass is fully branchless: with pointer p ∈ {0,1}, the pointed port
 //     carries ⌈m/2⌉, so split = (m+1-p)>>1 — which is 0 when m = 0 — and
 //     the new pointer (p+m) mod 2 equals p when m = 0.
@@ -34,15 +34,8 @@ func (st *State) buffers() (next, split []int64) {
 
 // finishRound folds the arrivals assembled in next into visits and
 // coverage, maintains the count half of the incremental hash when enabled,
-// and swaps the buffers. cur still holds the start-of-round counts; dh is
-// the pointer-hash delta accumulated by the split pass.
-//
-// The kernels deliberately do not maintain the per-round visited list or
-// visit stamps: in a fully-active round every agent moves, so the visited
-// nodes are exactly the nodes occupied after the swap, and the owner
-// derives the list lazily when (rarely) asked. Stale VisitStamp entries
-// from kernel rounds stay strictly below any future generic round stamp,
-// so the generic engine's stamp comparisons remain correct.
+// and swaps the buffers, leaving the start-of-round counts cur in Scratch;
+// dh is the pointer-hash delta accumulated by the split pass.
 func (st *State) finishRound(cur, next []int64, dh uint64) {
 	round := st.Round + 1
 	visits := st.Visits
@@ -59,7 +52,6 @@ func (st *State) finishRound(cur, next []int64, dh uint64) {
 				continue
 			}
 			if visits[v] == 0 {
-				st.CoveredAt[v] = round
 				covered++
 			}
 			visits[v] += a
@@ -93,7 +85,7 @@ func (ringStepper) Step(st *State) {
 	n := st.N
 	cur := st.Agents
 	next, split := st.buffers()
-	ptr, exits := st.Ptr, st.Exits
+	ptr := st.Ptr
 	var dh uint64
 
 	// Split pass: split[v] is the clockwise (port 0) share of cur[v].
@@ -108,14 +100,12 @@ func (ringStepper) Step(st *State) {
 			np := int32((int64(p) + m) & 1)
 			dh += HashPtr(v, np) - HashPtr(v, p)
 			ptr[v] = np
-			exits[v] += m
 		}
 	} else {
 		for v, m := range cur {
 			p := int64(ptr[v])
 			split[v] = (m + 1 - p) >> 1
 			ptr[v] = int32((p + m) & 1)
-			exits[v] += m
 		}
 	}
 
@@ -141,16 +131,14 @@ func (pathStepper) Step(st *State) {
 	n := st.N
 	cur := st.Agents
 	next, split := st.buffers()
-	ptr, exits := st.Ptr, st.Exits
+	ptr := st.Ptr
 	var dh uint64
 
 	// Split pass: split[v] is the leftward (port 0) share of cur[v]. The
 	// endpoints send everything through their only port: node 0 has no
 	// left arc (split 0), node n-1 only the left arc (split all).
 	split[0] = 0
-	exits[0] += cur[0]
 	split[n-1] = cur[n-1]
-	exits[n-1] += cur[n-1]
 	if st.HashOn {
 		for v := 1; v < n-1; v++ {
 			m := cur[v]
@@ -163,7 +151,6 @@ func (pathStepper) Step(st *State) {
 			np := int32((int64(p) + m) & 1)
 			dh += HashPtr(v, np) - HashPtr(v, p)
 			ptr[v] = np
-			exits[v] += m
 		}
 	} else {
 		for v := 1; v < n-1; v++ {
@@ -171,7 +158,6 @@ func (pathStepper) Step(st *State) {
 			p := int64(ptr[v])
 			split[v] = (m + 1 - p) >> 1
 			ptr[v] = int32((p + m) & 1)
-			exits[v] += m
 		}
 	}
 

@@ -84,7 +84,6 @@ type Walk struct {
 	pos0 []int // initial positions, for Reset
 
 	k       int64
-	visited []bool
 	covered int
 	round   int64
 
@@ -125,13 +124,12 @@ func New(g *graph.Graph, positions []int, rng *xrand.Rand, opts ...Option) (*Wal
 	}
 	n := g.NumNodes()
 	w := &Walk{
-		g:       g,
-		g0:      g,
-		rng:     rng,
-		pos0:    append([]int(nil), positions...),
-		k:       int64(len(positions)),
-		visited: make([]bool, n),
-		visits:  make([]int64, n),
+		g:      g,
+		g0:     g,
+		rng:    rng,
+		pos0:   append([]int(nil), positions...),
+		k:      int64(len(positions)),
+		visits: make([]int64, n),
 	}
 	for _, v := range positions {
 		if v < 0 || v >= n {
@@ -172,8 +170,7 @@ func (w *Walk) place() {
 		w.pos = append(w.pos[:0], w.pos0...)
 	}
 	for _, v := range w.pos0 {
-		if !w.visited[v] {
-			w.visited[v] = true
+		if w.visits[v] == 0 {
 			w.covered++
 		}
 		w.visits[v]++
@@ -255,11 +252,10 @@ func (w *Walk) stepAgents() {
 			w.record(v, p, 1)
 		}
 		w.pos[i] = dest
-		w.visits[dest]++
-		if !w.visited[dest] {
-			w.visited[dest] = true
+		if w.visits[dest] == 0 {
 			w.covered++
 		}
+		w.visits[dest]++
 	}
 }
 
@@ -321,11 +317,10 @@ func (w *Walk) stepCounts() {
 			if a == 0 {
 				continue
 			}
-			visits[v] += a
-			if !w.visited[v] {
-				w.visited[v] = true
+			if visits[v] == 0 {
 				w.covered++
 			}
+			visits[v] += a
 		}
 	}
 	w.cnt, w.next = next, cur
@@ -453,8 +448,7 @@ func (w *Walk) Reset() {
 	w.k = int64(len(w.pos0))
 	w.round = 0
 	w.covered = 0
-	for v := range w.visited {
-		w.visited[v] = false
+	for v := range w.visits {
 		w.visits[v] = 0
 	}
 	if w.counts {
@@ -481,7 +475,6 @@ func (w *Walk) Clone() *Walk {
 	c.split = append([]int64(nil), w.split...)
 	c.port = append([]int64(nil), w.port...)
 	c.pos0 = append([]int(nil), w.pos0...)
-	c.visited = append([]bool(nil), w.visited...)
 	c.visits = append([]int64(nil), w.visits...)
 	c.flow = append([]int64(nil), w.flow...)
 	c.flowArcs = append([]flowArc(nil), w.flowArcs...)
@@ -539,8 +532,7 @@ func (w *Walk) AddWalkers(positions ...int) error {
 			w.pos = append(w.pos, v)
 		}
 		w.k++
-		if !w.visited[v] {
-			w.visited[v] = true
+		if w.visits[v] == 0 {
 			w.covered++
 		}
 		w.visits[v]++
@@ -596,13 +588,11 @@ func (w *Walk) RemoveWalkers(positions ...int) error {
 // (mirroring core.System.ResetCoverage).
 func (w *Walk) ResetCoverage() {
 	w.covered = 0
-	for v := range w.visited {
-		w.visited[v] = false
+	for v := range w.visits {
 		w.visits[v] = 0
 	}
 	mark := func(v int, c int64) {
-		if !w.visited[v] {
-			w.visited[v] = true
+		if w.visits[v] == 0 {
 			w.covered++
 		}
 		w.visits[v] += c

@@ -129,11 +129,23 @@ func (t *Tracker) Step() {
 	}
 	t.pending = t.pending[:0]
 
-	// 2. Record this round's arrivals for classification next round.
+	// 2. Record this round's arrivals for classification next round: the
+	// heads of the arcs that carried flow. A node entered from both sides
+	// is recorded once, at its clockwise arrival.
 	round := t.sys.Round()
-	for _, v := range t.sys.LastVisited() {
-		fromCCW := t.flow((v-1+t.n)%t.n, graph.RingCW) // arrived moving clockwise
-		fromCW := t.flow((v+1)%t.n, graph.RingCCW)     // arrived moving anticlockwise
+	for _, i := range t.set {
+		var v int
+		var fromCCW, fromCW int64 // arrived moving clockwise, anticlockwise
+		if u := i >> 1; i&1 == graph.RingCW {
+			v = t.cw(u)
+			fromCCW, fromCW = t.out[i], t.flow(t.cw(v), graph.RingCCW)
+		} else {
+			v = t.ccw(u)
+			fromCCW, fromCW = t.flow(t.ccw(v), graph.RingCW), t.out[i]
+			if fromCCW > 0 {
+				continue
+			}
+		}
 		t.pending = append(t.pending, pendingVisit{
 			node:   v,
 			fromCW: fromCW > 0 && fromCCW == 0,
@@ -150,6 +162,21 @@ func (t *Tracker) setOut(v, port int, agents int64) {
 
 // flow returns how many agents left v through port p in the last round.
 func (t *Tracker) flow(v, p int) int64 { return t.out[2*v+p] }
+
+// cw and ccw return v's clockwise and anticlockwise neighbours.
+func (t *Tracker) cw(v int) int {
+	if v == t.n-1 {
+		return 0
+	}
+	return v + 1
+}
+
+func (t *Tracker) ccw(v int) int {
+	if v == 0 {
+		return t.n - 1
+	}
+	return v - 1
+}
 
 // Run advances the tracker the given number of rounds.
 func (t *Tracker) Run(rounds int64) {

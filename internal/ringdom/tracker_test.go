@@ -5,6 +5,7 @@ import (
 
 	"rotorring/internal/core"
 	"rotorring/internal/graph"
+	"rotorring/internal/kernel"
 	"rotorring/internal/xrand"
 )
 
@@ -247,6 +248,63 @@ func TestRandomConfigurationsDomainStructure(t *testing.T) {
 			tr.Run(int64(n / 2))
 			if _, err := Domains(tr.System()); err != nil {
 				t.Fatalf("trial %d chunk %d: %v", trial, chunk, err)
+			}
+		}
+	}
+}
+
+// TestTrackerAcrossTiers: the tracker takes each round's arrivals from the
+// flow view, so its classification must not depend on the tier the ring
+// steps on. After every Step, LastVisitKind agrees at every node between a
+// KernelGeneric ring and its KernelAuto and KernelFast twins, over sparse
+// and dense random configurations. On the generic ring the arrivals are
+// also checked against the visit counters: every node whose count grew in
+// a round is classified after the next one, as a multi visit exactly when
+// it grew by more than one.
+func TestTrackerAcrossTiers(t *testing.T) {
+	rng := xrand.New(0x7ac)
+	for trial := 0; trial < 30; trial++ {
+		n := 3 + rng.Intn(126)
+		k := 1 + rng.Intn(2*n)
+		if trial%2 == 0 {
+			k = 1 + rng.Intn(max(1, n/kernel.DenseFraction-1))
+		}
+		g := graph.Ring(n)
+		opts := []core.Option{
+			core.WithAgentsAt(core.RandomPositions(n, k, rng)...),
+			core.WithPointers(core.PointersRandom(g, rng)),
+		}
+		gen := trackedSystem(t, n, append(opts, core.WithKernelMode(core.KernelGeneric))...)
+		twins := []*Tracker{
+			trackedSystem(t, n, append(opts, core.WithKernelMode(core.KernelAuto))...),
+			trackedSystem(t, n, append(opts, core.WithKernelMode(core.KernelFast))...),
+		}
+		visits := make([]int64, n)  // visit counters before the last round
+		arrived := make([]int64, n) // arrivals in the round before it
+		for r := int64(1); r <= 200; r++ {
+			for v := range visits {
+				visits[v] = gen.System().Visits(v)
+			}
+			gen.Step()
+			for _, tw := range twins {
+				tw.Step()
+			}
+			for v := 0; v < n; v++ {
+				want := gen.LastVisitKind(v)
+				for _, tw := range twins {
+					if got := tw.LastVisitKind(v); got != want {
+						t.Fatalf("ring(%d) k=%d round %d node %d: %s tracker says %v, generic %v",
+							n, k, r, v, tw.System().KernelName(), got, want)
+					}
+				}
+				if a := arrived[v]; a > 0 {
+					rec := gen.lastClassified[v]
+					if rec.round != r-1 || (rec.kind == VisitMulti) != (a > 1) {
+						t.Fatalf("ring(%d) k=%d node %d: %d arrivals in round %d, classified %+v",
+							n, k, v, a, r-1, rec)
+					}
+				}
+				arrived[v] = gen.System().Visits(v) - visits[v]
 			}
 		}
 	}
