@@ -93,19 +93,40 @@ func BenchmarkStepSparseAgents(b *testing.B) {
 	}
 }
 
-// BenchmarkFindLimitCycle: end-to-end cost of cycle detection.
+// BenchmarkFindLimitCycle: end-to-end cost of cycle detection, without μ
+// on Ring(256) with k = 4, and with μ on a restab cell's shape after its
+// fault: Ring(128) with one edge masked and k = 32.
 func BenchmarkFindLimitCycle(b *testing.B) {
-	g := graph.Ring(256)
-	rng := xrand.New(1)
-	for i := 0; i < b.N; i++ {
-		sys, err := NewSystem(g,
-			WithAgentsAt(RandomPositions(256, 4, rng)...),
-			WithPointers(PointersRandom(g, rng)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := FindLimitCycle(sys, 1<<24, false); err != nil {
-			b.Fatal(err)
-		}
+	ring := graph.Ring(128)
+	deleted := make([]bool, ring.NumArcs())
+	deleted[0] = true
+	cut, _, err := graph.MaskEdges(ring, deleted)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name      string
+		g         *graph.Graph
+		k         int
+		computeMu bool
+	}{
+		{"ring256-k4", graph.Ring(256), 4, false},
+		{"cutring128-k32-mu", cut, 32, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := xrand.New(1)
+			n := bc.g.NumNodes()
+			for i := 0; i < b.N; i++ {
+				sys, err := NewSystem(bc.g,
+					WithAgentsAt(RandomPositions(n, bc.k, rng)...),
+					WithPointers(PointersRandom(bc.g, rng)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := FindLimitCycle(sys, 1<<24, bc.computeMu); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

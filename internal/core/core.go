@@ -338,6 +338,20 @@ func (s *System) AgentsAt(v int) int64 { return s.st.Agents[v] }
 // each round.
 func (s *System) AgentCountsView() []int64 { return s.st.Agents }
 
+// HoldNodes returns the nodes whose held entries the next StepHeld reads:
+// nil when the flat kernel's held tier runs the round, since it reads
+// every node, and otherwise the occupied list that the generic loop
+// walks. The schedule runner draws holds only at these nodes. The slice
+// is the system's own; callers must not mutate it, and it is stale after
+// the next step.
+func (s *System) HoldNodes() []int {
+	if s.fast != nil {
+		return nil
+	}
+	s.ensureOccupied()
+	return s.occupied
+}
+
 // Pointer returns the current port pointer of v.
 func (s *System) Pointer(v int) int { return int(s.st.Ptr[v]) }
 
@@ -530,8 +544,10 @@ func (s *System) coverAt(round int64) {
 // sparse round is equivalent to Step but deliberately takes the generic
 // path — it is the reference arm of the differential tests.
 //
-// A kernel round keeps a reference to held for ForEachFlow, so a caller
-// that reads the round's flows must leave held unchanged until then.
+// The generic path reads held only at the occupied nodes, which HoldNodes
+// lists; the flat kernels read every entry. A kernel round keeps a
+// reference to held for ForEachFlow, so a caller that reads the round's
+// flows must leave held unchanged until then.
 func (s *System) StepHeld(held []int64) {
 	if held != nil && s.fast != nil {
 		s.fast.StepHeld(&s.st, held)
@@ -584,18 +600,23 @@ func (s *System) StepHeld(held []int64) {
 		if m == 0 {
 			continue
 		}
-		d := int64(s.g.Degree(v))
-		p := int64(s.st.Ptr[v])
+		d := int32(s.g.Degree(v))
+		p := s.st.Ptr[v]
 		// The m departing agents use ports p, p+1, ..., p+m-1 (mod d):
-		// port offset j carries ceil((m-j)/d) agents.
-		lim := d
-		if m < d {
-			lim = m
+		// port offset j carries ceil((m-j)/d) agents, which is q+1 for
+		// the first r ports and q for the rest, with q, r = m/d, m mod d.
+		// With fewer movers than ports, each of the first m carries one.
+		q, r, lim := int64(0), int32(m), int32(m)
+		if m >= int64(d) {
+			q, r, lim = m/int64(d), int32(m%int64(d)), d
 		}
-		for j := int64(0); j < lim; j++ {
-			cnt := (m - j + d - 1) / d
-			port := int((p + j) % d)
-			dest := s.g.Neighbor(v, port)
+		port := p
+		for j := int32(0); j < lim; j++ {
+			cnt := q
+			if j < r {
+				cnt++
+			}
+			dest := s.g.Neighbor(v, int(port))
 			if s.st.Agents[dest] == 0 {
 				s.cand = append(s.cand, dest)
 			}
@@ -604,8 +625,14 @@ func (s *System) StepHeld(held []int64) {
 				s.coverAt(s.st.Round + 1)
 			}
 			s.st.Visits[dest] += cnt
+			if port++; port == d {
+				port = 0
+			}
 		}
-		newPtr := int32((p + m) % d)
+		newPtr := p + r // (p + m) mod d, as r ≡ m and p + r < 2d
+		if newPtr >= d {
+			newPtr -= d
+		}
 		if hashOn {
 			s.st.Hash += kernel.HashPtr(v, newPtr) - kernel.HashPtr(v, s.st.Ptr[v])
 		}

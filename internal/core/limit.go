@@ -48,8 +48,11 @@ type LimitCycle struct {
 // FindLimitCycle runs s forward until its configuration provably repeats
 // and returns the cycle parameters. On return, s is parked at a
 // configuration inside the limit cycle. If computeMu is true the exact
-// stabilization round μ is computed with a second pass over a pristine
-// copy of the initial configuration (costing about 2μ extra steps).
+// stabilization round μ is computed with a second pass over two copies, one
+// period apart. The pass starts from Brent's last snapshot before the
+// cycle when the search proved it lies before μ, and from a copy of the
+// initial configuration otherwise; it costs λ + 2(μ − T) extra steps from
+// a start T rounds after the initial configuration.
 func FindLimitCycle(s *System, maxRounds int64, computeMu bool) (*LimitCycle, error) {
 	return FindLimitCycleStop(s, maxRounds, computeMu, nil)
 }
@@ -69,13 +72,15 @@ func FindLimitCycleStop(s *System, maxRounds int64, computeMu bool, stop func() 
 	}
 
 	// Brent's cycle detection: tortoise snapshots at power-of-two rounds.
+	// prev is the snapshot before the current tortoise.
 	power := int64(1)
 	lam := int64(0)
 	tortoise := s.Clone()
+	var prev *System
 	start := s.st.Round
 	for {
 		if lam == power {
-			tortoise = s.Clone()
+			prev, tortoise = tortoise, s.Clone()
 			power *= 2
 			lam = 0
 		}
@@ -94,17 +99,28 @@ func FindLimitCycleStop(s *System, maxRounds int64, computeMu bool, stop func() 
 
 	lc := &LimitCycle{Period: lam, StabilizationRound: -1, DetectedAt: s.st.Round}
 	if computeMu {
-		mu, err := findMu(initial, lam, maxRounds, stop)
+		// The tortoise sits power − 1 rounds after start and prev power/2
+		// − 1. With λ ≤ power/2, prev was compared with the power/2 ≥ λ
+		// configurations after it without a match, and a configuration in
+		// the cycle matches itself λ rounds later: so prev lies before μ,
+		// and μ is prev's offset plus the μ search from prev.
+		from, offset := initial, int64(0)
+		if prev != nil && 2*lam <= power {
+			from, offset = prev, prev.st.Round-start
+		}
+		mu, err := findMu(from, lam, maxRounds, stop)
 		if err != nil {
 			return nil, err
 		}
-		lc.StabilizationRound = mu
+		lc.StabilizationRound = offset + mu
 	}
 	return lc, nil
 }
 
-// findMu advances a pair of copies of the initial configuration, offset by
-// the period, until they coincide; the number of rounds taken is μ.
+// findMu advances a pair of copies of the configuration initial, offset by
+// the period, until they coincide, and returns the number of rounds taken:
+// μ when initial is the configuration FindLimitCycle started from, μ − T
+// from a configuration T < μ rounds after it.
 func findMu(initial *System, period, maxRounds int64, stop func() bool) (int64, error) {
 	lead := initial.Clone()
 	lead.Run(period)

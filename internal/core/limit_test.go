@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"rotorring/internal/graph"
@@ -193,39 +194,103 @@ func TestLimitCycleIsActuallyPeriodic(t *testing.T) {
 	}
 }
 
+// TestMuIsMinimal checks the stabilization round μ that FindLimitCycle
+// reports over random rings, paths, rings with one edge masked (a restab
+// cell's shape after its fault), tori and lollipops with 1 to 2n agents,
+// on the generic, auto and fast tiers. Odd trials search after a Run, as
+// restab does from its fault round. μ must equal the μ search from a copy
+// of the start configuration, the configuration at μ must recur λ rounds
+// later, and the one at μ − 1 must not. The sample must hold each branch
+// of the μ search enough times: with power = DetectedAt − start − λ + 1,
+// the search starts from Brent's last snapshot when λ ≤ power/2 (which
+// proves μ > 0), with and without a Run before it; otherwise it starts
+// from the start configuration, with μ > 0 or μ = 0.
 func TestMuIsMinimal(t *testing.T) {
-	// The configuration at round μ recurs (it is in the cycle); the
-	// configuration at round μ-1, if μ > 0, must not recur within one
-	// period (otherwise μ would not be minimal).
 	rng := xrand.New(42)
-	for trial := 0; trial < 5; trial++ {
-		g := graph.Ring(10 + rng.Intn(20))
-		s := newTestSystem(t, g,
-			WithAgentsAt(rng.Intn(g.NumNodes())),
-			WithPointers(PointersRandom(g, rng)))
-		pristine := s.Clone()
-		lc, err := FindLimitCycle(s, 5_000_000, true)
-		if err != nil {
-			t.Fatal(err)
+	const budget = 1 << 22
+	var fromSnapshot, fromSnapshotAfterRun, fromStart, inCycle int
+	for trial := 0; trial < 300; trial++ {
+		var g *graph.Graph
+		switch trial % 5 {
+		case 0:
+			g = graph.Ring(3 + rng.Intn(38))
+		case 1:
+			g = graph.Path(2 + rng.Intn(39))
+		case 2:
+			ring := graph.Ring(4 + rng.Intn(37))
+			deleted := make([]bool, ring.NumArcs())
+			deleted[rng.Intn(ring.NumArcs())] = true
+			var err error
+			if g, _, err = graph.MaskEdges(ring, deleted); err != nil {
+				t.Fatal(err)
+			}
+		case 3:
+			g = graph.Torus2D(3+rng.Intn(3), 3+rng.Intn(3))
+		default:
+			g = graph.Lollipop(3+rng.Intn(4), 1+rng.Intn(8))
 		}
-		mu, lambda := lc.StabilizationRound, lc.Period
-
-		atMu := pristine.Clone()
-		atMu.Run(mu)
-		probe := atMu.Clone()
-		probe.Run(lambda)
-		if !probe.StateEqual(atMu) {
-			t.Fatalf("trial %d: state at μ=%d does not recur after λ=%d", trial, mu, lambda)
+		n := g.NumNodes()
+		k := 1 + rng.Intn(2*n)
+		opts := []Option{WithAgentsAt(RandomPositions(n, k, rng)...), WithPointers(PointersRandom(g, rng))}
+		var pre int64
+		if trial%2 == 1 {
+			pre = int64(1 + rng.Intn(4*n))
 		}
-		if mu > 0 {
-			before := pristine.Clone()
-			before.Run(mu - 1)
-			probe := before.Clone()
+		var first *LimitCycle
+		for _, mode := range []KernelMode{KernelGeneric, KernelAuto, KernelFast} {
+			s := newTestSystem(t, g, append(opts, WithKernelMode(mode))...)
+			s.Run(pre)
+			s.EnableConfigHash()
+			start := s.Clone()
+			lc, err := FindLimitCycle(s, budget, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mu, lambda := lc.StabilizationRound, lc.Period
+			where := fmt.Sprintf("trial %d: %s k=%d after %d rounds (kernel %s)", trial, g.Name(), k, pre, s.KernelName())
+			if want, err := findMu(start.Clone(), lambda, budget, nil); err != nil || mu != want {
+				t.Fatalf("%s: μ = %d, the μ search from the start finds %d (%v)", where, mu, want, err)
+			}
+			atMu := start.Clone()
+			atMu.Run(mu)
+			probe := atMu.Clone()
 			probe.Run(lambda)
-			if probe.StateEqual(before) {
-				t.Fatalf("trial %d: μ=%d is not minimal", trial, mu)
+			if !probe.StateEqual(atMu) {
+				t.Fatalf("%s: state at μ=%d does not recur after λ=%d", where, mu, lambda)
+			}
+			if mu > 0 {
+				before := start.Clone()
+				before.Run(mu - 1)
+				probe := before.Clone()
+				probe.Run(lambda)
+				if probe.StateEqual(before) {
+					t.Fatalf("%s: μ=%d is not minimal", where, mu)
+				}
+			}
+			if first == nil {
+				first = lc
+			} else if *lc != *first {
+				t.Fatalf("%s: limit cycle %+v, generic tier %+v", where, *lc, *first)
 			}
 		}
+		switch power := first.DetectedAt - pre - first.Period + 1; {
+		case 2*first.Period <= power:
+			fromSnapshot++
+			if pre > 0 {
+				fromSnapshotAfterRun++
+			}
+		case first.StabilizationRound == 0:
+			inCycle++
+		default:
+			fromStart++
+		}
+	}
+	t.Logf("from the snapshot: %d (%d after a Run); from the start: %d; μ = 0: %d",
+		fromSnapshot, fromSnapshotAfterRun, fromStart, inCycle)
+	const minPerBranch = 20
+	if fromSnapshotAfterRun < minPerBranch || fromSnapshot-fromSnapshotAfterRun < minPerBranch ||
+		fromStart < minPerBranch || inCycle < minPerBranch {
+		t.Fatalf("the sample holds fewer than %d searches on some branch", minPerBranch)
 	}
 }
 

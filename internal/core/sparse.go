@@ -26,7 +26,9 @@ import (
 //
 // Held rounds stay on the generic loop. A closed-form held variant
 // measured 0–10% slower at (n, k) = (128, 2), (128, 8) and (512, 32): the
-// hold draw, not the round, dominates those rounds.
+// hold draw, not the round, dominated those rounds. That was measured
+// while the schedule runner drew holds at all n nodes; it now draws only
+// at the occupied ones (HoldNodes), so the comparison is due again.
 
 // stepSparse runs one fully-active round on the ring or path named by
 // s.sparse, bit-identically to StepHeld(nil). Run and RunUntilCovered

@@ -26,8 +26,12 @@ import (
 // (bits.Sub64 compiles to flag arithmetic, no data-dependent branches).
 // With dense random occupancy both the per-node occupancy test and a
 // short-circuiting CDF scan mispredict on nearly every occupied node, which
-// costs more than the work they skip — so fill draws every node
-// unconditionally (the empty row is all sentinels, so empty nodes draw 0).
+// costs more than the work they skip — so for the flat held kernels, which
+// read every node, fill draws every node unconditionally (the empty row is
+// all sentinels, so empty nodes draw 0). The generic loop reads holds only
+// at its occupied nodes, at most k of them, so for its rounds fillAt draws
+// only at those, with the counter word fill reaches there: the same draw
+// at every node either pass writes.
 
 // smallHoldMax bounds the per-count inverse-CDF tables. Hold draws on the
 // scheduled hot path are overwhelmingly for small per-node populations
@@ -126,28 +130,49 @@ func (hd *heldDraw) drawBig(u uint64, c int64) int64 {
 	return hd.scratch.Binomial(c, hd.p)
 }
 
+// drawTiny is the draw of a node holding c <= tinyHoldMax agents from its
+// uniform word u: the borrow count against c's fixed-width row. It is
+// small enough to inline into both fill loops.
+func (hd *heldDraw) drawTiny(u uint64, c int64) int64 {
+	row := (*[tinyHoldMax]uint64)(hd.tiny[c*tinyHoldMax:])
+	_, b0 := bits.Sub64(u, row[0], 0)
+	_, b1 := bits.Sub64(u, row[1], 0)
+	_, b2 := bits.Sub64(u, row[2], 0)
+	_, b3 := bits.Sub64(u, row[3], 0)
+	return tinyHoldMax - int64(b0+b1+b2+b3)
+}
+
 // fill writes the hold count of every node into held, Binomial(c, p) for a
 // node holding c agents, reading populations from counts: empty nodes draw
 // 0 through the all-sentinel row, so the pass is branch-free node to node
-// and leaves no stale entries. This is the scheduled hot path — one flat
-// loop, no per-node calls.
+// and leaves no stale entries. This is the hot path of the flat held
+// kernels — one flat loop, with the tiny-row draws inlined.
 func (hd *heldDraw) fill(held, counts []int64, base uint64) {
 	held = held[:len(counts)]
-	tiny := &hd.tiny
 	ctr := base // advanced by heldMixStep per node: base + (v+1)·step
 	for v, c := range counts {
 		ctr += heldMixStep
 		u := xrand.Mix64(ctr)
 		if uint64(c) <= tinyHoldMax {
-			off := int(c) * tinyHoldMax
-			_, b0 := bits.Sub64(u, tiny[off], 0)
-			_, b1 := bits.Sub64(u, tiny[off+1], 0)
-			_, b2 := bits.Sub64(u, tiny[off+2], 0)
-			_, b3 := bits.Sub64(u, tiny[off+3], 0)
-			held[v] = tinyHoldMax - int64(b0+b1+b2+b3)
+			held[v] = hd.drawTiny(u, c)
 			continue
 		}
 		held[v] = hd.drawBig(u, c)
+	}
+}
+
+// fillAt writes into held the hold count of each listed node, exactly as
+// fill draws it: node v's counter word is base + (v+1)·heldMixStep, which
+// is fill's running counter at v. Entries of unlisted nodes are left as
+// they are.
+func (hd *heldDraw) fillAt(held, counts []int64, nodes []int, base uint64) {
+	for _, v := range nodes {
+		u := xrand.Mix64(base + uint64(v+1)*heldMixStep)
+		if c := counts[v]; uint64(c) <= tinyHoldMax {
+			held[v] = hd.drawTiny(u, c)
+		} else {
+			held[v] = hd.drawBig(u, c)
+		}
 	}
 }
 

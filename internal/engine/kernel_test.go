@@ -18,7 +18,11 @@ import (
 // run rings and a path with cells on each side of the density threshold,
 // so the auto arm steps the flat kernels and the sparse rounds alike, and
 // sparse cells on each side of the window entry rule, so that Run and
-// RunUntilCovered take interaction-free windows in some of them.
+// RunUntilCovered take interaction-free windows in some of them. The cover
+// cells run again under delayed deployments: held rounds of sparse cells
+// and of the generic arm run the generic loop, which draws holds only at
+// its occupied nodes, while the flat held kernels draw at every node, so
+// equal rows pin the two draw passes against each other end to end.
 func TestKernelNeverAffectsRotorResults(t *testing.T) {
 	spec := SweepSpec{
 		Topologies: []Topo{"ring", "path"},
@@ -34,6 +38,11 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 		rows, err := New(Workers(2)).Run(spec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if r.Err != "" {
+				t.Fatalf("%v cell %+v: %s", k, r.Cell, r.Err)
+			}
 		}
 		b, err := json.Marshal(rows)
 		if err != nil {
@@ -69,6 +78,12 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 	if par := marshal(KernelParallel); par != fast {
 		t.Fatal("parallel kernel changed sweep results")
 	}
+
+	spec.Schedules = []Schedule{"delay:p=0.25", "delay:p=0.5,until=64"}
+	if a, g, f := marshal(KernelAuto), marshal(KernelGeneric), marshal(KernelFast); a != g || g != f {
+		t.Fatal("kernel selection changed delayed-deployment results")
+	}
+	spec.Schedules = nil
 
 	// Return-time metric exercises cycle detection (hash-enabled clones)
 	// and the period measurement, which reads the flow view.

@@ -13,9 +13,10 @@ import (
 // root package's BenchmarkKernel benchmarks and the BENCH_engine.json
 // trajectory (TestEmitBenchJSON): the rotor tiers (generic engine, ring
 // kernel, the scheduled and mission paths) on the acceptance configuration
-// Ring(2^16), the sparse ring round against the generic engine in the
-// paper's k ≪ n regime, the same regime's interaction-free windows, the
-// serial-versus-parallel ring pair at 2^24 nodes,
+// Ring(2^16), the sparse ring round and the scheduled path against the
+// generic engine in the paper's k ≪ n regime, the same regime's
+// interaction-free windows, the serial-versus-parallel ring pair at 2^24
+// nodes,
 // and one walk pair (per-agent versus counts-based) at k = 10·n. Keeping
 // the workload in one place means `make bench-kernels` and the committed
 // JSON always measure the same thing.
@@ -137,40 +138,45 @@ func KernelBenchCases() []KernelBenchCase {
 			return w.Step, nil
 		}
 	}
-	// The schedule-path case measures the perturbation subsystem's stepping
-	// cost: the same dense rotor workload behind the schedule runner with a
-	// permanent delay regime, so every round pays the counter-based hold
-	// draws plus a fused held-kernel round — the steady-state cost of the
-	// scheduled path. Stated against rotor-generic, the gap is the price of
-	// the scenario layer, not of the wrapper (whose pass-through rounds
-	// delegate straight to the inner hot loop).
-	scheduled := func() (func(), error) {
-		g := graph.Ring(kernelBenchRotorN)
-		rng := xrand.New(1)
-		env := &JobEnv{
-			Graph: g,
-			Cell: Cell{Topology: "ring", N: kernelBenchRotorN, K: kernelBenchRotorK,
-				Placement: PlaceRandom, Pointer: PtrRandom},
-			Positions: core.RandomPositions(kernelBenchRotorN, kernelBenchRotorK, rng),
-			Seed:      1,
-			RNG:       rng,
+	// The schedule-path cases measure the perturbation subsystem's stepping
+	// cost: a rotor workload behind the schedule runner with a permanent
+	// delay regime, so every round pays the counter-based hold draws plus
+	// a held round — the steady-state cost of the scheduled path. On the
+	// dense Ring(2^16) that is an all-node draw and a fused held-kernel
+	// round; on the sparse pair's ring it is a draw at the occupied nodes
+	// and a generic-loop round. Stated against the generic engine on the
+	// same ring, the gap is the price of the scenario layer, not of the
+	// wrapper (whose pass-through rounds delegate straight to the inner hot
+	// loop).
+	scheduled := func(n, k int) func() (func(), error) {
+		return func() (func(), error) {
+			g := graph.Ring(n)
+			rng := xrand.New(1)
+			env := &JobEnv{
+				Graph: g,
+				Cell: Cell{Topology: "ring", N: n, K: k,
+					Placement: PlaceRandom, Pointer: PtrRandom},
+				Positions: core.RandomPositions(n, k, rng),
+				Seed:      1,
+				RNG:       rng,
+			}
+			p, err := newRotorProc(env)
+			if err != nil {
+				return nil, err
+			}
+			inst, err := parseSchedule("delay:p=0.25")
+			if err != nil {
+				return nil, err
+			}
+			sp, err := newScheduledProc(p, ProcRotor, inst, env)
+			if err != nil {
+				return nil, err
+			}
+			for i := 0; i < kernelBenchWarmup; i++ {
+				sp.Step()
+			}
+			return sp.Step, nil
 		}
-		p, err := newRotorProc(env)
-		if err != nil {
-			return nil, err
-		}
-		inst, err := parseSchedule("delay:p=0.25")
-		if err != nil {
-			return nil, err
-		}
-		sp, err := newScheduledProc(p, ProcRotor, inst, env)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < kernelBenchWarmup; i++ {
-			sp.Step()
-		}
-		return sp.Step, nil
 	}
 	// The mission-path case measures the mission runner's stepping cost: the
 	// same dense rotor workload with a patrol mission state attached, so
@@ -221,7 +227,7 @@ func KernelBenchCases() []KernelBenchCase {
 		{Name: "rotor-ring", Process: "rotor", Graph: ringName, K: kernelBenchRotorK,
 			Baseline: "rotor-generic", NewStepper: rotor(kernelBenchRotorN, kernelBenchRotorK, kernelBenchWarmup, 0, core.KernelFast, "ring")},
 		{Name: "rotor-sched-delay", Process: "rotor", Graph: ringName, K: kernelBenchRotorK,
-			Baseline: "rotor-generic", NewStepper: scheduled},
+			Baseline: "rotor-generic", NewStepper: scheduled(kernelBenchRotorN, kernelBenchRotorK)},
 		{Name: "rotor-mission-patrol", Process: "rotor", Graph: ringName, K: kernelBenchRotorK,
 			Baseline: "rotor-generic", NewStepper: mission},
 		{Name: "rotor-sparse-generic", Process: "rotor", Graph: sparseRing, K: kernelBenchSparseK,
@@ -229,6 +235,9 @@ func KernelBenchCases() []KernelBenchCase {
 		{Name: "rotor-sparse", Process: "rotor", Graph: sparseRing, K: kernelBenchSparseK,
 			Baseline: "rotor-sparse-generic", Rounds: kernelBenchSparseRounds,
 			NewStepper: rotor(kernelBenchSparseN, kernelBenchSparseK, kernelBenchWarmup, 0, core.KernelAuto, "ring-sparse")},
+		{Name: "rotor-sched-delay-sparse", Process: "rotor", Graph: sparseRing, K: kernelBenchSparseK,
+			Baseline: "rotor-sparse-generic", Rounds: kernelBenchSparseRounds,
+			NewStepper: scheduled(kernelBenchSparseN, kernelBenchSparseK)},
 		{Name: "rotor-window-generic", Process: "rotor", Graph: windowRing, K: kernelBenchWindowK,
 			Rounds: kernelBenchWindowRounds, Chunk: kernelBenchWindowChunk,
 			NewStepper: rotor(kernelBenchWindowN, kernelBenchWindowK, kernelBenchWarmup, kernelBenchWindowChunk, core.KernelGeneric, "generic")},

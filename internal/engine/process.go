@@ -83,12 +83,16 @@ type ReturnMeasurer interface {
 // Holder is the capability of running delayed-deployment rounds (§2.1):
 // StepHeld advances one round in which held[v] agents at node v skip their
 // move, and AgentCountsView is a zero-copy, node-indexed view of the
-// current agent counts, from which the schedule runner fills each round's
-// hold draws in one flat loop. The view is read-only and stale after the
-// next step; consumers re-fetch it every round.
+// current agent counts, from which the schedule runner draws each round's
+// holds. HoldNodes lists the nodes whose held entries the next StepHeld
+// reads, or is nil when it reads every node; the runner draws only at
+// listed nodes, and entries elsewhere keep stale values. Both views are
+// read-only and stale after the next step; consumers re-fetch them every
+// round.
 type Holder interface {
 	StepHeld(held []int64)
 	AgentCountsView() []int64
+	HoldNodes() []int
 }
 
 // Rewirer is the capability of swapping the topology mid-run (same node

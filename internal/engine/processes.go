@@ -91,6 +91,7 @@ func (p *rotorProc) ForEachFlow(fn func(v, port int, agents int64)) {
 // perturbation surface.
 func (p *rotorProc) StepHeld(held []int64)                   { p.sys.StepHeld(held) }
 func (p *rotorProc) AgentCountsView() []int64                { return p.sys.AgentCountsView() }
+func (p *rotorProc) HoldNodes() []int                        { return p.sys.HoldNodes() }
 func (p *rotorProc) Rewire(g *graph.Graph, ptrs []int) error { return p.sys.Rewire(g, ptrs) }
 func (p *rotorProc) SetPointers(ptrs []int) error            { return p.sys.SetPointers(ptrs) }
 func (p *rotorProc) AddAgents(positions ...int) error        { return p.sys.AddAgents(positions...) }

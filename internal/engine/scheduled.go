@@ -229,16 +229,24 @@ func (sp *scheduledProc) applyDue() {
 // stepHeld runs one delayed-deployment round: each agent at an occupied
 // node is held with probability HoldP (one Binomial draw per node, from the
 // counter-based hold stream keyed by round and node), and the round executes
-// on the process's held path — the fused held kernels on ring and path
-// shapes. The draws fill from the counts view, which goes stale at every
-// step, so it is re-fetched each round; the fill writes every node (empty
-// ones draw 0), so no stale hold survives into the round.
+// on the process's held path — the fused held kernels on dense ring and path
+// populations, the generic loop otherwise. The draws read the counts view,
+// which goes stale at every step, so it is re-fetched each round. A held
+// kernel reads every node, so its rounds fill every entry (empty nodes draw
+// 0); the generic loop reads only its occupied nodes, so its rounds draw
+// only at the HoldNodes list and leave stale holds elsewhere, which nothing
+// reads.
 func (sp *scheduledProc) stepHeld() {
 	h := sp.inner.(Holder)
 	if sp.held == nil {
 		sp.held = make([]int64, sp.n)
 	}
-	sp.draw.fill(sp.held, h.AgentCountsView(), sp.draw.roundBase(sp.inner.Round()))
+	base := sp.draw.roundBase(sp.inner.Round())
+	if nodes := h.HoldNodes(); nodes != nil {
+		sp.draw.fillAt(sp.held, h.AgentCountsView(), nodes, base)
+	} else {
+		sp.draw.fill(sp.held, h.AgentCountsView(), base)
+	}
 	h.StepHeld(sp.held)
 }
 
