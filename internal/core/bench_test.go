@@ -7,19 +7,25 @@ import (
 	"rotorring/internal/xrand"
 )
 
-// Ablation benchmarks for the two engine design choices called out in
-// DESIGN.md §5: (1) batched per-node fan-out versus naive per-agent moves,
-// and (2) incremental configuration hashing versus full rehash.
+// Ablation benchmarks for two engine design choices: (1) the generic
+// engine's batched per-node fan-out versus naive per-agent moves, and (2)
+// the configuration hash's upkeep. Incremental hashing serves the
+// occupied-list rounds (generic, sparse, windows), which touch O(occupied)
+// nodes; after a flat-kernel round, itself O(n), core rehashes in full.
 
-// BenchmarkAblationBatchedStep: the production engine, many agents stacked
-// on few nodes (the regime the batching targets). Each iteration replays a
-// fixed 32-round window from the stacked start so the regime cannot drift
-// as the benchmark runs longer.
+// BenchmarkAblationBatchedStep: the generic engine, forced because a dense
+// ring would select the flat kernel, with many agents stacked on few nodes
+// (the regime the batching targets). Each iteration replays a fixed
+// 32-round window from the stacked start so the regime cannot drift as the
+// benchmark runs longer.
 func BenchmarkAblationBatchedStep(b *testing.B) {
 	g := graph.Ring(1024)
-	sys, err := NewSystem(g, WithAgentsAt(AllOnNode(0, 1024)...))
+	sys, err := NewSystem(g, WithAgentsAt(AllOnNode(0, 1024)...), WithKernelMode(KernelGeneric))
 	if err != nil {
 		b.Fatal(err)
+	}
+	if got := sys.KernelName(); got != "generic" {
+		b.Fatalf("kernel %q, want generic", got)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,8 +51,8 @@ func BenchmarkAblationNaiveStep(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIncrementalHash: hash maintenance cost is already in
-// Step; this measures reading it.
+// BenchmarkAblationIncrementalHash: on the sparse ring round, hash
+// maintenance cost is already in Step; this measures reading it.
 func BenchmarkAblationIncrementalHash(b *testing.B) {
 	g := graph.Ring(4096)
 	sys, err := NewSystem(g, WithAgentsAt(EquallySpaced(4096, 32)...))
@@ -94,7 +100,9 @@ func BenchmarkStepSparseAgents(b *testing.B) {
 }
 
 // BenchmarkFindLimitCycle: end-to-end cost of cycle detection, without μ
-// on Ring(256) with k = 4, and with μ on a restab cell's shape after its
+// on Ring(256) with k = 4 (the sparse round) and on Ring(128) with k = 32,
+// the shape of the paper-grid return cells that run the flat kernel with
+// its full rehash per round, and with μ on a restab cell's shape after its
 // fault: Ring(128) with one edge masked and k = 32.
 func BenchmarkFindLimitCycle(b *testing.B) {
 	ring := graph.Ring(128)
@@ -111,6 +119,7 @@ func BenchmarkFindLimitCycle(b *testing.B) {
 		computeMu bool
 	}{
 		{"ring256-k4", graph.Ring(256), 4, false},
+		{"ring128-k32", graph.Ring(128), 32, false},
 		{"cutring128-k32-mu", cut, 32, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -42,6 +42,7 @@ import (
 
 	"rotorring/internal/graph"
 	"rotorring/internal/kernel"
+	"rotorring/internal/xrand"
 )
 
 // ErrNotCovered is returned by RunUntilCovered when the round budget is
@@ -138,6 +139,14 @@ type System struct {
 	srcCnt  []int64
 	cand    []int
 
+	// hashOn enables the configuration hash of cycle detection; hash is
+	// the hash of the current configuration while it is on. The
+	// occupied-list rounds and the mutations update it incrementally; the
+	// flat kernels do not know it, so a kernel round is followed by one
+	// O(n) rehash (afterKernel).
+	hashOn bool
+	hash   uint64
+
 	// windowRounds counts the rounds run in interaction-free windows, so
 	// that tests can assert the windows ran.
 	windowRounds int64
@@ -192,8 +201,9 @@ func WithPointers(pointers []int) Option {
 	}
 }
 
-// WithConfigHash enables incremental configuration hashing from round zero.
-// Hashing costs two mixes per moved node per round, so it is off by
+// WithConfigHash enables configuration hashing from round zero. Hashing
+// costs two mixes per moved node in an occupied-list round and two per
+// node in the O(n) rehash after a flat-kernel round, so it is off by
 // default; FindLimitCycle and MeasureReturnTime enable it on demand (see
 // EnableConfigHash), and ConfigHash self-enables on first call.
 func WithConfigHash() Option {
@@ -482,8 +492,7 @@ func (s *System) Step() {
 	switch {
 	case s.fast != nil:
 		s.fast.Step(&s.st)
-		s.occValid = false
-		s.movers, s.held = moversKernel, nil
+		s.afterKernel(nil)
 	case s.sparse != kernel.ShapeGeneral:
 		s.stepSparse()
 	default:
@@ -551,8 +560,7 @@ func (s *System) coverAt(round int64) {
 func (s *System) StepHeld(held []int64) {
 	if held != nil && s.fast != nil {
 		s.fast.StepHeld(&s.st, held)
-		s.occValid = false
-		s.movers, s.held = moversKernel, held
+		s.afterKernel(held)
 		return
 	}
 	s.ensureOccupied()
@@ -561,7 +569,7 @@ func (s *System) StepHeld(held []int64) {
 	// The occupied list is exactly the nodes with agents, before the round
 	// and after it, so the incremental hash drops each source's count at
 	// the snapshot and adds each node's new count as the rebuild appends it.
-	hashOn := s.st.HashOn
+	hashOn := s.hashOn
 
 	// Snapshot sources: moves are based on start-of-round positions.
 	s.srcNode = s.srcNode[:0]
@@ -582,7 +590,7 @@ func (s *System) StepHeld(held []int64) {
 		s.srcNode = append(s.srcNode, v)
 		s.srcCnt = append(s.srcCnt, c-h)
 		if hashOn {
-			s.st.Hash -= kernel.HashCnt(v, c)
+			s.hash -= hashCnt(v, c)
 		}
 		s.st.Agents[v] = h // held agents stay; arrivals accumulate below
 	}
@@ -634,7 +642,7 @@ func (s *System) StepHeld(held []int64) {
 			newPtr -= d
 		}
 		if hashOn {
-			s.st.Hash += kernel.HashPtr(v, newPtr) - kernel.HashPtr(v, s.st.Ptr[v])
+			s.hash += hashPtr(v, newPtr) - hashPtr(v, s.st.Ptr[v])
 		}
 		s.st.Ptr[v] = newPtr
 	}
@@ -647,7 +655,7 @@ func (s *System) StepHeld(held []int64) {
 			s.inOcc[v] = true
 			s.occupied = append(s.occupied, v)
 			if hashOn {
-				s.st.Hash += kernel.HashCnt(v, c)
+				s.hash += hashCnt(v, c)
 			}
 		}
 	}
@@ -658,32 +666,74 @@ func (s *System) StepHeld(held []int64) {
 	}
 }
 
+// afterKernel records a flat-kernel round, which touches only the flat
+// arrays: the occupied list goes stale, ForEachFlow reads the movers from
+// the counts the kernel swapped out (minus held, nil when the round was
+// fully active), and the hash is recomputed from scratch, an O(n) pass
+// like the round itself.
+func (s *System) afterKernel(held []int64) {
+	s.occValid = false
+	s.movers, s.held = moversKernel, held
+	s.rehash()
+}
+
+// The configuration hash is a sum mod 2^64 of one contribution per node
+// pointer and one per nonzero node count, so a round or mutation updates
+// it by the deltas of the nodes it touches.
+
+// hashPtr is the hash contribution of pointer state (v, p).
+func hashPtr(v int, p int32) uint64 {
+	return xrand.Mix64(uint64(v)<<32 | uint64(uint32(p)) | 1<<63)
+}
+
+// hashCnt is the hash contribution of agent-count state (v, c); zero counts
+// contribute nothing so that untouched nodes need no bookkeeping.
+func hashCnt(v int, c int64) uint64 {
+	if c == 0 {
+		return 0
+	}
+	return xrand.Mix64(uint64(v)*0x9e3779b97f4a7c15 + uint64(c))
+}
+
 // fullHash recomputes the configuration hash from scratch.
 func (s *System) fullHash() uint64 {
-	return kernel.FullHash(s.st.Ptr, s.st.Agents)
+	agents := s.st.Agents[:len(s.st.Ptr)]
+	var h uint64
+	for v, p := range s.st.Ptr {
+		h += hashPtr(v, p) + hashCnt(v, agents[v])
+	}
+	return h
 }
 
-// EnableConfigHash switches on incremental configuration hashing (one full
-// O(n) hash now, two mixes per moved node per subsequent round). It is a
-// no-op when hashing is already on. Cycle detection calls it before taking
-// snapshots so every clone inherits the enabled hash.
+// rehash recomputes the hash when hashing is on.
+func (s *System) rehash() {
+	if s.hashOn {
+		s.hash = s.fullHash()
+	}
+}
+
+// EnableConfigHash switches on configuration hashing (one full O(n) hash
+// now, then two mixes per moved node per occupied-list round and one O(n)
+// rehash per flat-kernel round). It is a no-op when hashing is already on.
+// Cycle detection calls it before taking snapshots so every clone inherits
+// the enabled hash.
 func (s *System) EnableConfigHash() {
-	if s.st.HashOn {
+	if s.hashOn {
 		return
 	}
-	s.st.HashOn = true
-	s.st.Hash = s.fullHash()
+	s.hashOn = true
+	s.hash = s.fullHash()
 }
 
-// ConfigHash returns the incrementally maintained hash of the current
-// configuration (pointers and agent positions; visit counters excluded),
-// enabling hash maintenance on first use (WithConfigHash enables it from
-// round zero instead). Equal configurations have equal hashes; unequal
-// ones collide with probability about 2^-64, so cycle detection confirms
-// with StateEqual.
+// ConfigHash returns the maintained hash of the current configuration
+// (pointers and agent positions; visit counters excluded), enabling hash
+// maintenance on first use (WithConfigHash enables it from round zero
+// instead). Equal configurations have equal hashes; unequal ones collide
+// with probability about 2^-64, so cycle detection confirms with
+// StateEqual.
 func (s *System) ConfigHash() uint64 {
 	s.EnableConfigHash()
-	return s.st.Hash
+	return s.hash
 }
 
 // StateEqual reports whether the configurations (pointers and agent
@@ -718,6 +768,8 @@ func (s *System) Clone() *System {
 		occupied:  append([]int(nil), s.occupied...),
 		inOcc:     append([]bool(nil), s.inOcc...),
 		occValid:  s.occValid,
+		hashOn:    s.hashOn,
+		hash:      s.hash,
 	}
 	// A parallel stepper carries per-shard merge scratch that must not be
 	// shared between systems, so parallel clones re-select to get their own
@@ -760,7 +812,5 @@ func (s *System) Reset() {
 	if s.st.Covered == s.n {
 		s.st.CoverRound = 0
 	}
-	if s.st.HashOn {
-		s.st.Hash = s.fullHash()
-	}
+	s.rehash()
 }

@@ -453,6 +453,24 @@ func TestIncrementalHashMatchesFullHash(t *testing.T) {
 	}
 }
 
+func TestFullHashMatchesIncrements(t *testing.T) {
+	mk := func(counts ...int64) *System {
+		return newTestSystem(t, graph.Ring(4), WithAgentCounts(counts), WithPointers([]int{0, 1, 0, 1}))
+	}
+	// Moving one agent from node 0 to node 1 must be expressible as the
+	// sum of the per-component deltas.
+	h := mk(3, 0, 2, 0).fullHash()
+	h += hashCnt(0, 2) - hashCnt(0, 3)
+	h += hashCnt(1, 1) - hashCnt(1, 0)
+	if mk(2, 1, 2, 0).fullHash() != h {
+		t.Error("incremental count delta disagrees with full recomputation")
+	}
+	// Zero counts contribute nothing, so trailing empty nodes are free.
+	if hashCnt(7, 0) != 0 {
+		t.Error("zero count hashes nonzero")
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	g := graph.Ring(12)
 	s := newTestSystem(t, g, WithAgentsAt(0, 6))

@@ -158,8 +158,8 @@ func compareSystems(t *testing.T, c diffConfig, round int, gen, fast *System) {
 	if gen.FullyActiveRounds() != fast.FullyActiveRounds() {
 		t.Fatalf("%v round %d: fullyActive %d vs %d", c, round, gen.FullyActiveRounds(), fast.FullyActiveRounds())
 	}
-	if c.hash && gen.st.Hash != fast.st.Hash {
-		t.Fatalf("%v round %d: hash %#x vs %#x", c, round, gen.st.Hash, fast.st.Hash)
+	if c.hash && gen.hash != fast.hash {
+		t.Fatalf("%v round %d: hash %#x vs %#x", c, round, gen.hash, fast.hash)
 	}
 	if !gen.StateEqual(fast) {
 		t.Fatalf("%v round %d: StateEqual false after field-wise match", c, round)
@@ -383,27 +383,53 @@ func TestKernelDifferentialReset(t *testing.T) {
 }
 
 // TestKernelPathTwoNodes exercises the path kernel's degenerate case: two
-// endpoints and no interior (the split/assemble passes run on boundary
-// terms alone).
+// endpoints and no interior. The split/assemble passes run on boundary
+// terms alone, and the held kernel's n == 2 branch swaps the endpoints'
+// movers. Fully-active rounds and held rounds (random holds, over-asking
+// and negative entries included, all held, none held) are compared with
+// the generic engine after every round, with and without hashing.
 func TestKernelPathTwoNodes(t *testing.T) {
 	g := graph.Path(2)
-	for _, counts := range [][]int64{{3, 0}, {1, 1}, {5, 2}} {
-		gen, err := NewSystem(g, WithAgentCounts(counts), WithKernelMode(KernelGeneric))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := NewSystem(g, WithAgentCounts(counts), WithKernelMode(KernelFast))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fast.KernelName() != "path" {
-			t.Fatalf("kernel %q", fast.KernelName())
-		}
-		c := diffConfig{n: 2, k: int(counts[0] + counts[1])}
-		for r := 1; r <= 16; r++ {
-			gen.Step()
-			fast.Step()
-			compareSystems(t, c, r, gen, fast)
+	rng := xrand.New(2)
+	for _, hash := range []bool{false, true} {
+		for _, counts := range [][]int64{{3, 0}, {1, 1}, {5, 2}} {
+			mk := func(mode KernelMode) *System {
+				opts := []Option{WithAgentCounts(counts), WithKernelMode(mode)}
+				if hash {
+					opts = append(opts, WithConfigHash())
+				}
+				s, err := NewSystem(g, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			gen, fast := mk(KernelGeneric), mk(KernelFast)
+			if fast.KernelName() != "path" {
+				t.Fatalf("kernel %q", fast.KernelName())
+			}
+			c := diffConfig{n: 2, k: int(counts[0] + counts[1]), hash: hash}
+			held := make([]int64, 2)
+			for r := 1; r <= 64; r++ {
+				switch r % 4 {
+				case 0:
+					gen.Step()
+					fast.Step()
+					compareSystems(t, c, r, gen, fast)
+					continue
+				case 1: // random holds in [-1, agents+1]
+					for v := range held {
+						held[v] = int64(rng.Intn(int(gen.AgentsAt(v))+3)) - 1
+					}
+				case 2: // every agent held
+					held[0], held[1] = gen.AgentsAt(0), gen.AgentsAt(1)
+				case 3: // none held, through the held kernel
+					held[0], held[1] = 0, 0
+				}
+				gen.StepHeld(held)
+				fast.StepHeld(held)
+				compareSystems(t, c, r, gen, fast)
+			}
 		}
 	}
 }
@@ -494,21 +520,21 @@ func TestConfigHashOptIn(t *testing.T) {
 
 	eager := mk(WithConfigHash())
 	lazy := mk()
-	if !eager.st.HashOn {
+	if !eager.hashOn {
 		t.Fatal("WithConfigHash did not enable hashing")
 	}
-	if lazy.st.HashOn {
+	if lazy.hashOn {
 		t.Fatal("hashing enabled without WithConfigHash")
 	}
 	eager.Run(100)
 	lazy.Run(100)
-	if lazy.st.HashOn {
+	if lazy.hashOn {
 		t.Fatal("stepping enabled hashing")
 	}
 	if eager.ConfigHash() != lazy.ConfigHash() {
 		t.Fatal("lazy ConfigHash disagrees with incrementally maintained hash")
 	}
-	if !lazy.st.HashOn {
+	if !lazy.hashOn {
 		t.Fatal("ConfigHash did not self-enable hashing")
 	}
 	// From here both maintain incrementally; they must stay in lockstep
@@ -524,7 +550,7 @@ func TestConfigHashOptIn(t *testing.T) {
 	if _, err := FindLimitCycle(probe, 1<<22, false); err != nil {
 		t.Fatal(err)
 	}
-	if !probe.st.HashOn {
+	if !probe.hashOn {
 		t.Fatal("FindLimitCycle did not enable hashing")
 	}
 }

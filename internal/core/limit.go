@@ -92,7 +92,7 @@ func FindLimitCycleStop(s *System, maxRounds int64, computeMu bool, stop func() 
 		}
 		s.Step()
 		lam++
-		if s.st.Hash == tortoise.st.Hash && s.StateEqual(tortoise) {
+		if s.hash == tortoise.hash && s.StateEqual(tortoise) {
 			break
 		}
 	}
@@ -125,7 +125,7 @@ func findMu(initial *System, period, maxRounds int64, stop func() bool) (int64, 
 	lead := initial.Clone()
 	lead.Run(period)
 	mu := int64(0)
-	for !(initial.st.Hash == lead.st.Hash && initial.StateEqual(lead)) {
+	for !(initial.hash == lead.hash && initial.StateEqual(lead)) {
 		if mu > maxRounds {
 			return 0, fmt.Errorf("%w (μ search exceeded %d rounds)", ErrNoCycle, maxRounds)
 		}

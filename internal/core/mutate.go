@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rotorring/internal/graph"
-	"rotorring/internal/kernel"
 )
 
 // This file is the mutation surface perturbation scenarios drive (the
@@ -51,9 +50,7 @@ func (s *System) Rewire(ng *graph.Graph, pointers []int) error {
 	}
 	s.movers = moversNone
 	s.reselectKernel()
-	if s.st.HashOn {
-		s.st.Hash = s.fullHash()
-	}
+	s.rehash()
 	return nil
 }
 
@@ -70,8 +67,8 @@ func (s *System) AddAgents(positions ...int) error {
 	s.ensureOccupied()
 	for _, v := range positions {
 		c := s.st.Agents[v]
-		if s.st.HashOn {
-			s.st.Hash += kernel.HashCnt(v, c+1) - kernel.HashCnt(v, c)
+		if s.hashOn {
+			s.hash += hashCnt(v, c+1) - hashCnt(v, c)
 		}
 		s.st.Agents[v] = c + 1
 		s.k++
@@ -97,8 +94,8 @@ func (s *System) RemoveAgents(positions ...int) error {
 	}
 	remove := func(v int) {
 		c := s.st.Agents[v]
-		if s.st.HashOn {
-			s.st.Hash += kernel.HashCnt(v, c-1) - kernel.HashCnt(v, c)
+		if s.hashOn {
+			s.hash += hashCnt(v, c-1) - hashCnt(v, c)
 		}
 		s.st.Agents[v] = c - 1
 		s.k--
@@ -109,8 +106,8 @@ func (s *System) RemoveAgents(positions ...int) error {
 			// legal while agents last), leaving the system unchanged.
 			for _, u := range positions[:i] {
 				c := s.st.Agents[u]
-				if s.st.HashOn {
-					s.st.Hash += kernel.HashCnt(u, c+1) - kernel.HashCnt(u, c)
+				if s.hashOn {
+					s.hash += hashCnt(u, c+1) - hashCnt(u, c)
 				}
 				s.st.Agents[u] = c + 1
 				s.k++
@@ -143,9 +140,7 @@ func (s *System) SetPointers(pointers []int) error {
 		s.st.Ptr[v] = int32(p)
 	}
 	s.movers = moversNone
-	if s.st.HashOn {
-		s.st.Hash = s.fullHash()
-	}
+	s.rehash()
 	return nil
 }
 

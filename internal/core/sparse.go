@@ -53,7 +53,7 @@ func (s *System) stepSparse() {
 	}
 	s.srcCnt = cnt
 
-	n, ring, hashOn, inOcc := s.n, s.sparse == kernel.ShapeRing, st.HashOn, s.inOcc
+	n, ring, hashOn, inOcc := s.n, s.sparse == kernel.ShapeRing, s.hashOn, s.inOcc
 	fresh := s.cand[:0]
 	var dh uint64
 	for i, v := range src {
@@ -112,7 +112,7 @@ func (s *System) stepSparse() {
 		}
 
 		if hashOn && np != p {
-			dh += kernel.HashPtr(v, np) - kernel.HashPtr(v, p)
+			dh += hashPtr(v, np) - hashPtr(v, p)
 		}
 		ptr[v] = np
 	}
@@ -124,7 +124,7 @@ func (s *System) stepSparse() {
 	for i, v := range src {
 		a := agents[v]
 		if hashOn {
-			dh += kernel.HashCnt(v, a) - kernel.HashCnt(v, cnt[i])
+			dh += hashCnt(v, a) - hashCnt(v, cnt[i])
 		}
 		if a > 0 {
 			occ = append(occ, v)
@@ -134,9 +134,9 @@ func (s *System) stepSparse() {
 	}
 	if hashOn {
 		for _, v := range fresh {
-			dh += kernel.HashCnt(v, agents[v])
+			dh += hashCnt(v, agents[v])
 		}
-		st.Hash += dh
+		s.hash += dh
 	}
 	s.occupied = append(occ, fresh...)
 	s.cand = fresh
@@ -205,7 +205,7 @@ func (s *System) window(end int64, cover bool) bool {
 	if int64(len(cur)) != s.k || end-st.Round < 2 || s.crowded() {
 		return false
 	}
-	n, ring, hashOn := s.n, s.sparse == kernel.ShapeRing, st.HashOn
+	n, ring, hashOn := s.n, s.sparse == kernel.ShapeRing, s.hashOn
 
 	// ord lists the agents' indices in cur by position. Agents in a window
 	// never meet or pass, so it stays their cyclic (ring) or linear (path)
@@ -263,9 +263,9 @@ windows:
 					a = v - 1 + 2*int(p)
 				}
 				if hashOn {
-					dh += kernel.HashCnt(a, 1) - kernel.HashCnt(v, 1)
+					dh += hashCnt(a, 1) - hashCnt(v, 1)
 					if np != p {
-						dh += kernel.HashPtr(v, np) - kernel.HashPtr(v, p)
+						dh += hashPtr(v, np) - hashPtr(v, p)
 					}
 				}
 				ptr[v] = np
@@ -292,7 +292,7 @@ windows:
 		cnt = append(cnt, 1)
 	}
 	s.occupied, s.srcNode, s.srcCnt = cur, next, cnt
-	st.Hash += dh
+	s.hash += dh
 	s.movers, s.held = moversGeneric, nil
 	st.FullyActiveRounds += round - start
 	st.Round = round

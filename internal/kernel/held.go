@@ -23,19 +23,11 @@ package kernel
 //   - FullyActiveRounds only advances when the round held no agent, which
 //     the kernel detects from the clamped held sum.
 
-func (ringStepper) StepHeld(st *State, held []int64) {
-	if !st.HashOn {
-		ringStepHeldFast(st, held)
-		return
-	}
-	ringStepHeldHash(st, held)
-}
-
-// ringStepHeldFast is the hash-off held ring round — the hot path of every
-// delay schedule. Beyond the fusion, it keeps the per-node work branch-lean:
+// StepHeld is the held ring round, the hot path of every delay schedule on
+// a dense ring. Beyond the fusion, it keeps the per-node work branch-lean:
 // the visit fold adds zero arrivals unconditionally (the identity) instead
 // of branching on the ~50% arrival test.
-func ringStepHeldFast(st *State, held []int64) {
+func (ringStepper) StepHeld(st *State, held []int64) {
 	n := st.N
 	next, _ := st.buffers()
 	// Reslice everything to n so the compiler can drop the per-node bounds
@@ -129,160 +121,24 @@ func ringStepHeldFast(st *State, held []int64) {
 	}
 }
 
-// ringStepHeldHash is the hash-maintaining held ring round (tier 2 on).
-func ringStepHeldHash(st *State, held []int64) {
-	n := st.N
-	next, _ := st.buffers()
-	cur, held, next := st.Agents[:n], held[:n], next[:n]
-	ptr, visits := st.Ptr[:n], st.Visits[:n]
-	hashOn := true
-	round := st.Round + 1
-	covered := st.Covered
-	var dh uint64
-	var heldSum int64
-
-	// Prologue: compute nodes 0 and 1. Node 0 cannot be finalized until
-	// node n-1 is computed (its arrivals wrap), so its held count and node
-	// 0/1's splits are carried to the epilogue.
-	c := cur[0]
-	h0 := held[0]
-	if h0 < 0 {
-		h0 = 0
-	} else if h0 > c {
-		h0 = c
-	}
-	m0 := c - h0
-	p := ptr[0]
-	s0 := (m0 + 1 - int64(p)) >> 1
-	np := int32((int64(p) + m0) & 1)
-	if hashOn && np != p {
-		dh += HashPtr(0, np) - HashPtr(0, p)
-	}
-	ptr[0] = np
-	heldSum += h0
-
-	c = cur[1]
-	h1 := held[1]
-	if h1 < 0 {
-		h1 = 0
-	} else if h1 > c {
-		h1 = c
-	}
-	m1 := c - h1
-	p = ptr[1]
-	s1 := (m1 + 1 - int64(p)) >> 1
-	np = int32((int64(p) + m1) & 1)
-	if hashOn && np != p {
-		dh += HashPtr(1, np) - HashPtr(1, p)
-	}
-	ptr[1] = np
-	heldSum += h1
-
-	// Main sweep: compute node u, finalize node v = u-1. Registers carry
-	// the clockwise shares of u-2 and u-1 and the held count of u-1.
-	sPrev2, sPrev, hPrev := s0, s1, h1
-	for u := 2; u < n; u++ {
-		c = cur[u]
-		h := held[u]
-		if h < 0 {
-			h = 0
-		} else if h > c {
-			h = c
-		}
-		m := c - h
-		p = ptr[u]
-		s := (m + 1 - int64(p)) >> 1
-		np = int32((int64(p) + m) & 1)
-		if hashOn && np != p {
-			dh += HashPtr(u, np) - HashPtr(u, p)
-		}
-		ptr[u] = np
-		heldSum += h
-
-		// Finalize v = u-1: arrivals are the clockwise movers of v-1 plus
-		// the anticlockwise movers of v+1 = u.
-		v := u - 1
-		a := sPrev2 + m - s
-		nv := hPrev + a
-		next[v] = nv
-		if a != 0 {
-			if visits[v] == 0 {
-				covered++
-			}
-			visits[v] += a
-		}
-		if hashOn && nv != cur[v] {
-			dh += HashCnt(v, nv) - HashCnt(v, cur[v])
-		}
-
-		sPrev2, sPrev, hPrev = sPrev, s, h
-	}
-
-	// Epilogue: finalize n-1 (arrivals wrap to node 0's movers) and node 0.
-	a := sPrev2 + m0 - s0
-	nv := hPrev + a
-	next[n-1] = nv
-	if a != 0 {
-		if visits[n-1] == 0 {
-			covered++
-		}
-		visits[n-1] += a
-	}
-	if hashOn && nv != cur[n-1] {
-		dh += HashCnt(n-1, nv) - HashCnt(n-1, cur[n-1])
-	}
-
-	a = sPrev + m1 - s1
-	nv = h0 + a
-	next[0] = nv
-	if a != 0 {
-		if visits[0] == 0 {
-			covered++
-		}
-		visits[0] += a
-	}
-	if hashOn && nv != cur[0] {
-		dh += HashCnt(0, nv) - HashCnt(0, cur[0])
-	}
-
-	if covered == n && st.Covered != n {
-		st.CoverRound = round
-	}
-	st.Covered = covered
-	if hashOn {
-		st.Hash += dh
-	}
-	st.Agents, st.Scratch = next, cur
-	st.Round = round
-	if heldSum == 0 {
-		st.FullyActiveRounds++
-	}
-}
-
 func (pathStepper) StepHeld(st *State, held []int64) {
 	n := st.N
 	cur := st.Agents
 	next, _ := st.buffers()
 	ptr, visits := st.Ptr, st.Visits
-	hashOn := st.HashOn
 	round := st.Round + 1
 	covered := st.Covered
-	var dh uint64
 	var heldSum int64
 
 	// finalize folds node v's arrivals a and stayers h into the next-round
 	// state. Small enough to inline at every call site.
 	finalize := func(v int, h, a int64) {
-		nv := h + a
-		next[v] = nv
+		next[v] = h + a
 		if a != 0 {
 			if visits[v] == 0 {
 				covered++
 			}
 			visits[v] += a
-		}
-		if hashOn && nv != cur[v] {
-			dh += HashCnt(v, nv) - HashCnt(v, cur[v])
 		}
 	}
 
@@ -323,11 +179,7 @@ func (pathStepper) StepHeld(st *State, held []int64) {
 		m1 := c - h1
 		p := ptr[1]
 		s1 := (m1 + 1 - int64(p)) >> 1
-		np := int32((int64(p) + m1) & 1)
-		if hashOn && np != p {
-			dh += HashPtr(1, np) - HashPtr(1, p)
-		}
-		ptr[1] = np
+		ptr[1] = int32((int64(p) + m1) & 1)
 		heldSum += h1
 		finalize(0, h0, s1)
 
@@ -347,11 +199,7 @@ func (pathStepper) StepHeld(st *State, held []int64) {
 			m := c - h
 			p = ptr[u]
 			s := (m + 1 - int64(p)) >> 1
-			np = int32((int64(p) + m) & 1)
-			if hashOn && np != p {
-				dh += HashPtr(u, np) - HashPtr(u, p)
-			}
-			ptr[u] = np
+			ptr[u] = int32((int64(p) + m) & 1)
 			heldSum += h
 
 			finalize(u-1, hPrev, mPrev2-sPrev2+s)
@@ -379,9 +227,6 @@ func (pathStepper) StepHeld(st *State, held []int64) {
 		st.CoverRound = round
 	}
 	st.Covered = covered
-	if hashOn {
-		st.Hash += dh
-	}
 	st.Agents, st.Scratch = next, cur
 	st.Round = round
 	if heldSum == 0 {

@@ -19,25 +19,23 @@
 //     advances exactly one round, fully active (Step) or with held agents
 //     (StepHeld, held.go), and must be bit-identical to the generic engine
 //     on the configuration state it shares: pointers, agent counts, visits,
-//     coverage, round counters, and — when State.HashOn is set —
-//     the incremental configuration hash. The differential tests in core
-//     enforce this configuration-for-configuration.
+//     coverage and round counters. The differential tests in core enforce
+//     this configuration-for-configuration.
 //
 // Tier 1 (this package) is the ring/path rotor kernel: a branch-light loop
 // over the flat count arrays with direct (v±1) mod n addressing and
 // closed-form port splitting, plus the fused held-round variants in
-// held.go. Tier 2 is the opt-in configuration hash (State.HashOn, enabled
-// by core.WithConfigHash); kernels skip all hash work when it is off.
+// held.go. Tier 2, the opt-in configuration hash of limit-cycle detection,
+// belongs to core alone: the kernels never hash, and core recomputes the
+// hash in one O(n) pass after a kernel round when hashing is on, the same
+// order as the round itself.
 // Tier 3 — counts-based binomial stepping for the random-walk baseline —
 // lives in internal/randwalk and shares this package's shape detection.
-// Orthogonally, Parallelize (parallel.go) shards a flat ring round across
-// goroutines with bit-identical results at every shard count.
+// Orthogonally, Parallelize (parallel.go) shards a fully-active flat ring
+// round across goroutines with bit-identical results at every shard count.
 package kernel
 
-import (
-	"rotorring/internal/graph"
-	"rotorring/internal/xrand"
-)
+import "rotorring/internal/graph"
 
 // State is the flat rotor-router configuration a Stepper advances. It is
 // owned by core.System, which exposes its own accessors over these arrays;
@@ -45,7 +43,9 @@ import (
 // scratch buffers are kernel-managed. A round's movements are not stored:
 // the owner derives them from the pre-round counts a kernel leaves in
 // Scratch. The paper's exit counter e_v(t) is not stored either; by
-// conservation it is Visits[v] − Agents[v].
+// conservation it is Visits[v] − Agents[v]. Nor is the configuration hash:
+// core keeps it, and recomputes it in O(n) after a kernel round when
+// hashing is on.
 type State struct {
 	// N is the number of nodes.
 	N int
@@ -68,20 +68,11 @@ type State struct {
 	Round             int64
 	FullyActiveRounds int64
 
-	// HashOn enables incremental configuration hashing (tier 2). When off —
-	// the default — neither the generic engine nor the kernels spend any
-	// time on hash bookkeeping. Hash is only meaningful while HashOn.
-	HashOn bool
-	Hash   uint64
-
 	// Scratch is the kernels' double buffer for next-round agent counts
 	// and Split their per-node departing-split scratch. Both are allocated
-	// lazily on first specialized step. Active is the parallel held
-	// stepper's per-node mover scratch (the serial kernels keep movers in
-	// registers), allocated lazily on first parallel held round.
+	// lazily on first specialized step.
 	Scratch []int64
 	Split   []int64
-	Active  []int64
 }
 
 // NewState allocates a zeroed State for n nodes (coverage fields are set by
@@ -105,7 +96,6 @@ func (st *State) Clone() State {
 	c.Visits = append([]int64(nil), st.Visits...)
 	c.Scratch = nil
 	c.Split = nil
-	c.Active = nil
 	return c
 }
 
@@ -114,7 +104,8 @@ func (st *State) Clone() State {
 // state lives in the State), so one Stepper value may serve many systems;
 // the parallel stepper returned by Parallelize carries merge scratch and
 // must be per-system. A single State must not be stepped from two
-// goroutines at once.
+// goroutines at once. Steppers never hash: a hashing owner rehashes the
+// configuration after each kernel round.
 type Stepper interface {
 	// Name identifies the kernel ("ring", "path") for logs and benchmarks.
 	Name() string
@@ -216,8 +207,9 @@ func isPathShape(g *graph.Graph, n int) bool {
 //	Path(4096)            1.47    1.04   0.87
 //
 // Both shapes cross near n/4, the ring a little above and the path a
-// little below; hashed rounds cross a little above it (Ring(128) 1.31 and
-// Path(128) 1.11 at n/4, 1.12 and 0.97 at 5n/16). One constant serves
+// little below. Hashed rounds, where the flat kernel pays core's O(n)
+// rehash, cross a little above it, measured the same way: Ring(128) 1.24
+// and Path(128) 1.20 at n/4, 1.03 and 0.87 at 5n/16. One constant serves
 // both shapes.
 const DenseFraction = 4
 
@@ -235,28 +227,4 @@ func Select(g *graph.Graph, k int64, force bool) (Stepper, Shape) {
 		return ringStepper{}, shape
 	}
 	return pathStepper{}, shape
-}
-
-// HashPtr is the hash contribution of pointer state (v, p).
-func HashPtr(v int, p int32) uint64 {
-	return xrand.Mix64(uint64(v)<<32 | uint64(uint32(p)) | 1<<63)
-}
-
-// HashCnt is the hash contribution of agent-count state (v, c); zero counts
-// contribute nothing so that untouched nodes need no bookkeeping.
-func HashCnt(v int, c int64) uint64 {
-	if c == 0 {
-		return 0
-	}
-	return xrand.Mix64(uint64(v)*0x9e3779b97f4a7c15 + uint64(c))
-}
-
-// FullHash recomputes the configuration hash of (ptr, agents) from scratch.
-func FullHash(ptr []int32, agents []int64) uint64 {
-	var h uint64
-	for v := range ptr {
-		h += HashPtr(v, ptr[v])
-		h += HashCnt(v, agents[v])
-	}
-	return h
 }

@@ -9,8 +9,7 @@ import (
 // The full behavioral contract — bit-identical equivalence with the
 // generic engine — is enforced by the differential suite in internal/core
 // (which owns both engines). These tests cover the package's own
-// primitives: shape detection, selection policy, hashing and state
-// cloning.
+// primitives: shape detection, selection policy and state cloning.
 
 func TestDetectShape(t *testing.T) {
 	cases := []struct {
@@ -64,26 +63,6 @@ func TestSelectPolicy(t *testing.T) {
 		if got != tc.want || shape != tc.shape {
 			t.Errorf("%s: kernel %q shape %v, want %q %v", tc.name, got, shape, tc.want, tc.shape)
 		}
-	}
-}
-
-func TestFullHashMatchesIncrements(t *testing.T) {
-	ptr := []int32{0, 1, 0, 1}
-	agents := []int64{3, 0, 2, 0}
-	h := FullHash(ptr, agents)
-	// Moving one agent from node 0 to node 1 must be expressible as the
-	// sum of the per-component deltas.
-	h2 := h
-	h2 += HashCnt(0, 2) - HashCnt(0, 3)
-	h2 += HashCnt(1, 1) - HashCnt(1, 0)
-	ptr2 := []int32{0, 1, 0, 1}
-	agents2 := []int64{2, 1, 2, 0}
-	if FullHash(ptr2, agents2) != h2 {
-		t.Error("incremental count delta disagrees with full recomputation")
-	}
-	// Zero counts contribute nothing, so trailing empty nodes are free.
-	if HashCnt(7, 0) != 0 {
-		t.Error("zero count hashes nonzero")
 	}
 }
 

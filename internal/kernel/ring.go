@@ -12,8 +12,8 @@ package kernel
 //     the new pointer (p+m) mod 2 equals p when m = 0.
 //  2. assemble: arrivals at v are a pure function of the neighbors' counts
 //     and splits, written sequentially into the double buffer.
-//  3. finishRound (shared): fold arrivals into visit/coverage counters,
-//     maintain the opt-in hash, swap buffers.
+//  3. finishRound (shared): fold arrivals into visit/coverage counters and
+//     swap buffers.
 //
 // Degree-2 split law (the paper's round rule specialized to d = 2): the m
 // agents leaving v use ports p, p+1, …, p+m-1 (mod 2), so port p carries
@@ -33,10 +33,9 @@ func (st *State) buffers() (next, split []int64) {
 }
 
 // finishRound folds the arrivals assembled in next into visits and
-// coverage, maintains the count half of the incremental hash when enabled,
-// and swaps the buffers, leaving the start-of-round counts cur in Scratch;
-// dh is the pointer-hash delta accumulated by the split pass.
-func (st *State) finishRound(cur, next []int64, dh uint64) {
+// coverage and swaps the buffers, leaving the start-of-round counts cur in
+// Scratch.
+func (st *State) finishRound(cur, next []int64) {
 	round := st.Round + 1
 	visits := st.Visits
 	if covered := st.Covered; covered == st.N {
@@ -62,15 +61,6 @@ func (st *State) finishRound(cur, next []int64, dh uint64) {
 		st.Covered = covered
 	}
 
-	if st.HashOn {
-		for v, a := range next {
-			if a != cur[v] {
-				dh += HashCnt(v, a) - HashCnt(v, cur[v])
-			}
-		}
-		st.Hash += dh
-	}
-
 	st.Agents, st.Scratch = next, cur
 	st.Round = round
 	st.FullyActiveRounds++
@@ -86,27 +76,12 @@ func (ringStepper) Step(st *State) {
 	cur := st.Agents
 	next, split := st.buffers()
 	ptr := st.Ptr
-	var dh uint64
 
 	// Split pass: split[v] is the clockwise (port 0) share of cur[v].
-	if st.HashOn {
-		for v, m := range cur {
-			if m == 0 {
-				split[v] = 0
-				continue
-			}
-			p := ptr[v]
-			split[v] = (m + 1 - int64(p)) >> 1
-			np := int32((int64(p) + m) & 1)
-			dh += HashPtr(v, np) - HashPtr(v, p)
-			ptr[v] = np
-		}
-	} else {
-		for v, m := range cur {
-			p := int64(ptr[v])
-			split[v] = (m + 1 - p) >> 1
-			ptr[v] = int32((p + m) & 1)
-		}
+	for v, m := range cur {
+		p := int64(ptr[v])
+		split[v] = (m + 1 - p) >> 1
+		ptr[v] = int32((p + m) & 1)
 	}
 
 	// Assemble pass: arrivals at v are the clockwise movers of v-1 plus
@@ -117,7 +92,7 @@ func (ringStepper) Step(st *State) {
 	}
 	next[n-1] = split[n-2] + cur[0] - split[0]
 
-	st.finishRound(cur, next, dh)
+	st.finishRound(cur, next)
 }
 
 // pathStepper is the tier-1 kernel for graph.Path topologies. Interior
@@ -132,33 +107,17 @@ func (pathStepper) Step(st *State) {
 	cur := st.Agents
 	next, split := st.buffers()
 	ptr := st.Ptr
-	var dh uint64
 
 	// Split pass: split[v] is the leftward (port 0) share of cur[v]. The
 	// endpoints send everything through their only port: node 0 has no
 	// left arc (split 0), node n-1 only the left arc (split all).
 	split[0] = 0
 	split[n-1] = cur[n-1]
-	if st.HashOn {
-		for v := 1; v < n-1; v++ {
-			m := cur[v]
-			if m == 0 {
-				split[v] = 0
-				continue
-			}
-			p := ptr[v]
-			split[v] = (m + 1 - int64(p)) >> 1
-			np := int32((int64(p) + m) & 1)
-			dh += HashPtr(v, np) - HashPtr(v, p)
-			ptr[v] = np
-		}
-	} else {
-		for v := 1; v < n-1; v++ {
-			m := cur[v]
-			p := int64(ptr[v])
-			split[v] = (m + 1 - p) >> 1
-			ptr[v] = int32((p + m) & 1)
-		}
+	for v := 1; v < n-1; v++ {
+		m := cur[v]
+		p := int64(ptr[v])
+		split[v] = (m + 1 - p) >> 1
+		ptr[v] = int32((p + m) & 1)
 	}
 
 	// Assemble pass: arrivals at v are the rightward movers of v-1 plus
@@ -169,5 +128,5 @@ func (pathStepper) Step(st *State) {
 	}
 	next[n-1] = cur[n-2] - split[n-2]
 
-	st.finishRound(cur, next, dh)
+	st.finishRound(cur, next)
 }

@@ -389,6 +389,58 @@ func TestTopologyFacades(t *testing.T) {
 	}
 }
 
+// TestRunMatchesSteps: Run(r) ends where r Steps do. Without TrackDomains
+// Run hands the rounds to the rotor, which on a sparse ring with n ≥ 8k²
+// takes interaction-free windows; with it Run steps through the tracker.
+func TestRunMatchesSteps(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n, k int
+		tier string
+		opts []SimOption
+	}{
+		{"windowed ring", 512, 4, "ring-sparse", nil},
+		{"tracked ring", 96, 24, "ring", []SimOption{TrackDomains()}},
+	} {
+		build := func() *RotorSim {
+			opts := append([]SimOption{Agents(tc.k), Place(PlaceRandom),
+				Pointers(PointerRandom), Seed(7)}, tc.opts...)
+			sim, err := newRotorSim(Ring(tc.n), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sim
+		}
+		run, step := build(), build()
+		if run.KernelName() != tc.tier {
+			t.Fatalf("%s: kernel %q, want %q", tc.name, run.KernelName(), tc.tier)
+		}
+		for _, r := range []int64{0, 1, 37, 1000, 1 << 16} {
+			if err := run.Run(r); err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < r; i++ {
+				step.Step()
+			}
+			if run.Round() != step.Round() || !reflect.DeepEqual(run.Positions(), step.Positions()) ||
+				run.sys.CoverRound() != step.sys.CoverRound() {
+				t.Fatalf("%s after Run(%d): round %d, positions %v, cover round %d; stepped %d, %v, %d",
+					tc.name, r, run.Round(), run.Positions(), run.sys.CoverRound(),
+					step.Round(), step.Positions(), step.sys.CoverRound())
+			}
+			for v := 0; v < tc.n; v++ {
+				if run.Pointer(v) != step.Pointer(v) || run.Visits(v) != step.Visits(v) {
+					t.Fatalf("%s after Run(%d): node %d pointer %d visits %d; stepped %d, %d",
+						tc.name, r, v, run.Pointer(v), run.Visits(v), step.Pointer(v), step.Visits(v))
+				}
+			}
+		}
+		if run.sys.CoverRound() < 0 {
+			t.Errorf("%s: never covered, so the cover round went unchecked", tc.name)
+		}
+	}
+}
+
 func TestRotorSimAccessors(t *testing.T) {
 	sim, err := newRotorSim(Ring(16), Agents(2), Place(PlaceEqualSpacing))
 	if err != nil {

@@ -270,13 +270,20 @@ func (s *RotorSim) Step() {
 }
 
 // Run advances the given number of rounds. A negative count is an error
-// and leaves the simulation untouched.
+// and leaves the simulation untouched. Without TrackDomains the rotor runs
+// the rounds itself, through interaction-free windows where the sparse
+// ring and path tier opens them; with it every round steps through the
+// tracker.
 func (s *RotorSim) Run(rounds int64) error {
 	if rounds < 0 {
 		return errNegativeRounds(rounds)
 	}
+	if s.tracker == nil {
+		s.sys.Run(rounds)
+		return nil
+	}
 	for i := int64(0); i < rounds; i++ {
-		s.Step()
+		s.tracker.Step()
 	}
 	return nil
 }
