@@ -13,11 +13,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"rotorring/internal/core"
+	"rotorring/internal/engine"
 	"rotorring/internal/graph"
 	"rotorring/internal/ringdom"
 	"rotorring/internal/viz"
+	"rotorring/internal/xrand"
 )
 
 func main() {
@@ -31,8 +34,8 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("domainviz", flag.ContinueOnError)
 	n := fs.Int("n", 96, "ring size")
 	k := fs.Int("k", 3, "number of agents")
-	place := fs.String("place", "equal", "placement: single|equal")
-	pointers := fs.String("pointers", "negative", "pointer init: zero|negative|toward")
+	place := fs.String("place", "equal", "placement: "+strings.Join(engine.PlacementNames(), "|"))
+	pointers := fs.String("pointers", "negative", "pointer init: "+strings.Join(engine.PointerNames(), "|"))
 	frames := fs.Int("frames", 10, "number of frames to render")
 	every := fs.Int64("every", 0, "rounds between frames (0 = n/2)")
 	warmup := fs.Int64("warmup", 0, "rounds before the first frame")
@@ -44,28 +47,21 @@ func run(args []string, out io.Writer) error {
 		*every = int64(*n / 2)
 	}
 
+	pl, err := engine.ParsePlacement(*place)
+	if err != nil {
+		return err
+	}
+	pt, err := engine.ParsePointer(*pointers)
+	if err != nil {
+		return err
+	}
 	g := graph.Ring(*n)
-	var starts []int
-	switch *place {
-	case "single":
-		starts = core.AllOnNode(0, *k)
-	case "equal":
-		starts = core.EquallySpaced(*n, *k)
-	default:
-		return fmt.Errorf("unknown placement %q", *place)
+	rng := xrand.New(1) // random policies draw from the facade's default seed
+	starts, err := pl.Positions(g, *k, rng)
+	if err != nil {
+		return err
 	}
-	var ptr []int
-	var err error
-	switch *pointers {
-	case "zero":
-		ptr = core.PointersUniform(g, 0)
-	case "negative":
-		ptr, err = core.PointersNegative(g, starts)
-	case "toward":
-		ptr, err = core.PointersTowardNode(g, 0)
-	default:
-		return fmt.Errorf("unknown pointer init %q", *pointers)
-	}
+	ptr, err := pt.Pointers(g, starts, rng)
 	if err != nil {
 		return err
 	}
@@ -82,7 +78,7 @@ func run(args []string, out io.Writer) error {
 	}
 	tr.Run(*warmup)
 
-	fmt.Fprintf(out, "ring n=%d, k=%d, placement=%s, pointers=%s\n", *n, *k, *place, *pointers)
+	fmt.Fprintf(out, "ring n=%d, k=%d, placement=%s, pointers=%s\n", *n, *k, pl, pt)
 	fmt.Fprintf(out, "legend: letters = lazy domains, * = agent, . = visited (non-lazy), # = unvisited\n")
 	fmt.Fprintf(out, "borders: | vertex-type, ^^ edge-type, ~ unsettled\n\n")
 

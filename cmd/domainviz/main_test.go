@@ -56,3 +56,23 @@ func TestBadInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestPoliciesFromEngine: -place and -pointers resolve through the
+// engine's placement and pointer vocabularies, so an unknown name lists
+// the engine's spellings and the random policies render.
+func TestPoliciesFromEngine(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-place", "nowhere"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "single|equal|random") {
+		t.Errorf("unknown -place: error %v, want the placements single|equal|random", err)
+	}
+	buf.Reset()
+	err = run([]string{"-n", "48", "-k", "3", "-place", "random", "-pointers", "random", "-frames", "2"}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "placement=random, pointers=random") || strings.Count(out, "round ") != 2 {
+		t.Errorf("random policies did not render two frames:\n%s", out)
+	}
+}

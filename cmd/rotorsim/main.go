@@ -75,22 +75,22 @@ func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rotorsim", flag.ContinueOnError)
-	topology := fs.String("topology", "ring", "comma-separated topology specs, e.g. ring,grid:64x32,torus:128x8,rr:3 (families: "+strings.Join(engine.TopologyNames(), "|")+"); self-sized specs ignore -n")
+	topology := fs.String("topology", "ring", "comma-separated topology specs, e.g. ring,grid:64x32,torus:128x8,rr:3 (families: "+strings.Join(engine.Topologies.Names(), "|")+"); self-sized specs ignore -n")
 	nFlag := fs.String("n", "1024", "size parameter list for axis-sized topologies (nodes; side length for grid/torus; dimension for hypercube; levels for btree)")
 	kFlag := fs.String("k", "4", "agent count list")
-	place := fs.String("place", "equal", "placement list: single|equal|random")
-	pointers := fs.String("pointers", "zero", "pointer init list: zero|negative|toward|random")
+	place := fs.String("place", "equal", "placement list: "+strings.Join(engine.PlacementNames(), "|"))
+	pointers := fs.String("pointers", "zero", "pointer init list: "+strings.Join(engine.PointerNames(), "|"))
 	seed := fs.Uint64("seed", 1, "base seed; per-job seeds are derived from it and the configuration")
-	process := fs.String("process", "", "process to run: "+strings.Join(engine.ProcessNames(), "|")+" (default rotor)")
-	metric := fs.String("metric", "", "metric to measure: "+strings.Join(engine.MetricNames(), "|")+" (default cover)")
+	process := fs.String("process", "", "process to run: "+strings.Join(engine.Processes.Names(), "|")+" (default rotor)")
+	metric := fs.String("metric", "", "metric to measure: "+strings.Join(engine.Metrics.Names(), "|")+" (default cover)")
 	probes := fs.String("probes", "", "stride-sampled probes as name:stride pairs, e.g. coverage:256,histogram:1024 (names: "+strings.Join(probe.Names(), "|")+"); series appear in jsonl rows")
-	schedule := fs.String("schedule", "none", "comma-separated perturbation schedules, e.g. none,delay:p=0.25,edgefail:t=1000,count=4 — note count/repair keys belong to the preceding spec (families: "+strings.Join(engine.ScheduleNames(), "|")+")")
-	mission := fs.String("mission", "none", "comma-separated missions, e.g. none,explore,patrol:horizon=4096 — note warmup/window keys belong to the preceding spec (families: "+strings.Join(engine.MissionNames(), "|")+")")
+	schedule := fs.String("schedule", "none", "comma-separated perturbation schedules, e.g. none,delay:p=0.25,edgefail:t=1000,count=4 — note count/repair keys belong to the preceding spec (families: "+strings.Join(engine.Schedules.Names(), "|")+")")
+	mission := fs.String("mission", "none", "comma-separated missions, e.g. none,explore,patrol:horizon=4096 — note warmup/window keys belong to the preceding spec (families: "+strings.Join(engine.Missions.Names(), "|")+")")
 	trials := fs.Int("trials", 16, "trials for the walk expectation estimate (walk replicas)")
 	replicas := fs.Int("replicas", 1, "replicas per grid cell, each with a derived seed")
 	workers := fs.Int("workers", 0, "sweep engine worker pool size (0 = GOMAXPROCS); never affects results")
-	kernelFlag := fs.String("kernel", "auto", "stepping tier: auto|generic|fast|parallel; rotor results are bit-identical across tiers, walk trials are resampled (statistically equivalent)")
-	format := fs.String("format", "text", "output format: text, or a registered sink: "+strings.Join(engine.SinkNames(), "|"))
+	kernelFlag := fs.String("kernel", "auto", "stepping tier: "+strings.Join(engine.KernelNames(), "|")+"; rotor results are bit-identical across tiers, walk trials are resampled (statistically equivalent)")
+	format := fs.String("format", "text", "output format: text, or a registered sink: "+strings.Join(engine.Sinks.Names(), "|"))
 	budget := fs.Int64("budget", 0, "round budget (0 = automatic)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -110,15 +110,13 @@ func run(args []string, out io.Writer) error {
 	}
 	// Registry names fail fast, before any grid expansion or engine work,
 	// so a typo dies with the registered list instead of mid-sweep.
-	if _, ok := engine.LookupProcess(procName); !ok {
-		return fmt.Errorf("-process: unknown process %q (registered: %s)",
-			procName, strings.Join(engine.ProcessNames(), "|"))
+	if _, err := engine.Processes.Get(procName); err != nil {
+		return fmt.Errorf("-process: %w", err)
 	}
 	metricName := strings.ToLower(*metric)
 	if metricName != "" {
-		if _, ok := engine.LookupMetric(metricName); !ok {
-			return fmt.Errorf("-metric: unknown metric %q (registered: %s)",
-				metricName, strings.Join(engine.MetricNames(), "|"))
+		if _, err := engine.Metrics.Get(metricName); err != nil {
+			return fmt.Errorf("-metric: %w", err)
 		}
 	}
 
@@ -166,7 +164,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	scheds := make([]engine.Schedule, 0, 1)
-	for _, p := range splitSpecs(*schedule, engine.LookupSchedule) {
+	for _, p := range splitSpecs(*schedule, engine.Schedules.Lookup) {
 		sc, err := engine.ParseSchedule(p)
 		if err != nil {
 			return fmt.Errorf("-schedule: %w", err)
@@ -176,7 +174,7 @@ func run(args []string, out io.Writer) error {
 	// Mission names fail fast like every other registry flag: a typo dies
 	// here with the registered list instead of mid-sweep.
 	missions := make([]engine.Mission, 0, 1)
-	for _, p := range splitSpecs(*mission, engine.LookupMission) {
+	for _, p := range splitSpecs(*mission, engine.Missions.Lookup) {
 		mi, err := engine.ParseMission(p)
 		if err != nil {
 			return fmt.Errorf("-mission: %w", err)

@@ -305,7 +305,7 @@ func TestMissionRun(t *testing.T) {
 // TestSplitSpecs: the family-aware comma split keeps parameter fragments
 // attached to their spec, for schedules and missions alike.
 func TestSplitSpecs(t *testing.T) {
-	got := splitSpecs("none, edgefail:t=10,count=2 ,churn:join=1@2,leave=3@4,reset:t=9", engine.LookupSchedule)
+	got := splitSpecs("none, edgefail:t=10,count=2 ,churn:join=1@2,leave=3@4,reset:t=9", engine.Schedules.Lookup)
 	want := []string{"none", "edgefail:t=10,count=2", "churn:join=1@2,leave=3@4", "reset:t=9"}
 	if len(got) != len(want) {
 		t.Fatalf("splitSpecs = %q, want %q", got, want)
@@ -316,7 +316,7 @@ func TestSplitSpecs(t *testing.T) {
 		}
 	}
 
-	got = splitSpecs("explore, patrol:horizon=64,warmup=8 ,quiesce:window=16,balance:horizon=9", engine.LookupMission)
+	got = splitSpecs("explore, patrol:horizon=64,warmup=8 ,quiesce:window=16,balance:horizon=9", engine.Missions.Lookup)
 	want = []string{"explore", "patrol:horizon=64,warmup=8", "quiesce:window=16", "balance:horizon=9"}
 	if len(got) != len(want) {
 		t.Fatalf("splitSpecs = %q, want %q", got, want)

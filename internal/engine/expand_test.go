@@ -210,7 +210,7 @@ func TestRowBytesRoundTrip(t *testing.T) {
 // unknown names fail with the registered list, and the summary format
 // renders the same table the SummarySink always produced.
 func TestSinkRegistry(t *testing.T) {
-	names := SinkNames()
+	names := Sinks.Names()
 	for _, want := range []string{"csv", "jsonl", "summary"} {
 		found := false
 		for _, n := range names {
@@ -219,7 +219,7 @@ func TestSinkRegistry(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("SinkNames() = %v, missing %q", names, want)
+			t.Errorf("Sinks.Names() = %v, missing %q", names, want)
 		}
 	}
 	if _, err := NewSink("nope", nil); err == nil || !strings.Contains(err.Error(), "registered:") {

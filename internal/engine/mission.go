@@ -2,18 +2,16 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
+
+	"rotorring/internal/registry"
 )
 
-// This file is the engine's mission registry, the sixth registry next to
-// processes, metrics (process.go), topologies (topology.go), schedules
-// (schedule.go) and sinks (sinkregistry.go): sweeps name their termination
-// predicate and mission-scoped metrics as parameterized spec strings, and
-// the registry supplies the parser, the deterministic compiler and the
-// per-job state factory, so a new mission family plugs in with one
-// RegisterMission call — no engine edits, no new spec fields.
+// This file is the engine's mission registry: sweeps name their
+// termination predicate and mission-scoped metrics as parameterized spec
+// strings, and the registry supplies the parser, the deterministic
+// compiler and the per-job state factory, so a new mission family plugs in
+// with one RegisterMission call — no engine edits, no new spec fields.
 //
 // Spec grammar (case-insensitive, canonicalized to lower case):
 //
@@ -115,49 +113,17 @@ type MissionDef struct {
 	New func(plan *MissionPlan, procName string, env *JobEnv, p Proc) (MissionState, error)
 }
 
-var (
-	missionMu sync.RWMutex
-	missions  = map[string]*MissionDef{}
-)
+// Missions is the mission-family registry.
+var Missions = registry.New[*MissionDef]("engine", "mission")
 
-// RegisterMission adds a mission family to the registry. Names are
-// normalized to lower case (specs lowercase their input before lookup);
-// duplicate names panic: family names appear in specs, rows and derived
-// file formats and must stay unambiguous.
+// RegisterMission adds a mission family to Missions under its lower-cased
+// name.
 func RegisterMission(d *MissionDef) {
-	if d.Name == "" || d.Parse == nil || d.Compile == nil || d.New == nil {
-		panic("engine: RegisterMission needs a name, a parser, a compiler and a state factory")
+	if d.Parse == nil || d.Compile == nil || d.New == nil {
+		panic("engine: RegisterMission needs a parser, a compiler and a state factory")
 	}
 	d.Name = strings.ToLower(d.Name)
-	if strings.ContainsAny(d.Name, ": \t\n") {
-		panic(fmt.Sprintf("engine: mission name %q may not contain ':' or spaces", d.Name))
-	}
-	missionMu.Lock()
-	defer missionMu.Unlock()
-	if _, dup := missions[d.Name]; dup {
-		panic(fmt.Sprintf("engine: duplicate mission %q", d.Name))
-	}
-	missions[d.Name] = d
-}
-
-// LookupMission returns a registered family by name.
-func LookupMission(name string) (*MissionDef, bool) {
-	missionMu.RLock()
-	defer missionMu.RUnlock()
-	d, ok := missions[name]
-	return d, ok
-}
-
-// MissionNames lists the registered family names, sorted.
-func MissionNames() []string {
-	missionMu.RLock()
-	defer missionMu.RUnlock()
-	names := make([]string, 0, len(missions))
-	for n := range missions {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	Missions.Add(d.Name, d)
 }
 
 // missionInstance is the parsed, compiled form of one mission spec.
@@ -182,15 +148,11 @@ func (mi missionInstance) cellName() string {
 // parseMission parses, validates and compiles one spec string against the
 // registry.
 func parseMission(s string) (missionInstance, error) {
-	str := strings.ToLower(strings.TrimSpace(s))
-	name, params, _ := strings.Cut(str, ":")
-	name = strings.TrimSpace(name)
-	def, ok := LookupMission(name)
-	if !ok {
-		return missionInstance{}, fmt.Errorf("engine: unknown mission %q (registered: %s)",
-			name, strings.Join(MissionNames(), "|"))
+	def, str, params, err := Missions.Split(s)
+	if err != nil {
+		return missionInstance{}, err
 	}
-	canon, err := def.Parse(strings.TrimSpace(params))
+	canon, err := def.Parse(params)
 	if err != nil {
 		return missionInstance{}, fmt.Errorf("engine: mission %q: %w", str, err)
 	}

@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"rotorring/internal/graph"
+	"rotorring/internal/registry"
 	"rotorring/internal/xrand"
 	"rotorring/probe"
 )
@@ -255,89 +253,34 @@ type MetricDef struct {
 	Measure func(p Proc, env *JobEnv, budget int64, row *Row)
 }
 
+// Processes and Metrics are the process and metric registries.
 var (
-	registryMu sync.RWMutex
-	processes  = map[string]*ProcessDef{}
-	metrics    = map[string]*MetricDef{}
+	Processes = registry.New[*ProcessDef]("engine", "process")
+	Metrics   = registry.New[*MetricDef]("engine", "metric")
 )
 
-// RegisterProcess adds a process to the registry. Names are normalized to
-// lower case (specs and CLI flags lowercase their inputs before lookup,
-// so a mixed-case registration would be unreachable). Duplicate names
-// panic: process names appear in specs, rows and derived file formats and
-// must stay unambiguous.
+// RegisterProcess adds a process to Processes under its lower-cased name.
 func RegisterProcess(d *ProcessDef) {
-	if d.Name == "" || d.New == nil {
-		panic("engine: RegisterProcess needs a name and a factory")
+	if d.New == nil {
+		panic("engine: RegisterProcess needs a factory")
 	}
 	d.Name = strings.ToLower(d.Name)
 	if d.BudgetHeadroom < 1 {
 		d.BudgetHeadroom = 1
 	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := processes[d.Name]; dup {
-		panic(fmt.Sprintf("engine: duplicate process %q", d.Name))
-	}
-	processes[d.Name] = d
+	Processes.Add(d.Name, d)
 }
 
-// RegisterMetric adds a metric to the registry. Names are normalized to
-// lower case (see RegisterProcess); duplicate names panic.
+// RegisterMetric adds a metric to Metrics under its lower-cased name.
 func RegisterMetric(d *MetricDef) {
-	if d.Name == "" || d.Measure == nil {
-		panic("engine: RegisterMetric needs a name and a measurement")
+	if d.Measure == nil {
+		panic("engine: RegisterMetric needs a measurement")
 	}
 	d.Name = strings.ToLower(d.Name)
 	if d.BudgetHeadroom < 1 {
 		d.BudgetHeadroom = 1
 	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := metrics[d.Name]; dup {
-		panic(fmt.Sprintf("engine: duplicate metric %q", d.Name))
-	}
-	metrics[d.Name] = d
-}
-
-// LookupProcess returns a registered process by name.
-func LookupProcess(name string) (*ProcessDef, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	d, ok := processes[name]
-	return d, ok
-}
-
-// LookupMetric returns a registered metric by name.
-func LookupMetric(name string) (*MetricDef, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	d, ok := metrics[name]
-	return d, ok
-}
-
-// ProcessNames lists the registered process names, sorted.
-func ProcessNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(processes))
-	for n := range processes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// MetricNames lists the registered metric names, sorted.
-func MetricNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(metrics))
-	for n := range metrics {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	Metrics.Add(d.Name, d)
 }
 
 // AutoBudget is the library's one automatic round-budget rule, shared by
@@ -351,10 +294,10 @@ func MetricNames() []string {
 func AutoBudget(g *graph.Graph, process, metric string) int64 {
 	b := CoverBudget(g)
 	factor := int64(1)
-	if d, ok := LookupProcess(process); ok && d.BudgetHeadroom > factor {
+	if d, ok := Processes.Lookup(process); ok && d.BudgetHeadroom > factor {
 		factor = d.BudgetHeadroom
 	}
-	if m, ok := LookupMetric(metric); ok && m.BudgetHeadroom > factor {
+	if m, ok := Metrics.Lookup(metric); ok && m.BudgetHeadroom > factor {
 		factor = m.BudgetHeadroom
 	}
 	return b * factor

@@ -40,7 +40,7 @@ var invariantSchedules = []string{
 // skip, mirroring the engine's per-job error rows).
 func buildInvariantProc(t *testing.T, process, topoSpec, schedSpec string, seed uint64) (Proc, int, bool) {
 	t.Helper()
-	def, found := LookupProcess(process)
+	def, found := Processes.Lookup(process)
 	if !found {
 		t.Fatalf("process %q not registered", process)
 	}
@@ -124,7 +124,7 @@ func (a procSnapshot) equal(b procSnapshot) bool {
 // TestProcessInvariants runs the conformance matrix.
 func TestProcessInvariants(t *testing.T) {
 	const rounds = 32
-	for _, process := range ProcessNames() {
+	for _, process := range Processes.Names() {
 		for _, topo := range invariantTopos {
 			for _, sched := range invariantSchedules {
 				name := fmt.Sprintf("%s/%s/%s", process, topo, sched)

@@ -152,8 +152,8 @@ func baseRow(spec *SweepSpec, def *ProcessDef, c Cell, replica int, seed uint64)
 func (w *worker) runJob(spec *SweepSpec, c Cell, replica int) Row {
 	seed := jobSeed(spec.Seed, c, replica)
 	// The spec was validated by withDefaults before any worker started.
-	def, _ := LookupProcess(spec.Process)
-	met, _ := LookupMetric(spec.Metric)
+	def, _ := Processes.Lookup(spec.Process)
+	met, _ := Metrics.Lookup(spec.Metric)
 	row := baseRow(spec, def, c, replica, seed)
 	g, err := w.graph(spec, c)
 	if err != nil {

@@ -6,15 +6,15 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+
+	"rotorring/internal/registry"
 )
 
-// This file is the engine's schedule registry, the fourth registry next to
-// processes, metrics (process.go) and topologies (topology.go): sweeps name
-// their perturbation scenarios as parameterized spec strings, and the
-// registry supplies the parser and the deterministic compiler, so a new
-// scenario family plugs in with one RegisterSchedule call — no engine
-// edits, no new spec fields.
+// This file is the engine's schedule registry: sweeps name their
+// perturbation scenarios as parameterized spec strings, and the registry
+// supplies the parser and the deterministic compiler, so a new scenario
+// family plugs in with one RegisterSchedule call — no engine edits, no new
+// spec fields.
 //
 // Spec grammar (case-insensitive, canonicalized to lower case):
 //
@@ -151,49 +151,17 @@ type ScheduleDef struct {
 	Compile func(params string) (*SchedulePlan, error)
 }
 
-var (
-	scheduleMu sync.RWMutex
-	schedules  = map[string]*ScheduleDef{}
-)
+// Schedules is the schedule-family registry.
+var Schedules = registry.New[*ScheduleDef]("engine", "schedule")
 
-// RegisterSchedule adds a schedule family to the registry. Names are
-// normalized to lower case (specs lowercase their input before lookup);
-// duplicate names panic: family names appear in specs, rows and derived
-// file formats and must stay unambiguous.
+// RegisterSchedule adds a schedule family to Schedules under its
+// lower-cased name.
 func RegisterSchedule(d *ScheduleDef) {
-	if d.Name == "" || d.Parse == nil || d.Compile == nil {
-		panic("engine: RegisterSchedule needs a name, a parser and a compiler")
+	if d.Parse == nil || d.Compile == nil {
+		panic("engine: RegisterSchedule needs a parser and a compiler")
 	}
 	d.Name = strings.ToLower(d.Name)
-	if strings.ContainsAny(d.Name, ": \t\n") {
-		panic(fmt.Sprintf("engine: schedule name %q may not contain ':' or spaces", d.Name))
-	}
-	scheduleMu.Lock()
-	defer scheduleMu.Unlock()
-	if _, dup := schedules[d.Name]; dup {
-		panic(fmt.Sprintf("engine: duplicate schedule %q", d.Name))
-	}
-	schedules[d.Name] = d
-}
-
-// LookupSchedule returns a registered family by name.
-func LookupSchedule(name string) (*ScheduleDef, bool) {
-	scheduleMu.RLock()
-	defer scheduleMu.RUnlock()
-	d, ok := schedules[name]
-	return d, ok
-}
-
-// ScheduleNames lists the registered family names, sorted.
-func ScheduleNames() []string {
-	scheduleMu.RLock()
-	defer scheduleMu.RUnlock()
-	names := make([]string, 0, len(schedules))
-	for n := range schedules {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	Schedules.Add(d.Name, d)
 }
 
 // schedInstance is the parsed, compiled form of one schedule spec.
@@ -218,15 +186,11 @@ func (si schedInstance) cellName() string {
 // parseSchedule parses, validates and compiles one spec string against the
 // registry.
 func parseSchedule(s string) (schedInstance, error) {
-	str := strings.ToLower(strings.TrimSpace(s))
-	name, params, _ := strings.Cut(str, ":")
-	name = strings.TrimSpace(name)
-	def, ok := LookupSchedule(name)
-	if !ok {
-		return schedInstance{}, fmt.Errorf("engine: unknown schedule %q (registered: %s)",
-			name, strings.Join(ScheduleNames(), "|"))
+	def, str, params, err := Schedules.Split(s)
+	if err != nil {
+		return schedInstance{}, err
 	}
-	canon, err := def.Parse(strings.TrimSpace(params))
+	canon, err := def.Parse(params)
 	if err != nil {
 		return schedInstance{}, fmt.Errorf("engine: schedule %q: %w", str, err)
 	}

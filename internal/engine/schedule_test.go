@@ -416,6 +416,37 @@ func TestScheduledProbesSpanFaultEpochs(t *testing.T) {
 	}
 }
 
+// TestScheduledProbesSeeThroughRunner: position and domain probes observe a
+// scheduled cell through the schedule runner's forwarders, so a schedule
+// whose only event lies past the cover round samples the same series as
+// the unscheduled cell.
+func TestScheduledProbesSeeThroughRunner(t *testing.T) {
+	rows, err := New(Workers(1)).Run(SweepSpec{
+		Topologies: []Topo{"ring"},
+		Sizes:      []int{64},
+		Agents:     []int{3},
+		Placements: []Placement{PlaceEqual},
+		Schedules:  []Schedule{SchedNone, "reset:t=1000000"},
+		Probes:     []ProbeSpec{{Name: "histogram", Stride: 16}, {Name: "domains", Stride: 16}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].Err != "" || rows[1].Err != "" {
+		t.Fatalf("rows: %+v", rows)
+	}
+	probes := map[string]bool{}
+	for _, pt := range rows[0].Series {
+		probes[pt.Probe] = true
+	}
+	if !probes["histogram"] || !probes["domains"] {
+		t.Fatalf("unscheduled series lacks a probe: %+v", rows[0].Series)
+	}
+	if !reflect.DeepEqual(rows[0].Series, rows[1].Series) {
+		t.Errorf("scheduled series differs:\n none: %+v\nreset: %+v", rows[0].Series, rows[1].Series)
+	}
+}
+
 // itoa formats an int64 without importing strconv at every call site.
 func itoa(v int64) string {
 	if v == 0 {

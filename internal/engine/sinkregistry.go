@@ -1,18 +1,15 @@
 package engine
 
 import (
-	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"sync"
+
+	"rotorring/internal/registry"
 )
 
-// This file is the engine's sink registry, the fifth name-keyed registry
-// next to processes/metrics (process.go), topologies (topology.go) and
-// schedules (schedule.go): output formats are selected by string — a CLI
-// -format value, the service's ?format= parameter — and the registry
-// supplies the writer factory, so a new format plugs in with one
+// This file is the engine's sink registry: output formats are selected by
+// string — a CLI -format value, the service's ?format= parameter — and the
+// registry supplies the writer factory, so a new format plugs in with one
 // RegisterSink call, with zero engine, CLI or service edits.
 
 // SinkDef describes one registered output format.
@@ -24,56 +21,23 @@ type SinkDef struct {
 	New func(w io.Writer) Sink
 }
 
-var (
-	sinkMu sync.RWMutex
-	sinks  = map[string]*SinkDef{}
-)
+// Sinks is the output-format registry.
+var Sinks = registry.New[*SinkDef]("engine", "sink")
 
-// RegisterSink adds an output format to the registry. Names are normalized
-// to lower case (flags lowercase their input before lookup); duplicate
-// names panic: format names appear in CLI flags and service URLs and must
-// stay unambiguous.
+// RegisterSink adds an output format to Sinks under its lower-cased name.
 func RegisterSink(d *SinkDef) {
-	if d.Name == "" || d.New == nil {
-		panic("engine: RegisterSink needs a name and a factory")
+	if d.New == nil {
+		panic("engine: RegisterSink needs a factory")
 	}
 	d.Name = strings.ToLower(d.Name)
-	sinkMu.Lock()
-	defer sinkMu.Unlock()
-	if _, dup := sinks[d.Name]; dup {
-		panic(fmt.Sprintf("engine: duplicate sink %q", d.Name))
-	}
-	sinks[d.Name] = d
+	Sinks.Add(d.Name, d)
 }
 
-// LookupSink returns a registered format by name.
-func LookupSink(name string) (*SinkDef, bool) {
-	sinkMu.RLock()
-	defer sinkMu.RUnlock()
-	d, ok := sinks[name]
-	return d, ok
-}
-
-// SinkNames lists the registered format names, sorted.
-func SinkNames() []string {
-	sinkMu.RLock()
-	defer sinkMu.RUnlock()
-	names := make([]string, 0, len(sinks))
-	for n := range sinks {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// NewSink builds a sink for a registered format name writing to w. Unknown
-// names fail with the registered list, mirroring the other registries'
-// fail-fast lookups.
+// NewSink builds a sink for a registered format name writing to w.
 func NewSink(name string, w io.Writer) (Sink, error) {
-	d, ok := LookupSink(strings.ToLower(name))
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown sink %q (registered: %s)",
-			name, strings.Join(SinkNames(), "|"))
+	d, err := Sinks.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return d.New(w), nil
 }

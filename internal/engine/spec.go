@@ -45,32 +45,12 @@ const (
 	PlaceRandom
 )
 
-// ParsePlacement converts a flag string (single|equal|random).
+// ParsePlacement converts a flag string (see PlacementNames).
 func ParsePlacement(s string) (Placement, error) {
-	switch strings.ToLower(s) {
-	case "single":
-		return PlaceSingle, nil
-	case "equal":
-		return PlaceEqual, nil
-	case "random":
-		return PlaceRandom, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown placement %q (single|equal|random)", s)
-	}
+	return parseName[Placement](placementNames, "placement", s)
 }
 
-func (p Placement) String() string {
-	switch p {
-	case PlaceSingle:
-		return "single"
-	case PlaceEqual:
-		return "equal"
-	case PlaceRandom:
-		return "random"
-	default:
-		return fmt.Sprintf("placement(%d)", int(p))
-	}
-}
+func (p Placement) String() string { return nameOf(placementNames, "placement", p) }
 
 // Positions returns the initial positions of k agents on g under the
 // placement, drawing from rng for PlaceRandom.
@@ -105,36 +85,12 @@ const (
 	PtrRandom
 )
 
-// ParsePointer converts a flag string (zero|negative|toward|random).
+// ParsePointer converts a flag string (see PointerNames).
 func ParsePointer(s string) (Pointer, error) {
-	switch strings.ToLower(s) {
-	case "zero":
-		return PtrZero, nil
-	case "negative":
-		return PtrNegative, nil
-	case "toward":
-		return PtrToward, nil
-	case "random":
-		return PtrRandom, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown pointer policy %q (zero|negative|toward|random)", s)
-	}
+	return parseName[Pointer](pointerNames, "pointer policy", s)
 }
 
-func (p Pointer) String() string {
-	switch p {
-	case PtrZero:
-		return "zero"
-	case PtrNegative:
-		return "negative"
-	case PtrToward:
-		return "toward"
-	case PtrRandom:
-		return "random"
-	default:
-		return fmt.Sprintf("pointer(%d)", int(p))
-	}
-}
+func (p Pointer) String() string { return nameOf(pointerNames, "pointer", p) }
 
 // Pointers returns the initial pointer arrangement of g for agents
 // starting at positions, drawing from rng for PtrRandom.
@@ -179,33 +135,62 @@ const (
 	KernelParallel
 )
 
-// ParseKernel converts a flag string (auto|generic|fast|parallel).
+// ParseKernel converts a flag string (see KernelNames); "" is KernelAuto.
 func ParseKernel(s string) (Kernel, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
+	if s == "" {
 		return KernelAuto, nil
-	case "generic":
-		return KernelGeneric, nil
-	case "fast":
-		return KernelFast, nil
-	case "parallel":
-		return KernelParallel, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown kernel %q (auto|generic|fast|parallel)", s)
 	}
+	return parseName[Kernel](kernelNames, "kernel", s)
 }
 
-func (k Kernel) String() string {
-	switch k {
-	case KernelGeneric:
-		return "generic"
-	case KernelFast:
-		return "fast"
-	case KernelParallel:
-		return "parallel"
-	default:
-		return "auto"
+func (k Kernel) String() string { return nameOf(kernelNames, "kernel", k) }
+
+// The fixed vocabularies: each list spells its enum's values by index ("" is
+// a value without a spelling), and ParseX and String both read it.
+var (
+	placementNames = []string{PlaceSingle: "single", PlaceEqual: "equal", PlaceRandom: "random"}
+	pointerNames   = []string{PtrZero: "zero", PtrNegative: "negative", PtrToward: "toward", PtrRandom: "random"}
+	kernelNames    = []string{KernelAuto: "auto", KernelGeneric: "generic", KernelFast: "fast", KernelParallel: "parallel"}
+)
+
+// PlacementNames lists the spellings ParsePlacement accepts, in value order.
+func PlacementNames() []string { return spelled(placementNames) }
+
+// PointerNames lists the spellings ParsePointer accepts, in value order.
+func PointerNames() []string { return spelled(pointerNames) }
+
+// KernelNames lists the spellings ParseKernel accepts, in value order.
+func KernelNames() []string { return spelled(kernelNames) }
+
+// spelled returns a fresh copy of names without its unspelled slots.
+func spelled(names []string) []string {
+	out := make([]string, 0, len(names))
+	for _, n := range names {
+		if n != "" {
+			out = append(out, n)
+		}
 	}
+	return out
+}
+
+// parseName returns the value names spells s as (case-insensitive).
+func parseName[E ~int](names []string, kind, s string) (E, error) {
+	if low := strings.ToLower(s); low != "" {
+		for v, n := range names {
+			if n == low {
+				return E(v), nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("engine: unknown %s %q (%s)", kind, s, strings.Join(spelled(names), "|"))
+}
+
+// nameOf spells v from names, or as kind(v) when it has no spelling.
+func nameOf[E ~int](names []string, kind string, v E) string {
+	if v >= 0 && int(v) < len(names) && names[v] != "" {
+		return names[v]
+	}
+	return fmt.Sprintf("%s(%d)", kind, int(v))
 }
 
 // CoreMode maps the tier to the rotor engine's kernel mode.
@@ -292,11 +277,11 @@ type SweepSpec struct {
 	// (collapsed to one cell) for processes without pointers, e.g.
 	// ProcWalk.
 	Pointers []Pointer `json:"pointers,omitempty"`
-	// Process names the registered process to run (ProcessNames lists
-	// them); default ProcRotor.
+	// Process names the registered process to run (see Processes);
+	// default ProcRotor.
 	Process string `json:"process,omitempty"`
-	// Metric names the registered quantity to measure (MetricNames lists
-	// them); default MetricCover.
+	// Metric names the registered quantity to measure (see Metrics);
+	// default MetricCover.
 	Metric string `json:"metric,omitempty"`
 	// Probes names the registered probes sampled during each job, each
 	// with its stride in rounds. Sampled points stream into the JSONL sink
@@ -394,10 +379,9 @@ func (s SweepSpec) withDefaults() (SweepSpec, error) {
 	if s.Process == "" {
 		s.Process = ProcRotor
 	}
-	proc, ok := LookupProcess(s.Process)
-	if !ok {
-		return s, fmt.Errorf("engine: unknown process %q (registered: %s)",
-			s.Process, strings.Join(ProcessNames(), "|"))
+	proc, err := Processes.Get(s.Process)
+	if err != nil {
+		return s, err
 	}
 	if !proc.UsesPointers || len(s.Pointers) == 0 {
 		// Processes without pointers: collapse the axis so the grid has no
@@ -408,9 +392,8 @@ func (s SweepSpec) withDefaults() (SweepSpec, error) {
 	if s.Metric == "" {
 		s.Metric = MetricCover
 	}
-	if _, ok := LookupMetric(s.Metric); !ok {
-		return s, fmt.Errorf("engine: unknown metric %q (registered: %s)",
-			s.Metric, strings.Join(MetricNames(), "|"))
+	if _, err := Metrics.Get(s.Metric); err != nil {
+		return s, err
 	}
 	if s.Replicas == 0 {
 		s.Replicas = 1

@@ -2,20 +2,18 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"rotorring/internal/graph"
+	"rotorring/internal/registry"
 	"rotorring/internal/xrand"
 )
 
-// This file is the engine's topology registry, the third registry next to
-// processes and metrics (process.go): sweeps name their graph families as
-// parameterized spec strings, and the registry supplies the parser and the
-// deterministic builder, so a new graph family plugs in with one
-// RegisterTopology call — no engine edits, no new spec fields.
+// This file is the engine's topology registry: sweeps name their graph
+// families as parameterized spec strings, and the registry supplies the
+// parser and the deterministic builder, so a new graph family plugs in
+// with one RegisterTopology call — no engine edits, no new spec fields.
 //
 // Spec grammar (case-insensitive, canonicalized to lower case):
 //
@@ -66,49 +64,17 @@ type TopologyDef struct {
 	Build func(params string, n int, seed uint64) (*graph.Graph, error)
 }
 
-var (
-	topologyMu sync.RWMutex
-	topologies = map[string]*TopologyDef{}
-)
+// Topologies is the graph-family registry.
+var Topologies = registry.New[*TopologyDef]("engine", "topology")
 
-// RegisterTopology adds a graph family to the registry. Names are
-// normalized to lower case (specs lowercase their input before lookup);
-// duplicate names panic: family names appear in specs, rows and derived
-// file formats and must stay unambiguous.
+// RegisterTopology adds a graph family to Topologies under its lower-cased
+// name.
 func RegisterTopology(d *TopologyDef) {
-	if d.Name == "" || d.Parse == nil || d.Build == nil {
-		panic("engine: RegisterTopology needs a name, a parser and a builder")
+	if d.Parse == nil || d.Build == nil {
+		panic("engine: RegisterTopology needs a parser and a builder")
 	}
 	d.Name = strings.ToLower(d.Name)
-	if strings.ContainsAny(d.Name, ": \t\n") {
-		panic(fmt.Sprintf("engine: topology name %q may not contain ':' or spaces", d.Name))
-	}
-	topologyMu.Lock()
-	defer topologyMu.Unlock()
-	if _, dup := topologies[d.Name]; dup {
-		panic(fmt.Sprintf("engine: duplicate topology %q", d.Name))
-	}
-	topologies[d.Name] = d
-}
-
-// LookupTopology returns a registered family by name.
-func LookupTopology(name string) (*TopologyDef, bool) {
-	topologyMu.RLock()
-	defer topologyMu.RUnlock()
-	d, ok := topologies[name]
-	return d, ok
-}
-
-// TopologyNames lists the registered family names, sorted.
-func TopologyNames() []string {
-	topologyMu.RLock()
-	defer topologyMu.RUnlock()
-	names := make([]string, 0, len(topologies))
-	for n := range topologies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	Topologies.Add(d.Name, d)
 }
 
 // topoInstance is the parsed form of one topology spec.
@@ -129,15 +95,11 @@ func specString(name, params string) string {
 
 // parseTopo parses and validates one spec string against the registry.
 func parseTopo(s string) (topoInstance, error) {
-	str := strings.ToLower(strings.TrimSpace(s))
-	name, params, _ := strings.Cut(str, ":")
-	name = strings.TrimSpace(name)
-	def, ok := LookupTopology(name)
-	if !ok {
-		return topoInstance{}, fmt.Errorf("engine: unknown topology %q (registered: %s)",
-			name, strings.Join(TopologyNames(), "|"))
+	def, str, params, err := Topologies.Split(s)
+	if err != nil {
+		return topoInstance{}, err
 	}
-	canon, size, err := def.Parse(strings.TrimSpace(params))
+	canon, size, err := def.Parse(params)
 	if err != nil {
 		return topoInstance{}, fmt.Errorf("engine: topology %q: %w", str, err)
 	}

@@ -25,8 +25,9 @@ import (
 //	                             registered sink format)
 //	DELETE /v1/sweeps/{id}       cancel the sweep: scheduling stops, streams
 //	                             end, the spool directory is removed
-//	GET    /v1/registries        registered process/metric/topology/schedule/
-//	                             sink/probe names for client introspection
+//	GET    /v1/registries        every name a wire spec accepts: processes,
+//	                             metrics, topologies, schedules, missions,
+//	                             sinks, probes, placements, pointers, kernels
 //	POST   /v1/cluster/*         the worker wire protocol: register,
 //	                             heartbeat, lease, complete (internal/cluster)
 //	GET    /v1/cluster/workers   registered workers with lease stats
@@ -311,14 +312,15 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRegistries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"v":          engine.WireVersion,
-		"processes":  engine.ProcessNames(),
-		"metrics":    engine.MetricNames(),
-		"topologies": engine.TopologyNames(),
-		"schedules":  engine.ScheduleNames(),
-		"sinks":      engine.SinkNames(),
+		"processes":  engine.Processes.Names(),
+		"metrics":    engine.Metrics.Names(),
+		"topologies": engine.Topologies.Names(),
+		"schedules":  engine.Schedules.Names(),
+		"missions":   engine.Missions.Names(),
+		"sinks":      engine.Sinks.Names(),
 		"probes":     probe.Names(),
-		"placements": []string{"single", "equal", "random"},
-		"pointers":   []string{"zero", "negative", "toward", "random"},
-		"kernels":    []string{"auto", "generic", "fast"},
+		"placements": engine.PlacementNames(),
+		"pointers":   engine.PointerNames(),
+		"kernels":    engine.KernelNames(),
 	})
 }

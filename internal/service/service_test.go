@@ -501,8 +501,12 @@ func TestRegistriesEndpoint(t *testing.T) {
 		Metrics    []string `json:"metrics"`
 		Topologies []string `json:"topologies"`
 		Schedules  []string `json:"schedules"`
+		Missions   []string `json:"missions"`
 		Sinks      []string `json:"sinks"`
 		Probes     []string `json:"probes"`
+		Placements []string `json:"placements"`
+		Pointers   []string `json:"pointers"`
+		Kernels    []string `json:"kernels"`
 	}
 	if err := json.Unmarshal(ts.get(t, "/v1/registries"), &reg); err != nil {
 		t.Fatal(err)
@@ -522,7 +526,33 @@ func TestRegistriesEndpoint(t *testing.T) {
 		t.Errorf("processes %v missing built-ins", reg.Processes)
 	}
 	if !contains(reg.Metrics, "cover") || !contains(reg.Topologies, "ring") ||
-		!contains(reg.Schedules, "delay") || !contains(reg.Sinks, "jsonl") {
+		!contains(reg.Schedules, "delay") || !contains(reg.Sinks, "jsonl") ||
+		!contains(reg.Missions, "explore") || !contains(reg.Kernels, "parallel") {
 		t.Errorf("registries missing built-ins: %+v", reg)
+	}
+	// Every listed placement, pointer and kernel decodes in a one-cell
+	// wire spec.
+	for _, c := range []struct {
+		field string // the wire field, with a %q verb for the name
+		names []string
+	}{
+		{`"placements":[%q]`, reg.Placements},
+		{`"pointers":[%q]`, reg.Pointers},
+		{`"kernel":%q`, reg.Kernels},
+	} {
+		if len(c.names) == 0 {
+			t.Errorf("registries list no names for %s", c.field)
+		}
+		for _, name := range c.names {
+			body := fmt.Sprintf(`{"v":%d,"agents":[2],"sizes":[32],`+c.field+`}`, engine.WireVersion, name)
+			spec, err := engine.DecodeWireSpec([]byte(body))
+			if err != nil {
+				t.Errorf("%s: %v", body, err)
+				continue
+			}
+			if cells, err := spec.Cells(); err != nil || len(cells) != 1 {
+				t.Errorf("%s: %d cells, %v", body, len(cells), err)
+			}
+		}
 	}
 }

@@ -10,16 +10,17 @@
 // exposes) at rounds that are multiples of its stride. Probes that need
 // more than Round/Covered declare it by asserting capability interfaces
 // (Positioner, DomainCounter) and observe nothing when the process lacks
-// the capability. New probes plug into sweeps by name through Register —
-// the engine never enumerates probe kinds.
+// the capability. New probes plug into sweeps by name through Register,
+// whose table (internal/registry) keeps the engine registries' name
+// policy — the engine never enumerates probe kinds.
 package probe
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"sync"
+
+	"rotorring/internal/registry"
 )
 
 // Point is one sampled observation: the value of Key as measured by Probe
@@ -75,59 +76,37 @@ type Env struct {
 	Nodes int
 }
 
-var (
-	regMu     sync.RWMutex
-	factories = map[string]func(Env) (Probe, error){}
-)
+// factories is the probe registry.
+var factories = registry.New[func(Env) (Probe, error)]("probe", "probe")
 
-// Register adds a probe factory under a name, normalized to lower case
-// (sweep specs and CLI flags lowercase their inputs before lookup).
-// Registering a duplicate name panics: probe names are part of sweep
+// Register adds a probe factory under a name, lower-cased. An empty name,
+// one containing ':' or whitespace (the -probes flag separates name and
+// stride with ':') or a duplicate panics: probe names are part of sweep
 // specs and must stay unambiguous.
 func Register(name string, factory func(Env) (Probe, error)) {
-	name = strings.ToLower(name)
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := factories[name]; dup {
-		panic(fmt.Sprintf("probe: duplicate registration of %q", name))
-	}
-	factories[name] = factory
+	factories.Add(name, factory)
 }
 
 // New builds a registered probe by name (case-insensitive).
 func New(name string, env Env) (Probe, error) {
-	name = strings.ToLower(name)
-	regMu.RLock()
-	factory, ok := factories[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("probe: unknown probe %q (registered: %v)", name, Names())
+	factory, err := factories.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	if env.Stride < 1 {
-		return nil, fmt.Errorf("probe: %s: stride %d < 1", name, env.Stride)
+		return nil, fmt.Errorf("probe: %s: stride %d < 1", strings.ToLower(name), env.Stride)
 	}
 	return factory(env)
 }
 
 // Known reports whether a probe name is registered (case-insensitive).
 func Known(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := factories[strings.ToLower(name)]
+	_, ok := factories.Lookup(name)
 	return ok
 }
 
 // Names lists the registered probe names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(factories))
-	for n := range factories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return factories.Names() }
 
 // Runner drives a set of probes over a run: it tracks which sample rounds
 // are due, deduplicates observations (a round is sampled at most once per

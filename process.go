@@ -143,11 +143,11 @@ func New(g *Graph, kind ProcessKind, opts ...SimOption) (Process, error) {
 
 // ProcessNames lists the process names registered with the sweep engine,
 // the vocabulary of SweepSpec.Process and NamedProcess.
-func ProcessNames() []string { return engine.ProcessNames() }
+func ProcessNames() []string { return engine.Processes.Names() }
 
 // MetricNames lists the metric names registered with the sweep engine, the
 // vocabulary of SweepSpec.Metric.
-func MetricNames() []string { return engine.MetricNames() }
+func MetricNames() []string { return engine.Metrics.Names() }
 
 // Observer is a per-round observation hook with stride sampling; see
 // rotorring/probe for the interface and how to implement custom observers.

@@ -21,7 +21,7 @@ type Topo = engine.Topo
 func ParseTopo(s string) (Topo, error) { return engine.ParseTopo(s) }
 
 // TopologyNames lists the registered topology family names, sorted.
-func TopologyNames() []string { return engine.TopologyNames() }
+func TopologyNames() []string { return engine.Topologies.Names() }
 
 // Schedule is one parameterized perturbation-schedule spec in a sweep,
 // drawn from the schedule registry: a family name optionally followed by
@@ -40,7 +40,7 @@ type Schedule = engine.Schedule
 func ParseSchedule(s string) (Schedule, error) { return engine.ParseSchedule(s) }
 
 // ScheduleNames lists the registered schedule family names, sorted.
-func ScheduleNames() []string { return engine.ScheduleNames() }
+func ScheduleNames() []string { return engine.Schedules.Names() }
 
 // Mission is one parameterized mission spec in a sweep, drawn from the
 // mission registry: a termination predicate plus mission-scoped metrics,
@@ -61,7 +61,7 @@ type Mission = engine.Mission
 func ParseMission(s string) (Mission, error) { return engine.ParseMission(s) }
 
 // MissionNames lists the registered mission family names, sorted.
-func MissionNames() []string { return engine.MissionNames() }
+func MissionNames() []string { return engine.Missions.Names() }
 
 // SweepSpec describes a grid of experiments: the cross product of
 // Topologies × Sizes × Agents × Placements × Pointers × Schedules ×
@@ -203,7 +203,7 @@ func RunSweep(spec SweepSpec, workers int) ([]SweepRow, error) {
 // "jsonl", "summary", plus anything other packages register). Each name
 // works with WriteSweep, with rotorsim -format, and with the rotord
 // service's ?format= parameter — the three resolve through one registry.
-func SinkNames() []string { return engine.SinkNames() }
+func SinkNames() []string { return engine.Sinks.Names() }
 
 // WriteSweep runs the sweep on a worker pool of the given size (0 =
 // GOMAXPROCS) and streams the rows to w in canonical order, in a
