@@ -19,6 +19,12 @@ import (
 // coordinator before coming back empty-handed.
 const defaultPollWait = 2 * time.Second
 
+// maxCachedSweeps bounds a worker's cache of expanded sweeps. Each
+// expansion holds its sweep's graph cache, so an unbounded cache would keep
+// every graph a long-running worker ever built; a lease of a dropped sweep
+// just expands it again.
+const maxCachedSweeps = 8
+
 // defaultFlushEvery is how many finished jobs a worker accumulates before
 // streaming a partial completion back. Small enough that the coordinator's
 // watermark advances while a long lease is still running (and that a
@@ -221,10 +227,6 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 }
 
 func (w *Worker) executorLoop(ctx context.Context) {
-	// JobRunners are not safe for concurrent use, so each executor keeps
-	// its own per-sweep runner (prototype reuse across this executor's
-	// consecutive leases of one sweep).
-	runners := make(map[string]*engine.JobRunner)
 	for ctx.Err() == nil {
 		id := w.currentID()
 		var leaseResp LeaseResponse
@@ -252,12 +254,14 @@ func (w *Worker) executorLoop(ctx context.Context) {
 			continue
 		}
 		w.leasesTotal.Add(1)
-		w.execute(ctx, id, &leaseResp, runners)
+		w.execute(ctx, id, &leaseResp)
 	}
 }
 
 // expand returns the expanded sweep for a lease, cached by sweep id (the
-// id is content-addressed, so an entry can never go stale).
+// id is content-addressed, so an entry can never go stale). A full cache
+// is cleared before the next entry goes in; executors already holding a
+// dropped expansion keep using it.
 func (w *Worker) expand(sweepID string, spec []byte) (*engine.ExpandedSweep, error) {
 	w.specMu.Lock()
 	defer w.specMu.Unlock()
@@ -271,6 +275,9 @@ func (w *Worker) expand(sweepID string, spec []byte) (*engine.ExpandedSweep, err
 	exp, err := engine.Expand(decoded)
 	if err != nil {
 		return nil, err
+	}
+	if len(w.specs) >= maxCachedSweeps {
+		clear(w.specs)
 	}
 	w.specs[sweepID] = exp
 	return exp, nil
@@ -293,7 +300,7 @@ func runJob(runner *engine.JobRunner, job int) (rowBytes []byte, err error) {
 // execute runs one lease's jobs, streaming partial completions back every
 // defaultFlushEvery jobs so the coordinator's watermark advances (and the
 // lease deadline extends) while long chunks are still running.
-func (w *Worker) execute(ctx context.Context, workerID string, l *LeaseResponse, runners map[string]*engine.JobRunner) {
+func (w *Worker) execute(ctx context.Context, workerID string, l *LeaseResponse) {
 	exp, err := w.expand(l.SweepID, l.Spec)
 	if err != nil {
 		w.logf("cluster: lease %s: spec does not expand: %v", l.LeaseID, err)
@@ -303,11 +310,7 @@ func (w *Worker) execute(ctx context.Context, workerID string, l *LeaseResponse,
 		})
 		return
 	}
-	runner, ok := runners[l.SweepID]
-	if !ok {
-		runner = exp.NewRunner()
-		runners[l.SweepID] = runner
-	}
+	runner := exp.NewRunner()
 	var batch []RowResult
 	flush := func() {
 		if len(batch) == 0 {
@@ -334,8 +337,6 @@ func (w *Worker) execute(ctx context.Context, workerID string, l *LeaseResponse,
 		rowBytes, err := runJob(runner, job)
 		if err != nil {
 			w.jobPanics.Add(1)
-			// The runner's prototype state may be poisoned; rebuild next time.
-			delete(runners, l.SweepID)
 			flush()
 			w.sendComplete(ctx, CompleteRequest{
 				WorkerID: workerID, LeaseID: l.LeaseID, SweepID: l.SweepID,

@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"rotorring/internal/engine"
 )
 
 // TestWorkerHandler pins the worker role's own observability surface:
@@ -62,5 +65,41 @@ func TestWorkerHandler(t *testing.T) {
 	}
 	if ct := mResp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("metrics Content-Type = %q", ct)
+	}
+}
+
+// TestWorkerExpandCacheBounded: a long-running worker does not keep every
+// sweep it ever leased (each expansion holds its sweep's graph cache). More
+// distinct sweep ids than the bound pass through expand; the cache never
+// exceeds the bound, and a re-leased sweep expands again to the same grid.
+func TestWorkerExpandCacheBounded(t *testing.T) {
+	w := NewWorker(WorkerOptions{Coordinator: "http://coord:8080"})
+	wire := func(seed uint64) []byte {
+		b, err := engine.EncodeWireSpec(engine.SweepSpec{
+			Sizes: []int{16}, Agents: []int{1, 2}, Replicas: 2, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	first, err := w.expand("sweep-0", wire(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 5*maxCachedSweeps; i++ {
+		if _, err := w.expand(fmt.Sprintf("sweep-%d", i), wire(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(w.specs); n > maxCachedSweeps {
+			t.Fatalf("after %d sweeps the cache holds %d, bound %d", i+1, n, maxCachedSweeps)
+		}
+	}
+	again, err := w.expand("sweep-0", wire(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.NumJobs() != first.NumJobs() {
+		t.Fatalf("re-leased sweep expands to %d jobs, first lease %d", again.NumJobs(), first.NumJobs())
 	}
 }

@@ -17,7 +17,6 @@ import (
 //   - PointersNegative:    "negatively initialized pointers" — the pointer
 //     at every node points toward the nearest starting agent so that the
 //     first visit to a node reflects the visitor back (§2.2, Theorem 4).
-//   - PointersAwayFromNode: the complementary accelerating arrangement.
 //   - PointersUniform, PointersRandom: neutral baselines.
 
 // PointersTowardNode returns a pointer arrangement in which every node's
@@ -44,28 +43,6 @@ func PointersTowardNode(g *graph.Graph, target int) ([]int, error) {
 		}
 		if !found {
 			return nil, fmt.Errorf("core: node %d has no neighbor closer to %d", v, target)
-		}
-	}
-	return ptr, nil
-}
-
-// PointersAwayFromNode returns an arrangement in which every node's pointer
-// avoids the shortest path back to target where possible (it points to a
-// neighbor that is not closer to target; leaves of trees have no choice).
-func PointersAwayFromNode(g *graph.Graph, target int) ([]int, error) {
-	toward, err := PointersTowardNode(g, target)
-	if err != nil {
-		return nil, err
-	}
-	dist := g.BFSDist(target)
-	ptr := make([]int, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		ptr[v] = toward[v] // fallback when every neighbor is closer
-		for p := 0; p < g.Degree(v); p++ {
-			if dist[g.Neighbor(v, p)] >= dist[v] {
-				ptr[v] = p
-				break
-			}
 		}
 	}
 	return ptr, nil

@@ -59,20 +59,6 @@ func TestPointersTowardNodeRejectsBadTarget(t *testing.T) {
 	}
 }
 
-func TestPointersAwayFromNodeOnRing(t *testing.T) {
-	g := graph.Ring(9)
-	ptr, err := PointersAwayFromNode(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := g.BFSDist(0)
-	for v := 1; v < 9; v++ {
-		if dist[g.Neighbor(v, ptr[v])] < dist[v] {
-			t.Errorf("pointer at %d still heads toward target", v)
-		}
-	}
-}
-
 func TestPointersNegativeReflectsFirstVisitor(t *testing.T) {
 	// An agent walking into never-visited territory must be bounced back
 	// on its first visit to each new node.

@@ -57,9 +57,8 @@ func (e *Engine) Run(spec SweepSpec, sinks ...Sink) ([]Row, error) {
 	}
 
 	// Work units are single jobs (one replica of one cell), so replica-
-	// heavy sweeps parallelize too. Jobs are fed in canonical order, so a
-	// worker usually receives a cell's replicas back to back and reuses
-	// its prototype System via Reset instead of rebuilding it.
+	// heavy sweeps parallelize too. Each job builds its own process, so
+	// the workers share one runner.
 	workers := e.workers
 	if workers > jobs {
 		workers = jobs
@@ -68,6 +67,7 @@ func (e *Engine) Run(spec SweepSpec, sinks ...Sink) ([]Row, error) {
 		idx int
 		row Row
 	}
+	r := exp.NewRunner()
 	next := make(chan int)
 	out := make(chan doneJob, workers)
 	var wg sync.WaitGroup
@@ -75,7 +75,6 @@ func (e *Engine) Run(spec SweepSpec, sinks ...Sink) ([]Row, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := exp.NewRunner()
 			for idx := range next {
 				out <- doneJob{idx: idx, row: r.Run(idx)}
 			}

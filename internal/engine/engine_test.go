@@ -236,7 +236,7 @@ func TestEngineMatchesDirect(t *testing.T) {
 }
 
 // TestReturnMetricMatchesDirect: the return-time metric agrees with a
-// direct MeasureReturnTime run, across replicas reusing the prototype.
+// direct MeasureReturnTime run, on every replica.
 func TestReturnMetricMatchesDirect(t *testing.T) {
 	const n, k = 48, 3
 	g := graph.Ring(n)

@@ -115,26 +115,24 @@ func (e *ExpandedSweep) JobKey(job int) string {
 }
 
 // NewRunner returns a job runner backed by this sweep's shared graph cache.
-// A runner reuses prototype process instances across consecutive jobs and
-// is therefore not safe for concurrent use: create one per goroutine (they
-// all share the graph cache, which is).
+// A runner is safe for concurrent use: every job builds its own process
+// instance, so goroutines may share one runner or each make their own.
 func (e *ExpandedSweep) NewRunner() *JobRunner {
-	return &JobRunner{e: e, w: newWorker(e.graphs)}
+	return &JobRunner{e: e}
 }
 
 // JobRunner executes jobs of one expanded sweep. Which runner executes a
-// job never affects the row: seeds come from JobSeed, graphs from the
-// shared deterministic cache, and prototype reuse is restricted to cells
-// where a Reset instance is equivalent to a fresh build.
+// job, and on which goroutine, never affects the row: seeds come from
+// JobSeed, graphs from the shared deterministic cache, and every job
+// builds a fresh process instance.
 type JobRunner struct {
 	e *ExpandedSweep
-	w *worker
 }
 
 // Run executes one job and returns its row.
 func (r *JobRunner) Run(job int) Row {
 	c, replica := r.e.Job(job)
-	return r.w.runJob(&r.e.spec, c, replica)
+	return r.e.runJob(c, replica)
 }
 
 // RowBytes returns the canonical serialized form of one row: the exact

@@ -5,7 +5,10 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"rotorring/internal/xrand"
 )
 
 // expandTestSpec is a small heterogeneous grid exercising every row shape:
@@ -48,6 +51,92 @@ func TestExpandMatchesRun(t *testing.T) {
 		}
 		if got.Seed != exp.JobSeed(job) {
 			t.Errorf("job %d: JobSeed = %d, row carries %d", job, exp.JobSeed(job), got.Seed)
+		}
+	}
+}
+
+// TestSharedRunnerConcurrent: one JobRunner is safe for concurrent use.
+// Four goroutines share it and run every job of each sweep in a shuffled
+// order, and each row's bytes must equal Engine.Run's. The sweeps mix
+// deterministic and random placements and pointers over replicated plain
+// and delayed cells on a ring and a torus, and add a replicated
+// return-metric sweep and a walk sweep. Under -race this also shows that
+// jobs share no mutable state beyond the graph cache.
+func TestSharedRunnerConcurrent(t *testing.T) {
+	specs := []SweepSpec{
+		{
+			Topologies: []Topo{"ring", "torus:6x4"},
+			Sizes:      []int{24},
+			Agents:     []int{2, 6},
+			Placements: []Placement{PlaceEqual, PlaceRandom},
+			Pointers:   []Pointer{PtrNegative, PtrRandom},
+			Schedules:  []Schedule{SchedNone, "delay:p=0.25,until=32"},
+			Replicas:   3,
+			Seed:       7,
+		},
+		{
+			Topologies: []Topo{"ring", "torus:6x4"},
+			Sizes:      []int{24, 32},
+			Agents:     []int{2, 3},
+			Placements: []Placement{PlaceEqual},
+			Pointers:   []Pointer{PtrNegative},
+			Metric:     MetricReturn,
+			Replicas:   2,
+			Seed:       7,
+		},
+		{
+			Topologies: []Topo{"ring", "torus:6x4"},
+			Sizes:      []int{24},
+			Agents:     []int{2, 4},
+			Placements: []Placement{PlaceEqual, PlaceRandom},
+			Process:    ProcWalk,
+			Replicas:   3,
+			Seed:       7,
+		},
+	}
+	for i, spec := range specs {
+		want, err := New(Workers(1)).Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := Expand(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runner := exp.NewRunner()
+		got := make([]Row, exp.NumJobs())
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for job := range jobs {
+					got[job] = runner.Run(job)
+				}
+			}()
+		}
+		for _, job := range xrand.New(uint64(i)).Perm(exp.NumJobs()) {
+			jobs <- job
+		}
+		close(jobs)
+		wg.Wait()
+
+		for job, row := range want {
+			if row.Err != "" {
+				t.Fatalf("spec %d job %d: %s", i, job, row.Err)
+			}
+			wb, err := RowBytes(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, err := RowBytes(got[job])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb, wb) {
+				t.Errorf("spec %d job %d: shared runner row\n%s differs from Engine.Run row\n%s", i, job, gb, wb)
+			}
 		}
 	}
 }

@@ -52,7 +52,8 @@ const heldMixStep = 0x9e3779b97f4a7c15
 // heldDraw generates hold counts for one schedule runner. The threshold
 // tables are immutable after construction; the scratch generator is
 // per-instance (it is reseeded before every large-count draw, so sharing
-// would not race logically, but clones step concurrently).
+// would not race logically, but the runners of different jobs step
+// concurrently).
 type heldDraw struct {
 	p    float64
 	seed uint64
@@ -174,16 +175,6 @@ func (hd *heldDraw) fillAt(held, counts []int64, nodes []int, base uint64) {
 			held[v] = hd.drawBig(u, c)
 		}
 	}
-}
-
-// reseed re-derives the stream for a new seed (the tables depend only on p).
-func (hd *heldDraw) reseed(seed uint64) { hd.seed = seed }
-
-// clone returns an independent copy: tables copied, scratch fresh.
-func (hd *heldDraw) clone() *heldDraw {
-	cp := *hd
-	cp.scratch = xrand.New(hd.seed)
-	return &cp
 }
 
 // heldSeedOf derives the hold-draw stream seed from the job's schedule

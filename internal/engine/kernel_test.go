@@ -23,6 +23,9 @@ import (
 // and of the generic arm run the generic loop, which draws holds only at
 // its occupied nodes, while the flat held kernels draw at every node, so
 // equal rows pin the two draw passes against each other end to end.
+// Under -short the grid drops its largest ring and densest population; the
+// smaller one still straddles both thresholds, so every tier, both delay
+// schedules and the return metric keep their byte-equality checks.
 func TestKernelNeverAffectsRotorResults(t *testing.T) {
 	spec := SweepSpec{
 		Topologies: []Topo{"ring", "path"},
@@ -32,6 +35,9 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 		Pointers:   []Pointer{PtrNegative, PtrRandom},
 		Replicas:   2,
 		Seed:       11,
+	}
+	if testing.Short() {
+		spec.Sizes, spec.Agents = []int{24, 48}, []int{1, 2, 6}
 	}
 	marshal := func(k Kernel) string {
 		spec.Kernel = k
@@ -94,43 +100,6 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 	straddles()
 	if a, g, f := marshal(KernelAuto), marshal(KernelGeneric), marshal(KernelFast); a != g || g != f {
 		t.Fatal("kernel selection changed return-time results")
-	}
-}
-
-// TestWalkReuseMatchesFreshWalks pins the trial-reuse optimization: a
-// replica-heavy walk sweep must produce the same rows whether a worker
-// reuses one Walk via Reseed+Reset (many replicas per worker) or builds
-// each from scratch (one worker per replica cannot be forced, so compare
-// 1 worker — maximal reuse — against a fresh single-replica sweep per
-// replica index).
-func TestWalkReuseMatchesFreshWalks(t *testing.T) {
-	base := SweepSpec{
-		Topologies: []Topo{"ring"},
-		Sizes:      []int{32},
-		Agents:     []int{4},
-		Placements: []Placement{PlaceEqual},
-		Process:    ProcWalk,
-		Replicas:   6,
-		Seed:       5,
-	}
-	reused, err := New(Workers(1)).Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reused) != 6 {
-		t.Fatalf("got %d rows", len(reused))
-	}
-	// Replica seeds derive from configuration values only, so a fresh
-	// engine per run reproduces each row independently.
-	for i, row := range reused {
-		fresh, err := New(Workers(1)).Run(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fresh[i].Value != row.Value || fresh[i].Seed != row.Seed {
-			t.Fatalf("replica %d: reused %v (seed %d) vs fresh %v (seed %d)",
-				i, row.Value, row.Seed, fresh[i].Value, fresh[i].Seed)
-		}
 	}
 }
 

@@ -426,8 +426,8 @@ func TestMissionBudgetRule(t *testing.T) {
 }
 
 // TestMissionObserverDetached: mission state lives in the job, not in the
-// process — missions only read the flow view — so a cached prototype
-// reused by the following replicas reproduces the first replica's row.
+// process — missions only read the flow view — so every replica of a
+// deterministic cell reproduces the first replica's row.
 func TestMissionObserverDetached(t *testing.T) {
 	rows, err := New(Workers(1)).Run(SweepSpec{
 		Topologies: []Topo{"ring"},
@@ -442,8 +442,7 @@ func TestMissionObserverDetached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deterministic cell: every replica must report the identical result
-	// (replica 2+ run on the replica-1 prototype via Reset).
+	// Deterministic cell: every replica must report the identical result.
 	for _, r := range rows[1:] {
 		if r.Err != "" {
 			t.Fatal(r.Err)

@@ -22,16 +22,12 @@ import (
 // probe.DomainCounter).
 //
 // Metrics reach richer behavior through capability interfaces: CoverRunner
-// for cover-time runs, ReturnMeasurer for recurrence measurement, Reseeder
-// for randomized processes whose cached instances are reused across
-// replicas.
+// for cover-time runs, ReturnMeasurer for recurrence measurement. Every
+// job builds its own instance, so a process never has to rewind one.
 type Proc interface {
 	Step()
 	Round() int64
 	Covered() int
-	// Reset restores the initial configuration so a cached instance can be
-	// reused for the next replica without reallocation.
-	Reset()
 }
 
 // CoverRunner is the capability of running until full coverage within a
@@ -42,13 +38,6 @@ type Proc interface {
 // core.System.RunUntilCovered and randwalk.Walk.RunUntilCovered.
 type CoverRunner interface {
 	RunUntilCovered(maxRounds int64) (int64, error)
-}
-
-// Reseeder is the capability of rewinding a randomized process's generator
-// to a fresh deterministic state. The runner calls it (when implemented)
-// before reusing a cached instance for a new replica.
-type Reseeder interface {
-	Reseed(seed uint64)
 }
 
 // ReturnOutcome is the result of a recurrence measurement.
@@ -67,10 +56,8 @@ type ReturnOutcome struct {
 }
 
 // ReturnMeasurer is the capability of measuring the recurrence metric.
-// When preserve is set the measurement must not disturb the instance's
-// reusable state (the rotor measures on a clone).
 type ReturnMeasurer interface {
-	MeasureReturn(budget int64, preserve bool) (ReturnOutcome, error)
+	MeasureReturn(budget int64) (ReturnOutcome, error)
 }
 
 // The capabilities below are the mutation surface the schedule subsystem
@@ -173,12 +160,6 @@ type FaultRunner interface {
 	RunToFault() int64
 }
 
-// Cloner is the capability of deep-copying a job instance (the invariant
-// test suite exercises clone independence on every registered process).
-type Cloner interface {
-	CloneProc() Proc
-}
-
 // FlowViewer is the capability of reporting the last round's per-arc
 // flows: ForEachFlow calls fn once per (source vertex, port) arc that
 // agents crossed in the last completed round, with the number that crossed
@@ -199,7 +180,8 @@ type ConfigHasher interface {
 }
 
 // JobEnv is everything a process factory and a metric measurement may need
-// about the job at hand.
+// about the job at hand. Every job builds its own JobEnv, and the factory
+// builds a fresh instance from it.
 type JobEnv struct {
 	// Graph is the job's topology (shared, immutable).
 	Graph *graph.Graph
@@ -216,9 +198,6 @@ type JobEnv struct {
 	Kernel Kernel
 	// Probes are the job's observation hooks (empty for unobserved jobs).
 	Probes []probe.Probe
-	// Preserve is set when the metric must leave the instance reusable for
-	// the worker's next replica of the same cell.
-	Preserve bool
 }
 
 // ProcessDef describes one registered process.
@@ -230,9 +209,6 @@ type ProcessDef struct {
 	// when false the sweep grid collapses the pointer axis and rows omit
 	// the pointer column.
 	UsesPointers bool
-	// Randomized reports whether replicas resample (the process consumes
-	// the job seed).
-	Randomized bool
 	// BudgetHeadroom multiplies the automatic round budget (>= 1):
 	// randomized processes need headroom over the deterministic cover
 	// bound. See AutoBudget for the shared rule.
@@ -248,7 +224,7 @@ type MetricDef struct {
 	// BudgetHeadroom multiplies the automatic round budget (>= 1); see
 	// AutoBudget.
 	BudgetHeadroom int64
-	// Measure runs the metric on p (fresh or Reset) and fills the row's
+	// Measure runs the metric on a freshly built p and fills the row's
 	// measurement fields, recording failures in row.Err.
 	Measure func(p Proc, env *JobEnv, budget int64, row *Row)
 }

@@ -24,7 +24,6 @@ func init() {
 	})
 	RegisterProcess(&ProcessDef{
 		Name:           ProcWalk,
-		Randomized:     true,
 		BudgetHeadroom: 4,
 		New:            newWalkProc,
 	})
@@ -74,13 +73,11 @@ func (p *rotorProc) Step()              { p.sys.Step() }
 func (p *rotorProc) Run(rounds int64)   { p.sys.Run(rounds) }
 func (p *rotorProc) Round() int64       { return p.sys.Round() }
 func (p *rotorProc) Covered() int       { return p.sys.Covered() }
-func (p *rotorProc) Reset()             { p.sys.Reset() }
 func (p *rotorProc) Positions() []int   { return p.sys.Positions() }
 func (p *rotorProc) Visits(v int) int64 { return p.sys.Visits(v) }
 func (p *rotorProc) NumAgents() int64   { return p.sys.NumAgents() }
 func (p *rotorProc) Pointers() []int    { return p.sys.Pointers() }
 func (p *rotorProc) ResetCoverage()     { p.sys.ResetCoverage() }
-func (p *rotorProc) CloneProc() Proc    { return &rotorProc{sys: p.sys.Clone()} }
 func (p *rotorProc) ConfigHash() uint64 { return p.sys.ConfigHash() }
 
 func (p *rotorProc) ForEachFlow(fn func(v, port int, agents int64)) {
@@ -123,24 +120,18 @@ func (p *rotorProc) NumDomains() (int, error) {
 }
 
 // MeasureReturn implements ReturnMeasurer: locate the limit cycle and
-// measure the exact return time over one period (Theorem 6). With preserve
-// set the measurement runs on a clone so the worker's cached prototype
-// stays reusable for the next replica.
-func (p *rotorProc) MeasureReturn(budget int64, preserve bool) (ReturnOutcome, error) {
-	sys := p.sys
-	if preserve {
-		sys = sys.Clone()
-	}
-	rs, err := core.MeasureReturnTime(sys, budget)
+// measure the exact return time over one period (Theorem 6).
+func (p *rotorProc) MeasureReturn(budget int64) (ReturnOutcome, error) {
+	rs, err := core.MeasureReturnTime(p.sys, budget)
 	if err != nil {
-		return ReturnOutcome{Rounds: sys.Round()}, err
+		return ReturnOutcome{Rounds: p.sys.Round()}, err
 	}
 	return ReturnOutcome{
 		Value:     float64(rs.ReturnTime),
 		Period:    rs.Period,
 		MinVisits: rs.MinNodeVisits,
 		MaxVisits: rs.MaxNodeVisits,
-		Rounds:    sys.Round(),
+		Rounds:    p.sys.Round(),
 	}, nil
 }
 
@@ -164,13 +155,10 @@ func (p *walkProc) Step()              { p.w.Step() }
 func (p *walkProc) Run(rounds int64)   { p.w.Run(rounds) }
 func (p *walkProc) Round() int64       { return p.w.Round() }
 func (p *walkProc) Covered() int       { return p.w.Covered() }
-func (p *walkProc) Reset()             { p.w.Reset() }
 func (p *walkProc) Positions() []int   { return p.w.Positions() }
-func (p *walkProc) Reseed(seed uint64) { p.w.Reseed(seed) }
 func (p *walkProc) Visits(v int) int64 { return p.w.Visits(v) }
 func (p *walkProc) NumAgents() int64   { return int64(p.w.NumWalkers()) }
 func (p *walkProc) ResetCoverage()     { p.w.ResetCoverage() }
-func (p *walkProc) CloneProc() Proc    { return &walkProc{w: p.w.Clone(), n: p.n, k: p.k} }
 
 func (p *walkProc) ForEachFlow(fn func(v, port int, agents int64)) {
 	p.w.ForEachFlow(fn)
@@ -190,7 +178,7 @@ func (p *walkProc) RunUntilCovered(maxRounds int64) (int64, error) {
 // its recurrence measure is the mean inter-visit gap over a long window
 // (expectation n/k on the ring — the paper's closing comparison), with the
 // worst observed gap reported as the period analogue.
-func (p *walkProc) MeasureReturn(int64, bool) (ReturnOutcome, error) {
+func (p *walkProc) MeasureReturn(int64) (ReturnOutcome, error) {
 	n := int64(p.n)
 	span := n / int64(p.k)
 	if span < 1 {
@@ -257,7 +245,7 @@ func measureReturn(p Proc, env *JobEnv, budget int64, row *Row) {
 		row.Err = fmt.Sprintf("engine: process %q does not measure %q", row.Process, MetricReturn)
 		return
 	}
-	out, err := rm.MeasureReturn(budget, env.Preserve)
+	out, err := rm.MeasureReturn(budget)
 	row.Rounds = out.Rounds
 	if err != nil {
 		row.Err = err.Error()

@@ -40,13 +40,6 @@ func (b *beaconProc) Step() {
 func (b *beaconProc) Round() int64 { return b.round }
 func (b *beaconProc) Covered() int { return b.covered }
 
-func (b *beaconProc) Reset() {
-	b.pos, b.round, b.covered = 0, 0, 1
-	for v := range b.visited {
-		b.visited[v] = v == 0
-	}
-}
-
 func (b *beaconProc) RunUntilCovered(maxRounds int64) (int64, error) {
 	for b.covered < b.n {
 		if b.round >= maxRounds {
@@ -61,13 +54,12 @@ func init() {
 	// Registered once at package-test init: proves a process plugs in
 	// without any engine edits.
 	RegisterProcess(&ProcessDef{Name: "beacon", New: newBeacon})
-	RegisterProcess(&ProcessDef{Name: "noisy", Randomized: true, New: newNoisy})
+	RegisterProcess(&ProcessDef{Name: "noisy", New: newNoisy})
 }
 
-// noisyProc is a randomized process WITHOUT a Reseeder: its behavior is
-// drawn from the job RNG at construction and Reset cannot rewind it. The
-// engine must not reuse such an instance across replicas, or results
-// would depend on which worker ran the previous replica.
+// noisyProc is a randomized process whose behavior is drawn from the job
+// RNG at construction. Its rows are reproducible only because every job
+// builds its own instance from its own job seed, whichever worker runs it.
 type noisyProc struct {
 	n      int
 	target int64
@@ -80,7 +72,6 @@ func newNoisy(env *JobEnv) (Proc, error) {
 
 func (p *noisyProc) Step()        { p.round++ }
 func (p *noisyProc) Round() int64 { return p.round }
-func (p *noisyProc) Reset()       { p.round = 0 }
 func (p *noisyProc) Covered() int {
 	if p.round >= p.target {
 		return p.n
@@ -98,10 +89,10 @@ func (p *noisyProc) RunUntilCovered(maxRounds int64) (int64, error) {
 	return p.round, nil
 }
 
-// TestRandomizedWithoutReseederDeterministic: a randomized registered
-// process lacking Reseed must be rebuilt per replica, keeping sweep rows
-// identical across worker counts (the determinism contract).
-func TestRandomizedWithoutReseederDeterministic(t *testing.T) {
+// TestRandomizedCustomProcessDeterministic: a randomized registered
+// process gets a fresh instance per replica, keeping sweep rows identical
+// across worker counts (the determinism contract).
+func TestRandomizedCustomProcessDeterministic(t *testing.T) {
 	spec := SweepSpec{
 		Topologies: []Topo{"ring"},
 		Sizes:      []int{16, 32},

@@ -54,38 +54,17 @@ func (c *graphCache) get(key graphKey, build func() (*graph.Graph, error)) (*gra
 	return e.g, e.err
 }
 
-// worker holds the per-goroutine reusable state: a handle on the sweep's
-// shared graph cache and the prototype process instance of the last
-// deterministic cell it ran, which subsequent replicas of the same cell
-// reuse via Reset (plus Reseed for randomized processes) instead of
-// reallocating per trial — or run on a clone when the measurement must not
-// disturb the prototype. Beyond the cache's build synchronization, workers
-// never share mutable state, so the hot step loops run without locks, and
-// the simulators' internal scratch buffers keep them allocation-free
-// across rounds.
-type worker struct {
-	graphs *graphCache
-
-	protoCell int    // cell index the cached prototype was built for
-	protoName string // process name the cached prototype runs
-	proto     Proc
-}
-
-func newWorker(graphs *graphCache) *worker {
-	return &worker{graphs: graphs, protoCell: -1}
-}
-
 // graph returns the shared cached graph for a cell, constructing it on
 // first use anywhere in the sweep. Builders are deterministic given
 // (params, n, seed) — seeded families derive their seed from the sweep's
 // base seed and the resolved spec, never from worker identity — so caching
 // cannot affect results, only skip redundant construction.
-func (w *worker) graph(spec *SweepSpec, c Cell) (*graph.Graph, error) {
+func (e *ExpandedSweep) graph(c Cell) (*graph.Graph, error) {
 	var seed uint64
 	if c.inst.def.Seeded {
-		seed = graphSeedOf(spec.Seed, c.Spec)
+		seed = graphSeedOf(e.spec.Seed, c.Spec)
 	}
-	return w.graphs.get(graphKey{spec: c.Spec, seed: seed}, func() (*graph.Graph, error) {
+	return e.graphs.get(graphKey{spec: c.Spec, seed: seed}, func() (*graph.Graph, error) {
 		return buildInstance(c.inst, c.N, seed)
 	})
 }
@@ -147,15 +126,19 @@ func baseRow(spec *SweepSpec, def *ProcessDef, c Cell, replica int, seed uint64)
 	return r
 }
 
-// runJob executes one replica of one cell: resolve the placement, build
-// (or reuse) the named process instance, and run the named metric on it.
-func (w *worker) runJob(spec *SweepSpec, c Cell, replica int) Row {
+// runJob executes one replica of one cell: resolve the placement, build a
+// fresh instance of the named process (behind the schedule runner when the
+// cell has a schedule), and run the named metric or mission on it. The job
+// shares nothing mutable with other jobs but the graph cache, so any number
+// of goroutines may run jobs of one sweep at once.
+func (e *ExpandedSweep) runJob(c Cell, replica int) Row {
+	spec := &e.spec
 	seed := jobSeed(spec.Seed, c, replica)
 	// The spec was validated by withDefaults before any worker started.
 	def, _ := Processes.Lookup(spec.Process)
 	met, _ := Metrics.Lookup(spec.Metric)
 	row := baseRow(spec, def, c, replica, seed)
-	g, err := w.graph(spec, c)
+	g, err := e.graph(c)
 	if err != nil {
 		row.Err = err.Error()
 		return row
@@ -165,12 +148,7 @@ func (w *worker) runJob(spec *SweepSpec, c Cell, replica int) Row {
 	row.Edges = g.NumEdges()
 	row.MaxDegree = g.MaxDegree()
 
-	// A cell is deterministic when no part of its configuration depends on
-	// the replica seed; its prototype instance can then be reused across
-	// the replicas this worker receives.
-	deterministic := c.Placement != PlaceRandom && c.Pointer != PtrRandom
 	rng := xrand.New(seed)
-
 	positions, err := c.Placement.Positions(g, c.K, rng)
 	if err != nil {
 		row.Err = err.Error()
@@ -184,7 +162,6 @@ func (w *worker) runJob(spec *SweepSpec, c Cell, replica int) Row {
 		Seed:      seed,
 		RNG:       rng,
 		Kernel:    spec.Kernel,
-		Preserve:  deterministic && spec.Replicas > 1,
 	}
 	if len(spec.Probes) > 0 {
 		env.Probes, err = buildProbes(spec.Probes, g.NumNodes())
@@ -194,47 +171,21 @@ func (w *worker) runJob(spec *SweepSpec, c Cell, replica int) Row {
 		}
 	}
 
-	var p Proc
-	if deterministic && w.protoCell == c.Index && w.protoName == spec.Process && w.proto != nil {
-		p = w.proto
-		// Randomized processes rewind their generator to the replica's
-		// deterministic state before the reuse; deterministic ones have
-		// nothing to rewind. A cached schedule runner also rewinds its
-		// schedule stream here (its Reseeder re-derives from the job seed)
-		// and its plan cursor in Reset.
-		if r, ok := p.(Reseeder); ok {
-			r.Reseed(seed)
-		}
-		p.Reset()
-	} else {
-		p, err = def.New(env)
+	p, err := def.New(env)
+	if err != nil {
+		row.Err = err.Error()
+		return row
+	}
+	// Perturbed cells run behind the schedule runner, which applies the
+	// cell's compiled plan while stepping; a schedule the process lacks
+	// the capabilities for fails as this job's error row.
+	if !c.sched.none() {
+		sp, err := newScheduledProc(p, spec.Process, c.sched, env)
 		if err != nil {
 			row.Err = err.Error()
 			return row
 		}
-		// Perturbed cells run behind the schedule runner, which applies the
-		// cell's compiled plan while stepping; a schedule the process lacks
-		// the capabilities for fails as this job's error row.
-		if !c.sched.none() {
-			sp, err := newScheduledProc(p, spec.Process, c.sched, env)
-			if err != nil {
-				row.Err = err.Error()
-				return row
-			}
-			p = sp
-		}
-		// Cache only instances whose reuse is equivalent to a fresh build:
-		// a randomized process must implement Reseeder, or the next replica
-		// would continue this replica's random stream — whose content
-		// depends on which worker ran it, breaking the engine's
-		// worker-count determinism contract. (The schedule runner always
-		// reseeds, forwarding to a randomized inner process.)
-		_, reseeds := p.(Reseeder)
-		if deterministic && (!def.Randomized || reseeds) {
-			w.protoCell, w.protoName, w.proto = c.Index, spec.Process, p
-		} else {
-			w.protoCell, w.protoName, w.proto = -1, "", nil
-		}
+		p = sp
 	}
 
 	if !c.mis.none() {

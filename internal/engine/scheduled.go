@@ -23,17 +23,15 @@ import (
 // Every seed-dependent choice is drawn from the job's schedule stream
 // (scheduleSeedOf), never from worker identity; hold draws come from their
 // own counter-based sub-stream (helddraw.go) keyed by (round, node), so
-// neither worker counts nor chunk boundaries can shift them. Reset restores
-// the pristine topology and initial configuration and rewinds the plan
-// cursor and the streams, so cached prototypes stay reusable across
-// replicas.
+// neither worker counts nor chunk boundaries can shift them. Each job
+// builds its own runner around its own process instance, so the plan
+// cursor and the streams only ever move forward.
 type scheduledProc struct {
 	inner Proc
 	plan  *SchedulePlan
 	spec  string // canonical schedule spec, for error messages
 
 	n        int // node count (constant across rewires)
-	seed     uint64
 	rng      *xrand.Rand
 	draw     *heldDraw // hold-draw stream; nil when the plan has no hold regime
 	pristine *graph.Graph
@@ -90,7 +88,6 @@ func newScheduledProc(p Proc, procName string, inst schedInstance, env *JobEnv) 
 		plan:     plan,
 		spec:     inst.canonical,
 		n:        env.Graph.NumNodes(),
-		seed:     seed,
 		rng:      xrand.New(seed),
 		pristine: env.Graph,
 		cur:      env.Graph,
@@ -117,38 +114,11 @@ func (sp *scheduledProc) Step() {
 	sp.inner.Step()
 }
 
-// Reset restores the initial configuration — pristine topology, initial
-// agents and pointers (the inner Reset undoes rewires and churn) — and
-// rewinds the plan cursor and the schedule stream.
-func (sp *scheduledProc) Reset() {
-	sp.inner.Reset()
-	sp.next = 0
-	sp.cur, sp.toOld = sp.pristine, nil
-	for i := range sp.deleted {
-		sp.deleted[i] = false
-	}
-	sp.rng.Reseed(sp.seed)
-}
-
-// Reseed implements Reseeder: the schedule stream follows the new job seed
-// (cached prototypes are reseeded before each replica's Reset), and an
-// inner randomized process is reseeded too.
-func (sp *scheduledProc) Reseed(seed uint64) {
-	if r, ok := sp.inner.(Reseeder); ok {
-		r.Reseed(seed)
-	}
-	sp.seed = scheduleSeedOf(seed, sp.spec)
-	sp.rng.Reseed(sp.seed)
-	if sp.draw != nil {
-		sp.draw.reseed(heldSeedOf(sp.seed))
-	}
-}
-
 // --- capability forwarding ------------------------------------------------
 // The wrapper forwards only the observation capabilities built-in probes
 // dispatch on (they observe the wrapper, and observation never feeds
 // measured values). Everything measurement-critical — CoverageResetter,
-// RestabMeasurer, VisitCounter, AgentCounter, Cloner — is deliberately NOT
+// RestabMeasurer, VisitCounter, AgentCounter — is deliberately NOT
 // re-implemented here: metrics and the conformance suite assert those on
 // measureTarget(p), so a schedule runner can never fabricate a capability
 // its inner process lacks, and missing capabilities keep failing as
@@ -175,30 +145,6 @@ func (sp *scheduledProc) NumDomains() (int, error) {
 		return d.NumDomains()
 	}
 	return 0, fmt.Errorf("engine: process does not count domains")
-}
-
-// cloneScheduled returns an independent deep copy of the wrapper and its
-// inner process (including the schedule stream). The inner process must
-// implement Cloner — callers check measureTarget(p).(Cloner) first.
-func (sp *scheduledProc) cloneScheduled() Proc {
-	cp := *sp
-	cp.inner = sp.inner.(Cloner).CloneProc()
-	cp.rng = sp.rng.Clone()
-	if sp.draw != nil {
-		cp.draw = sp.draw.clone()
-	}
-	cp.deleted = append([]bool(nil), sp.deleted...)
-	cp.held = nil
-	return &cp
-}
-
-// cloneProc deep-copies any process whose measurement target implements
-// Cloner, preserving an active schedule runner around the copy.
-func cloneProc(p Proc) Proc {
-	if sp, ok := p.(*scheduledProc); ok {
-		return sp.cloneScheduled()
-	}
-	return p.(Cloner).CloneProc()
 }
 
 // --- scheduled stepping ---------------------------------------------------

@@ -213,12 +213,5 @@ func TestScheduledKernelRespecializesAcrossFaultEpochs(t *testing.T) {
 		if sp.next != 2 {
 			t.Fatalf("k=%d after RunTo(200): %d events applied, want 2", tc.k, sp.next)
 		}
-
-		// Reset rewinds to the pristine epoch; the kernel must come back
-		// specialized there too.
-		sp.Reset()
-		if got := kernel(); got != tc.tier {
-			t.Fatalf("k=%d after Reset: kernel %q, want %s", tc.k, got, tc.tier)
-		}
 	}
 }

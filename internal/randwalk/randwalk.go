@@ -439,7 +439,7 @@ func (w *Walk) RunUntilCovered(maxRounds int64) (int64, error) {
 // Reset restores the initial placement (on the construction-time topology,
 // undoing any Rewire) and clears all counters, allowing a fresh run without
 // reallocation (mirroring core.System.Reset). The generator state is left
-// as is; combine with Reseed for reproducible independent trials.
+// as is.
 func (w *Walk) Reset() {
 	w.clearFlows()
 	if w.g != w.g0 {
@@ -458,10 +458,6 @@ func (w *Walk) Reset() {
 	}
 	w.place()
 }
-
-// Reseed resets the generator to the deterministic state xrand.New(seed)
-// would give it.
-func (w *Walk) Reseed(seed uint64) { w.rng.Reseed(seed) }
 
 // Clone returns a deep copy of the walk, including the generator state:
 // the copy and the original evolve identically from here (mirroring
@@ -613,8 +609,8 @@ func (w *Walk) ResetCoverage() {
 // CoverTimes runs independent trials of the cover time of k synchronous
 // random walks from the given positions, using deterministic per-trial
 // seeds derived from seed. Trials run in parallel across workers (bounded
-// by GOMAXPROCS), each worker reusing one Walk across its trials via
-// Reseed and Reset. It fails if any trial exhausts maxRounds.
+// by GOMAXPROCS), each trial on a Walk of its own. It fails if any trial
+// exhausts maxRounds.
 func CoverTimes(g *graph.Graph, positions []int, trials int, seed uint64, maxRounds int64, opts ...Option) ([]int64, error) {
 	if trials <= 0 {
 		return nil, errors.New("randwalk: trials must be positive")
@@ -632,19 +628,12 @@ func CoverTimes(g *graph.Graph, positions []int, trials int, seed uint64, maxRou
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var w *Walk
 			for t := range next {
 				trialSeed := seed + uint64(t)*0x9e3779b97f4a7c15
-				if w == nil {
-					var err error
-					w, err = New(g, positions, xrand.New(trialSeed), opts...)
-					if err != nil {
-						errs[t] = err
-						continue
-					}
-				} else {
-					w.Reseed(trialSeed)
-					w.Reset()
+				w, err := New(g, positions, xrand.New(trialSeed), opts...)
+				if err != nil {
+					errs[t] = err
+					continue
 				}
 				times[t], errs[t] = w.RunUntilCovered(maxRounds)
 			}

@@ -72,7 +72,6 @@ func (p *stallProc) RunUntilCovered(maxRounds int64) (int64, error) {
 }
 
 func (p *stallProc) Round() int64 { return 0 }
-func (p *stallProc) Reset()       { p.released = false }
 func (p *stallProc) Covered() int {
 	if p.released {
 		return p.n

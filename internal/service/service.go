@@ -76,8 +76,8 @@ type sweepMeta struct {
 }
 
 // chunkSize is the job-range shard handed to a pool worker at a time:
-// large enough that a worker usually runs a cell's replicas back to back
-// (prototype reuse), small enough that many workers share one sweep.
+// large enough to amortize a queue hand-off over many jobs, small enough
+// that many workers share one sweep.
 const chunkSize = 32
 
 // defaultDrainTimeout bounds how long Close waits for in-flight jobs. A
@@ -714,19 +714,13 @@ func (s *Server) feed(sw *sweepJob) {
 	flush()
 }
 
-// workerLoop is one slot of the shared pool. Runners are per-(worker,
-// sweep): consecutive tasks of the same sweep reuse the runner — and with
-// it the engine's prototype processes and the sweep's shared graph cache.
-// Each job runs under a recover barrier (runJob), so a panicking registry
-// entry fails its own sweep and the worker moves on.
+// workerLoop is one slot of the shared pool. Each job runs under a
+// recover barrier (runJob), so a panicking registry entry fails its own
+// sweep and the worker moves on.
 func (s *Server) workerLoop() {
 	defer s.workerWG.Done()
-	var cur *sweepJob
-	var runner *engine.JobRunner
 	for t := range s.queue {
-		if t.sw != cur {
-			cur, runner = t.sw, t.sw.exp.NewRunner()
-		}
+		runner := t.sw.exp.NewRunner()
 		for _, job := range t.jobs {
 			select {
 			case <-s.stop:
@@ -737,9 +731,6 @@ func (s *Server) workerLoop() {
 				break // failed or canceled mid-task: stop burning the pool
 			}
 			if !s.runJob(t.sw, runner, job) {
-				// The panic may have left the runner's prototype state
-				// corrupt; drop it so the next task builds a fresh one.
-				cur, runner = nil, nil
 				break
 			}
 		}

@@ -257,7 +257,6 @@ func newCreep(env *engine.JobEnv) (engine.Proc, error) {
 
 func (p *creepProc) Step()        {}
 func (p *creepProc) Round() int64 { return 0 }
-func (p *creepProc) Reset()       { p.covered = false }
 func (p *creepProc) Covered() int {
 	if p.covered {
 		return p.n
