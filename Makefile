@@ -6,7 +6,7 @@ GO ?= go
 # Benchtime for bench-kernels; CI smoke uses 1x, local comparisons 1s+.
 BENCHTIME ?= 1s
 
-.PHONY: all build vet fmt fmt-check test race race-short bench-smoke bench-kernels bench-baseline bench-json bench-check examples-smoke fuzz-smoke service-smoke chaos-smoke cluster-smoke verify ci clean
+.PHONY: all build vet fmt fmt-check test race race-short bench-smoke bench-kernels bench-baseline bench-json bench-check examples-smoke fuzz-smoke service-smoke chaos-smoke cluster-smoke loc verify ci clean
 
 all: verify
 
@@ -128,6 +128,13 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzDecodeWireSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzCoordinatorComplete$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzHTTPSubmitAndRows$$' -fuzztime $(FUZZTIME)
+
+# Net code lines, the figure CHANGES.md records for every change: non-blank
+# lines that do not start with // in non-test .go files, perfbench included.
+loc:
+	@find . -path ./.git -prune -o -path ./.bench_build -prune -o \
+		-name '*.go' ! -name '*_test.go' -exec cat {} + | \
+		grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'
 
 ci: build vet fmt-check race bench-smoke bench-kernels-smoke bench-check examples-smoke service-smoke chaos-smoke cluster-smoke fuzz-smoke
 

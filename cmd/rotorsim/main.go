@@ -24,6 +24,7 @@
 //	rotorsim -n 1024 -k 8 -probes coverage:256,histogram:1024 -format jsonl
 //	rotorsim -n 1024 -k 8 -schedule "none,delay:p=0.25,edgefail:t=4096,count=2" -format jsonl
 //	rotorsim -n 128 -k 4 -place random -pointers random -schedule "edgefail:t=131072" -metric restab_time
+//	rotorsim -topology grid:6x6 -k 1 -place random -pointers random -metric restab_time -replicas 4
 //	rotorsim -n 256 -k 8 -mission "explore,patrol:horizon=4096" -format jsonl
 package main
 

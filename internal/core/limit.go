@@ -9,11 +9,9 @@ import (
 // A rotor-router is a deterministic finite-state system, so from any
 // initialization it eventually cycles through a finite set of
 // configurations. FindLimitCycle locates that cycle with Brent's algorithm
-// (hash-compare fast path, full-state confirmation), MeasureReturnTime
+// (hash-compare fast path, full-state confirmation), and MeasureReturnTime
 // computes the paper's return time — the longest interval during which some
-// node stays unvisited in the limit — exactly over one period, and
-// MeasureCirculation verifies the Yanovski et al. Eulerian-circulation
-// property of the single-agent limit from the per-round flow view.
+// node stays unvisited in the limit — exactly over one period.
 
 // ErrNoCycle is returned when the round budget expires before the limit
 // cycle is confirmed.
@@ -224,44 +222,5 @@ func MeasureReturnTimeStop(s *System, maxRounds int64, stop func() bool) (*Retur
 		meanSum += float64(lc.Period) / float64(count[v])
 	}
 	stats.MeanGap = meanSum / float64(n)
-	return stats, nil
-}
-
-// CirculationStats describes per-arc traffic over one limit-cycle period.
-type CirculationStats struct {
-	// LimitCycle is the cycle the traffic was counted over; its
-	// StabilizationRound is -1 unless μ was requested.
-	LimitCycle
-	// MinArc and MaxArc are the extremes of per-arc traversal counts in
-	// one period.
-	MinArc int64
-	MaxArc int64
-	// Balanced reports MinArc == MaxArc: the system settled into a
-	// circulation that uses every arc equally often — for a single agent
-	// this is precisely the Eulerian cycle of Ĝ (Yanovski et al. [27]).
-	Balanced bool
-}
-
-// MeasureCirculation finds the limit cycle as FindLimitCycle does (with μ
-// when computeMu is true) and counts per-arc traversals over the next
-// period, summing each round's ForEachFlow view.
-func MeasureCirculation(s *System, maxRounds int64, computeMu bool) (*CirculationStats, error) {
-	lc, err := FindLimitCycle(s, maxRounds, computeMu)
-	if err != nil {
-		return nil, err
-	}
-	g := s.g
-	count := make([]int64, g.NumArcs())
-	tally := func(v, p int, agents int64) { count[g.ArcID(v, p)] += agents }
-	for r := int64(0); r < lc.Period; r++ {
-		s.Step()
-		s.ForEachFlow(tally)
-	}
-	stats := &CirculationStats{LimitCycle: *lc, MinArc: count[0], MaxArc: count[0]}
-	for _, d := range count {
-		stats.MinArc = min(stats.MinArc, d)
-		stats.MaxArc = max(stats.MaxArc, d)
-	}
-	stats.Balanced = stats.MinArc == stats.MaxArc
 	return stats, nil
 }

@@ -68,7 +68,7 @@ func (e *ExpandedSweep) JobSeed(job int) uint64 {
 // except the cell's grid index. Two jobs — in different sweeps, different
 // grid shapes, different servers — with equal JobKeys produce rows that
 // differ at most in the positional "cell" field. Row caches key on (a
-// digest of) this string; the "rowcache/v3" prefix versions the derivation
+// digest of) this string; the "rowcache/v4" prefix versions the derivation
 // so a future change to row content or seed derivation invalidates old
 // entries instead of serving stale bytes.
 func (e *ExpandedSweep) JobKey(job int) string {
@@ -94,7 +94,11 @@ func (e *ExpandedSweep) JobKey(job int) string {
 		// with a hold regime (delay) changed bytes; every other row is
 		// byte-identical, but the bump invalidates all cached entries rather
 		// than distinguishing the two.
-		"rowcache/v3",
+		// v4: restab_time measures an unscheduled cell from round 0 (the
+		// lock-in time of its initial configuration) where it used to
+		// write an error row, and error rows are cached like any other.
+		// Every other row is byte-identical.
+		"rowcache/v4",
 		"topo=" + c.Topology,
 		"spec=" + c.Spec,
 		fmt.Sprintf("n=%d", c.N),

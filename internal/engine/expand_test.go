@@ -224,8 +224,8 @@ func TestJobKeyIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseKey := baseExp.JobKey(0)
-	if !strings.HasPrefix(baseKey, "rowcache/v3|") {
-		t.Errorf("key %q lacks the rowcache/v3 version prefix", baseKey)
+	if !strings.HasPrefix(baseKey, "rowcache/v4|") {
+		t.Errorf("key %q lacks the rowcache/v4 version prefix", baseKey)
 	}
 	for name, v := range variants {
 		exp, err := Expand(v)

@@ -139,7 +139,8 @@ type BulkRunner interface {
 // RestabOutcome is the result of a re-stabilization measurement.
 type RestabOutcome struct {
 	// Restab is the number of rounds from the measurement start until the
-	// configuration enters its limit cycle (μ of the post-fault system).
+	// configuration enters its limit cycle (μ of the configuration at the
+	// start: the post-fault one, or the initial one on an unscheduled cell).
 	Restab int64
 	// Period is the limit-cycle length reached.
 	Period int64

@@ -280,14 +280,18 @@ func runToFault(p Proc, metric string, budget int64, row *Row) (int64, bool) {
 	return fault, true
 }
 
-// measureRestab is the re-stabilization metric (X9): run the schedule to
-// its fault boundary, then measure how many rounds the perturbed system
-// needs to lock into its limit cycle (μ of the post-fault configuration).
-// Value is that re-stabilization time; Period the limit cycle reached.
+// measureRestab is the lock-in metric: how many rounds the system needs to
+// lock into its limit cycle, measured from the schedule's fault boundary on
+// a scheduled cell (re-stabilization, X9) and from round 0 on an
+// unscheduled one (lock-in of the initial configuration, X6). Value is that
+// μ; Period the limit cycle reached; Rounds the round it was confirmed.
 func measureRestab(p Proc, env *JobEnv, budget int64, row *Row) {
-	fault, ok := runToFault(p, MetricRestab, budget, row)
-	if !ok {
-		return
+	var fault int64
+	if _, scheduled := p.(FaultRunner); scheduled {
+		var ok bool
+		if fault, ok = runToFault(p, MetricRestab, budget, row); !ok {
+			return
+		}
 	}
 	// Dispatch on the measurement target: the schedule runner never
 	// fabricates capabilities its inner process lacks.

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"rotorring/internal/core"
 	"rotorring/internal/graph"
+	"rotorring/internal/xrand"
 )
 
 // TestParseScheduleRoundTrip: canonical forms, normalization, and rejected
@@ -253,10 +255,16 @@ func TestScheduleSpecValidation(t *testing.T) {
 		t.Error("return metric accepted a schedule")
 	}
 
+	// With no schedule, restab_time measures μ of the initial
+	// configuration from round 0.
 	restab := base
 	restab.Metric = MetricRestab
-	if _, err := New(Workers(1)).Run(restab); err == nil {
-		t.Error("restab_time accepted a sweep with no faulted schedule")
+	rows, err := New(Workers(1)).Run(restab)
+	if err != nil {
+		t.Fatalf("restab_time rejected an unscheduled sweep: %v", err)
+	}
+	if r := rows[0]; r.Err != "" || r.Period <= 0 || r.Rounds <= 0 {
+		t.Errorf("unscheduled restab_time row: err=%q period=%d rounds=%d, want a μ row", r.Err, r.Period, r.Rounds)
 	}
 
 	restab.Schedules = []Schedule{"delay:p=0.5"} // unbounded: no fault boundary
@@ -347,6 +355,73 @@ func TestRestabMetricOnCutRing(t *testing.T) {
 		}
 		if r.Period <= 0 {
 			t.Errorf("n=%d: no limit cycle period reported", n)
+		}
+	}
+}
+
+// TestUnscheduledRestabMatchesCore: on an unscheduled cell restab_time
+// measures from round 0, so every row's (value, period, rounds) is
+// core.FindLimitCycle's (μ, λ, DetectedAt) on the job's initial
+// configuration, rebuilt from the row's seed the way newRotorProc builds
+// it. A scheduled cell still starts at its fault boundary, so an
+// open-ended delay cell of the same sweep fails as its own row.
+func TestUnscheduledRestabMatchesCore(t *testing.T) {
+	for _, kern := range []Kernel{KernelAuto, KernelGeneric, KernelFast} {
+		spec := SweepSpec{
+			Topologies: []Topo{"ring", "path", "grid:5x4", "lollipop:5x6", "btree:4", "rr:3x16"},
+			Sizes:      []int{12, 33},
+			Agents:     []int{1, 2, 5},
+			Placements: []Placement{PlaceSingle, PlaceRandom},
+			Pointers:   []Pointer{PtrZero, PtrRandom, PtrNegative},
+			Schedules:  []Schedule{"none", "delay:p=0.5"},
+			Metric:     MetricRestab,
+			Kernel:     kern,
+			Replicas:   2,
+			Seed:       3,
+		}
+		exp, err := Expand(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := New(Workers(2)).Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for job, r := range rows {
+			c, _ := exp.Job(job)
+			if c.Schedule != "" {
+				if !strings.Contains(r.Err, "bounded fault") {
+					t.Errorf("%s k=%d under %s: err %q, want a bounded-fault failure", c.Spec, c.K, c.Schedule, r.Err)
+				}
+				continue
+			}
+			g, err := exp.graph(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := xrand.New(r.Seed)
+			positions, err := c.Placement.Positions(g, c.K, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ptrs, err := c.Pointer.Pointers(g, positions, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := core.NewSystem(g, core.WithAgentsAt(positions...),
+				core.WithPointers(ptrs), core.WithKernelMode(kern.CoreMode()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lc, err := core.FindLimitCycle(sys, budget(&exp.spec, c, g), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Err != "" || int64(r.Value) != lc.StabilizationRound || r.Period != lc.Period || r.Rounds != lc.DetectedAt {
+				t.Errorf("kernel %s, %s k=%d %s/%s replica %d: row (μ %v, λ %d, rounds %d, err %q), core (μ %d, λ %d, detected %d)",
+					kern, c.Spec, c.K, c.Placement, c.Pointer, r.Replica, r.Value, r.Period, r.Rounds, r.Err,
+					lc.StabilizationRound, lc.Period, lc.DetectedAt)
+			}
 		}
 	}
 }

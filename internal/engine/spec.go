@@ -237,10 +237,12 @@ const (
 	// time for the rotor (Theorem 6), the mean inter-visit gap over a long
 	// window for walks (the paper's closing comparison).
 	MetricReturn = "return"
-	// MetricRestab measures the re-stabilization time after a perturbation
-	// (X9 / Bampas et al.): the rounds the system needs, from the
-	// schedule's fault boundary, to lock into its limit cycle. Requires a
-	// schedule with a fault event.
+	// MetricRestab measures the lock-in time μ: the rounds the system
+	// needs to lock into its limit cycle, counted from the schedule's fault
+	// boundary on a scheduled cell (re-stabilization after a perturbation,
+	// X9 / Bampas et al.) and from round 0 on an unscheduled one (lock-in of
+	// the initial configuration, X6 / Yanovski et al.). A scheduled cell
+	// needs a schedule with a bounded fault.
 	MetricRestab = "restab_time"
 	// MetricCoverAfterFault measures re-coverage: the rounds from the
 	// schedule's fault boundary until the (possibly rewired) graph is
@@ -437,7 +439,7 @@ func (s SweepSpec) withDefaults() (SweepSpec, error) {
 	s.scheds = make([]schedInstance, 0, len(s.Schedules))
 	schedCanon := make([]Schedule, len(s.Schedules))
 	perturbed := false
-	faulted := false
+	measurable := false // some schedule gives the perturbation metrics a start
 	for i, sc := range s.Schedules {
 		inst, err := parseSchedule(string(sc))
 		if err != nil {
@@ -448,8 +450,10 @@ func (s SweepSpec) withDefaults() (SweepSpec, error) {
 		if !inst.none() {
 			perturbed = true
 		}
-		if inst.plan.FaultRound >= 0 {
-			faulted = true
+		// restab_time measures an unscheduled cell from round 0;
+		// cover_after_fault there would only be the cover metric again.
+		if inst.plan.FaultRound >= 0 || inst.none() && s.Metric == MetricRestab {
+			measurable = true
 		}
 	}
 	s.Schedules = schedCanon
@@ -459,7 +463,7 @@ func (s SweepSpec) withDefaults() (SweepSpec, error) {
 		// the schedule, so reject the combination up front.
 		return s, fmt.Errorf("engine: the %q metric does not support schedules", MetricReturn)
 	}
-	if (s.Metric == MetricRestab || s.Metric == MetricCoverAfterFault) && !faulted {
+	if (s.Metric == MetricRestab || s.Metric == MetricCoverAfterFault) && !measurable {
 		return s, fmt.Errorf("engine: the %q metric requires at least one schedule with a bounded fault (got %s)",
 			s.Metric, scheduleList(s.Schedules))
 	}

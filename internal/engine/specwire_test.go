@@ -86,7 +86,7 @@ var wireRejections = []struct {
 	{"bad pointer", `{"v":1,"agents":[2],"sizes":[32],"pointers":["north"]}`, "unknown pointer"},
 	{"bad kernel", `{"v":1,"agents":[2],"sizes":[32],"kernel":"turbo"}`, "unknown kernel"},
 	{"no agents", `{"v":1,"sizes":[32]}`, "agent count"},
-	{"schedule/metric conflict", `{"v":1,"agents":[2],"sizes":[32],"metric":"restab_time"}`, "requires at least one schedule"},
+	{"schedule/metric conflict", `{"v":1,"agents":[2],"sizes":[32],"metric":"cover_after_fault"}`, "requires at least one schedule"},
 }
 
 func TestWireSpecDecodeRejections(t *testing.T) {

@@ -327,57 +327,64 @@ func expX5() *Experiment {
 
 // expX6 — Yanovski et al. [27] / Bampas et al. [6]: the single-agent
 // rotor-router locks into the Eulerian circulation within Θ(D·|E|) rounds.
+// It runs as one registry sweep: on an unscheduled cell the "restab_time"
+// metric measures μ of the initial configuration and the period λ.
 func expX6() *Experiment {
 	return &Experiment{
 		ID:       "X6",
 		PaperRef: "§1.2 / [27], [6]",
 		Claim:    "single-agent lock-in to the Eulerian cycle within Θ(D·|E|)",
 		Run: func(cfg Config) (*Result, error) {
-			graphs := []*graph.Graph{
-				graph.Ring(32), graph.Path(24), graph.Grid2D(6, 6),
-				graph.Complete(10), graph.Star(16), graph.Hypercube(4),
-				graph.CompleteBinaryTree(4), graph.Lollipop(6, 8),
-			}
+			topos := []engine.Topo{"ring:32", "path:24", "grid:6x6", "complete:10",
+				"star:16", "hypercube:4", "btree:4", "lollipop:6x8"}
 			if cfg.Scale == Full {
-				graphs = append(graphs, graph.Ring(256), graph.Grid2D(16, 16), graph.Hypercube(7))
+				topos = append(topos, "ring:256", "grid:16x16", "hypercube:7")
 			}
 			trials := 4
-			rng := xrand.New(cfg.Seed + 7)
+			rows, err := sweep(cfg, engine.SweepSpec{
+				Topologies: topos,
+				Agents:     []int{1},
+				Placements: []engine.Placement{engine.PlaceRandom},
+				Pointers:   []engine.Pointer{engine.PtrRandom},
+				Metric:     engine.MetricRestab,
+				Replicas:   trials,
+				Seed:       cfg.Seed,
+			})
+			if err != nil {
+				return nil, err
+			}
 			table := &Table{
-				Title:   "X6: single-agent lock-in round μ vs the 2D|E| bound",
+				Title:   "X6: single-agent lock-in round μ vs the 2D|E| bound (metric restab_time)",
 				Headers: []string{"graph", "D", "|E|", "max μ", "2D|E|", "μ/(2D|E|)", "period", "Eulerian"},
 			}
 			worstRatio := 0.0
-			for _, g := range graphs {
+			for i, topo := range topos {
+				g, err := engine.BuildTopo(topo, 0, 0) // every X6 family is unseeded
+				if err != nil {
+					return nil, err
+				}
 				d, m := g.Diameter(), g.NumEdges()
 				bound := int64(2 * d * m)
 				var maxMu, period int64
-				balanced := true
-				for t := 0; t < trials; t++ {
-					sys, err := core.NewSystem(g,
-						core.WithAgentsAt(rng.Intn(g.NumNodes())),
-						core.WithPointers(core.PointersRandom(g, rng)))
-					if err != nil {
-						return nil, err
-					}
-					cs, err := core.MeasureCirculation(sys, 64*bound+1<<16, true)
-					if err != nil {
-						return nil, err
-					}
-					maxMu = max(maxMu, cs.StabilizationRound)
-					period = cs.Period
-					balanced = balanced && cs.Balanced
+				eulerian := true
+				// Each topology is one cell, its trials adjacent rows. The
+				// agent crosses one arc a round and, its pointers turning
+				// full circles in the limit, every arc at least once a
+				// period: the period is 2|E| exactly when each arc is
+				// crossed once, the Eulerian cycle.
+				for _, r := range rows[i*trials : (i+1)*trials] {
+					maxMu = max(maxMu, int64(r.Value))
+					period = r.Period
+					eulerian = eulerian && r.Period == int64(2*m)
 				}
 				ratio := float64(maxMu) / float64(bound)
-				if ratio > worstRatio {
-					worstRatio = ratio
-				}
+				worstRatio = max(worstRatio, ratio)
 				table.Rows = append(table.Rows, []string{
-					g.Name(), fmt.Sprintf("%d", d), fmt.Sprintf("%d", m),
+					string(topo), fmt.Sprintf("%d", d), fmt.Sprintf("%d", m),
 					fmt.Sprintf("%d", maxMu), fmt.Sprintf("%d", bound),
 					fmt.Sprintf("%.3f", ratio),
 					fmt.Sprintf("%d", period),
-					fmt.Sprintf("%v", balanced),
+					fmt.Sprintf("%v", eulerian),
 				})
 			}
 			return &Result{
