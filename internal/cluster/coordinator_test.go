@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -402,4 +403,41 @@ func FuzzCoordinatorComplete(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestControlBodiesCapped posts an 8 MiB body, a worker name that long, to
+// each of the register, heartbeat and lease endpoints: each must answer 413
+// without registering anything, so the worker list stays small.
+func TestControlBodiesCapped(t *testing.T) {
+	c := NewCoordinator(newHarness().config(time.Hour))
+	defer c.Close()
+	h := c.Handler()
+	reg := c.register(RegisterRequest{Name: "small"})
+	huge := strings.Repeat("x", 8<<20)
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/cluster/register", RegisterRequest{Name: huge}},
+		{"/v1/cluster/heartbeat", map[string]string{"workerId": reg.WorkerID, "pad": huge}},
+		{"/v1/cluster/lease", map[string]string{"workerId": reg.WorkerID, "pad": huge}},
+	} {
+		body, err := json.Marshal(tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge || rec.Body.Len() > 1<<10 {
+			t.Fatalf("%s: status %d with a %d-byte answer, want 413", tc.path, rec.Code, rec.Body.Len())
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/cluster/workers", nil))
+	if rec.Code != http.StatusOK || rec.Body.Len() > 1<<10 {
+		t.Fatalf("workers: status %d with a %d-byte answer", rec.Code, rec.Body.Len())
+	}
+	if n := len(c.Snapshot().PerWorker); n != 1 {
+		t.Fatalf("%d workers registered, want 1", n)
+	}
 }

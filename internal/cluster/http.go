@@ -33,8 +33,26 @@ func clusterJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+// maxControlBody caps the request bodies of register, heartbeat and lease,
+// which carry a worker's name and ids only. /complete is not capped here:
+// its body carries finished rows, which a stride-1 probe series can make
+// many megabytes long.
+const maxControlBody = 64 << 10
+
+// decodeBody decodes r's JSON body into v. It answers 400 to a body that
+// does not decode and, when limit > 0, 413 to one longer than limit bytes,
+// without reading past the limit.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	body := r.Body
+	if limit > 0 {
+		body = http.MaxBytesReader(w, body, limit)
+	}
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		var tooLong *http.MaxBytesError
+		if errors.As(err, &tooLong) {
+			clusterError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", limit)
+			return false
+		}
 		clusterError(w, http.StatusBadRequest, "decode request: %v", err)
 		return false
 	}
@@ -43,7 +61,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, maxControlBody) {
 		return
 	}
 	clusterJSON(w, http.StatusOK, c.register(req))
@@ -51,7 +69,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, maxControlBody) {
 		return
 	}
 	if !c.heartbeat(req.WorkerID) {
@@ -63,7 +81,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, maxControlBody) {
 		return
 	}
 	resp, err := c.grant(req.WorkerID, time.Duration(req.WaitMillis)*time.Millisecond)
@@ -85,7 +103,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, 0) {
 		return
 	}
 	resp, err := c.complete(req)

@@ -11,7 +11,8 @@ import (
 // engine's batched per-node fan-out versus naive per-agent moves, and (2)
 // the configuration hash's upkeep. Incremental hashing serves the
 // occupied-list rounds (generic, sparse, windows), which touch O(occupied)
-// nodes; after a flat-kernel round, itself O(n), core rehashes in full.
+// nodes; kernel rounds leave the hash stale, and core rehashes in full
+// when it is next read.
 
 // BenchmarkAblationBatchedStep: the generic engine, forced because a dense
 // ring would select the flat kernel, with many agents stacked on few nodes
@@ -101,9 +102,10 @@ func BenchmarkStepSparseAgents(b *testing.B) {
 
 // BenchmarkFindLimitCycle: end-to-end cost of cycle detection, without μ
 // on Ring(256) with k = 4 (the sparse round) and on Ring(128) with k = 32,
-// the shape of the paper-grid return cells that run the flat kernel with
-// its full rehash per round, and with μ on a restab cell's shape after its
-// fault: Ring(128) with one edge masked and k = 32.
+// the shape of the paper-grid return cells, which run the packed round and
+// compare words instead of hashing, and with μ on a restab cell's shape
+// after its fault: Ring(128) with one edge masked and k = 32 (the generic
+// engine).
 func BenchmarkFindLimitCycle(b *testing.B) {
 	ring := graph.Ring(128)
 	deleted := make([]bool, ring.NumArcs())

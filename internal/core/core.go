@@ -14,20 +14,24 @@
 // its exit counters follow by conservation, e_v(t) = n_v(t) − (agents at
 // v), and are not stored.
 //
-// Stepping is tiered (see internal/kernel): on ring and path topologies
-// with dense agent populations (k ≥ n/kernel.DenseFraction), NewSystem
-// selects a specialized flat kernel whose rounds are a few linear scans
-// with direct v±1 addressing and closed-form degree-2 port splits —
-// bit-identical to the generic engine, several times faster. Below that
-// density, fully-active rounds run the sparse degree-2 round (sparse.go):
-// the generic occupied-list round with the same closed forms, 1.6–2.3× as
-// fast as the generic engine in the paper's k ≪ n regime. With fewer
-// agents still (n ≥ WindowSpread·k²), Run and RunUntilCovered move lone,
-// well-separated agents through interaction-free windows: stretches of
-// rounds in which no two agents can meet, run as one tight loop over the
-// agents, exact to the occupied order (sparse.go). WithKernelMode
-// forces the generic engine or the flat kernel; anything off the ring/path
-// runs on the generic path. Every tier leaves the round's movers behind, so
+// Stepping is tiered (see internal/kernel), with separate choices for
+// fully-active and held rounds. On ring and path topologies with
+// k ≥ n/kernel.PackedFraction agents, fully-active rounds run the kernel's
+// bit-sliced packed round, 64 nodes per machine word — bit-identical to the
+// generic engine and many times faster. The system's flat arrays are then a
+// lazily materialized view of the packed state: reads materialize them
+// once and keep the packed state, writes (held, generic and sparse rounds,
+// the mutations) materialize them and drop it. Held rounds take the
+// kernel's flat held tier at k ≥ n/kernel.DenseFraction and the generic
+// loop below it. Below the packed threshold, fully-active rounds run the
+// sparse degree-2 round (sparse.go): the generic occupied-list round with
+// closed-form splits. With fewer agents still (n ≥ WindowSpread·k²), the
+// sparse round runs whatever the density, and Run and RunUntilCovered move
+// lone, well-separated agents through interaction-free windows: stretches
+// of rounds in which no two agents can meet, run as one tight loop over the
+// agents, exact to the occupied order (sparse.go). WithKernelMode forces
+// the generic engine or the kernel; anything off the ring/path runs on the
+// generic path. Every tier leaves the round's movers behind, so
 // ForEachFlow reads the last round's per-arc flows on demand without
 // recording anything while stepping.
 //
@@ -55,15 +59,18 @@ type KernelMode int
 // Kernel modes.
 const (
 	// KernelAuto picks by topology and density. On the canonical ring and
-	// path it runs the flat kernel when k ≥ n/kernel.DenseFraction (n/4)
-	// and the sparse degree-2 round below that; held rounds there take the
-	// flat kernel's held tier or, when sparse, the generic loop. Every
-	// other topology runs the generic engine. This is the default.
+	// path, fully-active rounds run the packed kernel round when
+	// k ≥ n/kernel.PackedFraction (n/32) and the windows' rule
+	// n ≥ WindowSpread·k² does not hold, and the sparse degree-2 round
+	// otherwise; held rounds take the flat held kernel when
+	// k ≥ n/kernel.DenseFraction (n/4) and the generic loop below it.
+	// Every other topology runs the generic engine. This is the default.
 	KernelAuto KernelMode = iota
 	// KernelGeneric forces the generic port-labeled-graph engine.
 	KernelGeneric
-	// KernelFast forces the specialized kernel whenever the topology has
-	// one, regardless of density; unsupported topologies silently use the
+	// KernelFast forces the specialized kernel, fully-active and held rounds
+	// alike, whenever the topology has one, regardless of density;
+	// unsupported topologies silently use the
 	// generic engine (so grids mixing ring and torus cells need no
 	// per-cell configuration).
 	KernelFast
@@ -99,15 +106,18 @@ type System struct {
 	n  int
 	k  int64
 
-	// st holds the flat configuration state shared with the stepping
-	// kernels; see kernel.State.
+	// st holds the configuration state shared with the stepping kernels;
+	// see kernel.State. After a packed round its flat arrays are stale:
+	// readers call st.Materialize, writers unpack.
 	st kernel.State
 
-	// fast is the specialized kernel selected for this system (nil when
-	// only the generic engine applies). Fully-active and held rounds run on
-	// it; StepHeld(nil) takes the generic path. parShards fixes the shard
-	// count under KernelParallel (0 = GOMAXPROCS at step time).
+	// fast is the specialized kernel selected for this system's
+	// fully-active rounds (nil when they run the sparse round or the
+	// generic engine), and heldFast says whether held rounds run its held
+	// tier; StepHeld(nil) takes the generic path. parShards fixes the
+	// shard count under KernelParallel (0 = GOMAXPROCS at step time).
 	fast      kernel.Stepper
+	heldFast  bool
 	kmode     KernelMode
 	parShards int
 	// sparse is the degree-2 shape whose sparse round (sparse.go) runs
@@ -118,17 +128,18 @@ type System struct {
 	ag0  []int64 // initial agent counts, for Reset
 
 	// The occupied list is bookkeeping of the generic and sparse rounds:
-	// the flat kernels do not maintain it, so it is rebuilt lazily
-	// (occValid) when a round or an accessor next needs it.
+	// the kernels do not maintain it, so it is rebuilt lazily (occValid),
+	// in node order, when a round or an accessor next needs it.
 	occupied []int  // nodes with agents[v] > 0
 	inOcc    []bool // membership flags for occupied
 	occValid bool
 
 	// movers says where ForEachFlow finds the last round's movers:
 	// srcNode/srcCnt after a generic or sparse round, st.Scratch (the
-	// pre-round counts a kernel swapped out) minus the clamped held after
-	// a kernel round. held is that kernel round's hold vector, nil when it
-	// was fully active.
+	// pre-round counts a flat kernel swapped out) minus the clamped held
+	// after a flat kernel round, and the packed state's previous planes
+	// after a packed round. held is that flat round's hold vector, nil when
+	// it was fully active.
 	movers moverSource
 	held   []int64
 
@@ -140,12 +151,14 @@ type System struct {
 	cand    []int
 
 	// hashOn enables the configuration hash of cycle detection; hash is
-	// the hash of the current configuration while it is on. The
-	// occupied-list rounds and the mutations update it incrementally; the
-	// flat kernels do not know it, so a kernel round is followed by one
-	// O(n) rehash (afterKernel).
-	hashOn bool
-	hash   uint64
+	// the hash of the current configuration while it is on, unless
+	// hashStale is set. The occupied-list rounds and the mutations update
+	// it incrementally; the kernels do not know it, so a kernel round
+	// marks it stale, and ConfigHash or the next incremental update
+	// recomputes it in one O(n) pass (freshHash).
+	hashOn    bool
+	hashStale bool
+	hash      uint64
 
 	// windowRounds counts the rounds run in interaction-free windows, so
 	// that tests can assert the windows ran.
@@ -159,6 +172,7 @@ const (
 	moversNone    moverSource = iota // no round since the view was emptied
 	moversGeneric                    // srcNode/srcCnt
 	moversKernel                     // st.Scratch minus the clamped held
+	moversPacked                     // the packed state's previous planes
 )
 
 // Option configures a System at construction time.
@@ -202,9 +216,10 @@ func WithPointers(pointers []int) Option {
 }
 
 // WithConfigHash enables configuration hashing from round zero. Hashing
-// costs two mixes per moved node in an occupied-list round and two per
-// node in the O(n) rehash after a flat-kernel round, so it is off by
-// default; FindLimitCycle and MeasureReturnTime enable it on demand (see
+// costs two mixes per moved node in an occupied-list round; kernel rounds
+// only mark the hash stale, and the next read or incremental update
+// recomputes it with two mixes per node. It is off by default;
+// FindLimitCycle and MeasureReturnTime enable it on demand (see
 // EnableConfigHash), and ConfigHash self-enables on first call.
 func WithConfigHash() Option {
 	return func(c *config) error {
@@ -312,14 +327,19 @@ func NewSystem(g *graph.Graph, opts ...Option) (*System, error) {
 // graph, agent count and mode. Called at construction and again whenever
 // the topology or population changes (Rewire, AddAgents, RemoveAgents):
 // fast paths re-specialize when the new shape has a kernel and fall back to
-// the generic engine otherwise.
+// the generic engine otherwise. Under KernelAuto the windows' band
+// (n ≥ WindowSpread·k²) keeps fully-active rounds on the sparse round,
+// whose Run takes the windows.
 func (s *System) reselectKernel() {
-	s.fast, s.sparse = nil, kernel.ShapeGeneral
+	s.fast, s.heldFast, s.sparse = nil, false, kernel.ShapeGeneral
 	if s.kmode == KernelGeneric {
 		return
 	}
 	force := s.kmode == KernelFast || s.kmode == KernelParallel
-	s.fast, s.sparse = kernel.Select(s.g, s.k, force)
+	s.fast, s.heldFast, s.sparse = kernel.Select(s.g, s.k, force)
+	if !force && s.fast != nil && s.spread() {
+		s.fast, s.heldFast = nil, false
+	}
 	if s.kmode == KernelParallel {
 		// Parallelize returns a fresh stepper (it carries merge
 		// scratch); shapes without a parallel tier keep the serial
@@ -338,24 +358,31 @@ func (s *System) NumAgents() int64 { return s.k }
 func (s *System) Round() int64 { return s.st.Round }
 
 // AgentsAt returns the number of agents currently at v.
-func (s *System) AgentsAt(v int) int64 { return s.st.Agents[v] }
+func (s *System) AgentsAt(v int) int64 {
+	s.st.Materialize()
+	return s.st.Agents[v]
+}
 
 // AgentCountsView returns the live per-node agent-count array, indexed by
 // node. It is a zero-copy view for flat read loops on hot paths (the
 // schedule runner's hold-draw fill) where per-node AgentsAt calls would
 // dominate. Callers must not mutate it, and must re-fetch it after any
-// step: the fused kernels advance by buffer swap, so the slice goes stale
-// each round.
-func (s *System) AgentCountsView() []int64 { return s.st.Agents }
+// step: the kernels advance by buffer swap or in packed form, so the slice
+// goes stale each round.
+func (s *System) AgentCountsView() []int64 {
+	s.st.Materialize()
+	return s.st.Agents
+}
 
 // HoldNodes returns the nodes whose held entries the next StepHeld reads:
-// nil when the flat kernel's held tier runs the round, since it reads
-// every node, and otherwise the occupied list that the generic loop
-// walks. The schedule runner draws holds only at these nodes. The slice
-// is the system's own; callers must not mutate it, and it is stale after
-// the next step.
+// nil when the flat kernel's held tier runs held rounds (k ≥
+// n/kernel.DenseFraction, or forced), since it reads every node, and
+// otherwise the occupied list that the generic loop walks, whichever tier
+// runs the fully-active rounds. The schedule runner draws holds only at
+// these nodes. The slice is the system's own; callers must not mutate it,
+// and it is stale after the next step.
 func (s *System) HoldNodes() []int {
-	if s.fast != nil {
+	if s.heldFast {
 		return nil
 	}
 	s.ensureOccupied()
@@ -363,10 +390,14 @@ func (s *System) HoldNodes() []int {
 }
 
 // Pointer returns the current port pointer of v.
-func (s *System) Pointer(v int) int { return int(s.st.Ptr[v]) }
+func (s *System) Pointer(v int) int {
+	s.st.Materialize()
+	return int(s.st.Ptr[v])
+}
 
-// KernelName reports the stepping tier fully-active rounds run on: "ring",
-// "path" or "ring-parallel" for the flat kernels, "ring-sparse" or
+// KernelName reports the stepping tier fully-active rounds run on: "ring"
+// or "path" for the packed kernel round, "ring-parallel" for the sharded
+// flat ring round, "ring-sparse" or
 // "path-sparse" for the sparse degree-2 round, "generic" otherwise.
 func (s *System) KernelName() string {
 	switch {
@@ -382,7 +413,10 @@ func (s *System) KernelName() string {
 // arrivals at v during rounds [1, t], matching the paper's counters. The
 // paper's exit counter follows by conservation: e_v(t) = Visits(v) −
 // AgentsAt(v).
-func (s *System) Visits(v int) int64 { return s.st.Visits[v] }
+func (s *System) Visits(v int) int64 {
+	s.st.Materialize()
+	return s.st.Visits[v]
+}
 
 // Covered returns how many nodes have been covered so far.
 func (s *System) Covered() int { return s.st.Covered }
@@ -397,6 +431,7 @@ func (s *System) FullyActiveRounds() int64 { return s.st.FullyActiveRounds }
 
 // Positions returns the sorted multiset of agent positions.
 func (s *System) Positions() []int {
+	s.st.Materialize()
 	out := make([]int, 0, s.k)
 	for v := 0; v < s.n; v++ {
 		for i := int64(0); i < s.st.Agents[v]; i++ {
@@ -407,11 +442,12 @@ func (s *System) Positions() []int {
 }
 
 // ensureOccupied rebuilds the occupied list after specialized-kernel rounds
-// (which track only the flat count array).
+// (which do not keep it), in node order.
 func (s *System) ensureOccupied() {
 	if s.occValid {
 		return
 	}
+	s.st.Materialize()
 	s.occupied = s.occupied[:0]
 	for v := 0; v < s.n; v++ {
 		occ := s.st.Agents[v] > 0
@@ -437,13 +473,18 @@ func (s *System) Occupied() []int {
 // Nothing is recorded while stepping: an arc's flow is a pure function of
 // its source's movers, pointer after the round and degree, and every tier
 // leaves the movers behind. A read costs O(arcs moved) after a generic
-// round and O(n) after a kernel round. The view is empty before the first
-// round and after Reset, Rewire and SetPointers (which move the pointers
-// the flows derive from), and starts empty in a Clone; AddAgents,
-// RemoveAgents and ResetCoverage leave it intact.
+// round, O(n/64 + nodes moved) after a packed round and O(n) after a flat
+// kernel round. The view is empty before the first round and after Reset,
+// Rewire and SetPointers (which move the pointers the flows derive from),
+// and starts empty in a Clone; AddAgents, RemoveAgents and ResetCoverage
+// leave it intact.
 func (s *System) ForEachFlow(f func(v, port int, agents int64)) {
 	g, ptr := s.g, s.st.Ptr
 	switch s.movers {
+	case moversPacked:
+		s.st.ForEachMover(func(v int, m int64, p int32) {
+			emitFlows(v, m, g.Degree(v), int(p), f)
+		})
 	case moversGeneric:
 		for i, v := range s.srcNode {
 			if m := s.srcCnt[i]; m > 0 {
@@ -522,8 +563,16 @@ func (s *System) RunUntilCovered(maxRounds int64) (int64, error) {
 }
 
 // advance steps until round end or, when cover is set, until every node
-// has been visited, through interaction-free windows wherever one opens.
+// has been visited: in one kernel call on the kernel tier, and otherwise
+// through interaction-free windows wherever one opens.
 func (s *System) advance(end int64, cover bool) {
+	if s.fast != nil {
+		if s.st.Round < end && !(cover && s.st.Covered == s.n) {
+			s.fast.Run(&s.st, end, cover)
+			s.afterKernel(nil)
+		}
+		return
+	}
 	windows := s.windowsOn()
 	for s.st.Round < end && !(cover && s.st.Covered == s.n) {
 		if windows && s.window(end, cover) {
@@ -547,22 +596,26 @@ func (s *System) coverAt(round int64) {
 // the pointer — exactly the paper's D(v,t) semantics.
 //
 // Held rounds run on the flat kernel's held tier (kernel.Stepper.StepHeld)
-// when the system has a flat kernel, bit-identically to the generic engine
-// below, which everything else runs on — sparse ring and path populations
-// included. StepHeld(nil) on a system with a specialized kernel or a
-// sparse round is equivalent to Step but deliberately takes the generic
-// path — it is the reference arm of the differential tests.
+// when k ≥ n/kernel.DenseFraction on the ring or path, bit-identically to
+// the generic engine below, which everything else runs on — ring and path
+// populations below that density included, whether their fully-active
+// rounds run packed or sparse. StepHeld(nil) on a system with a
+// specialized kernel or a sparse round is equivalent to Step but
+// deliberately takes the generic path — it is the reference arm of the
+// differential tests.
 //
 // The generic path reads held only at the occupied nodes, which HoldNodes
-// lists; the flat kernels read every entry. A kernel round keeps a
+// lists; the flat held kernels read every entry. A kernel round keeps a
 // reference to held for ForEachFlow, so a caller that reads the round's
 // flows must leave held unchanged until then.
 func (s *System) StepHeld(held []int64) {
-	if held != nil && s.fast != nil {
+	if held != nil && s.heldFast {
+		s.st.Unpack(false)
 		s.fast.StepHeld(&s.st, held)
 		s.afterKernel(held)
 		return
 	}
+	s.unpack(false)
 	s.ensureOccupied()
 	s.movers, s.held = moversGeneric, nil
 
@@ -666,15 +719,33 @@ func (s *System) StepHeld(held []int64) {
 	}
 }
 
-// afterKernel records a flat-kernel round, which touches only the flat
-// arrays: the occupied list goes stale, ForEachFlow reads the movers from
-// the counts the kernel swapped out (minus held, nil when the round was
-// fully active), and the hash is recomputed from scratch, an O(n) pass
-// like the round itself.
+// afterKernel records kernel rounds, which keep neither the occupied list
+// nor the hash: the occupied list goes stale, the hash is marked stale,
+// and ForEachFlow reads the movers from the packed state after a packed
+// round and otherwise from the counts a flat round swapped out (minus
+// held, nil when the round was fully active).
 func (s *System) afterKernel(held []int64) {
 	s.occValid = false
 	s.movers, s.held = moversKernel, held
-	s.rehash()
+	if s.st.Packed() {
+		s.movers = moversPacked
+	}
+	s.hashStale = s.hashOn
+}
+
+// unpack prepares the flat arrays for a write: it materializes them, drops
+// the packed state and brings a stale hash up to date, so that the write
+// can apply its deltas. With flows set, the last packed round's movers
+// pass to the flat mover source, so that the flow view survives the write.
+func (s *System) unpack(flows bool) {
+	if s.st.Packed() {
+		flows = flows && s.movers == moversPacked
+		s.st.Unpack(flows)
+		if flows {
+			s.movers, s.held = moversKernel, nil
+		}
+	}
+	s.freshHash()
 }
 
 // The configuration hash is a sum mod 2^64 of one contribution per node
@@ -697,6 +768,7 @@ func hashCnt(v int, c int64) uint64 {
 
 // fullHash recomputes the configuration hash from scratch.
 func (s *System) fullHash() uint64 {
+	s.st.Materialize()
 	agents := s.st.Agents[:len(s.st.Ptr)]
 	var h uint64
 	for v, p := range s.st.Ptr {
@@ -705,18 +777,19 @@ func (s *System) fullHash() uint64 {
 	return h
 }
 
-// rehash recomputes the hash when hashing is on.
-func (s *System) rehash() {
-	if s.hashOn {
+// freshHash recomputes a stale hash.
+func (s *System) freshHash() {
+	if s.hashStale {
 		s.hash = s.fullHash()
+		s.hashStale = false
 	}
 }
 
 // EnableConfigHash switches on configuration hashing (one full O(n) hash
-// now, then two mixes per moved node per occupied-list round and one O(n)
-// rehash per flat-kernel round). It is a no-op when hashing is already on.
-// Cycle detection calls it before taking snapshots so every clone inherits
-// the enabled hash.
+// now, then two mixes per moved node per occupied-list round, and one O(n)
+// pass when the hash is next read or updated after kernel rounds). It is a
+// no-op when hashing is already on. Cycle detection calls it before taking
+// snapshots so every clone inherits the enabled hash.
 func (s *System) EnableConfigHash() {
 	if s.hashOn {
 		return
@@ -725,23 +798,30 @@ func (s *System) EnableConfigHash() {
 	s.hash = s.fullHash()
 }
 
-// ConfigHash returns the maintained hash of the current configuration
-// (pointers and agent positions; visit counters excluded), enabling hash
-// maintenance on first use (WithConfigHash enables it from round zero
-// instead). Equal configurations have equal hashes; unequal ones collide
-// with probability about 2^-64, so cycle detection confirms with
-// StateEqual.
+// ConfigHash returns the hash of the current configuration (pointers and
+// agent positions; visit counters excluded), enabling hash maintenance on
+// first use (WithConfigHash enables it from round zero instead). After
+// kernel rounds it costs one O(n) pass, and nothing more until the next
+// round. Equal configurations have equal hashes; unequal ones collide with
+// probability about 2^-64, so cycle detection confirms with StateEqual.
 func (s *System) ConfigHash() uint64 {
 	s.EnableConfigHash()
+	s.freshHash()
 	return s.hash
 }
 
 // StateEqual reports whether the configurations (pointers and agent
 // multisets) of s and o are identical. Both systems must share a topology.
+// Two packed systems compare words.
 func (s *System) StateEqual(o *System) bool {
 	if s.n != o.n {
 		return false
 	}
+	if s.st.Packed() && o.st.Packed() {
+		return s.st.PackedEqual(&o.st)
+	}
+	s.st.Materialize()
+	o.st.Materialize()
 	for v := 0; v < s.n; v++ {
 		if s.st.Ptr[v] != o.st.Ptr[v] || s.st.Agents[v] != o.st.Agents[v] {
 			return false
@@ -760,6 +840,7 @@ func (s *System) Clone() *System {
 		k:         s.k,
 		st:        s.st.Clone(),
 		fast:      s.fast,
+		heldFast:  s.heldFast,
 		kmode:     s.kmode,
 		parShards: s.parShards,
 		sparse:    s.sparse,
@@ -769,6 +850,7 @@ func (s *System) Clone() *System {
 		inOcc:     append([]bool(nil), s.inOcc...),
 		occValid:  s.occValid,
 		hashOn:    s.hashOn,
+		hashStale: s.hashStale,
 		hash:      s.hash,
 	}
 	// A parallel stepper carries per-shard merge scratch that must not be
@@ -786,6 +868,7 @@ func (s *System) Clone() *System {
 // topology, and a population changed by AddAgents/RemoveAgents returns to
 // its initial size.
 func (s *System) Reset() {
+	s.st.Unpack(false)
 	s.g = s.g0
 	s.movers = moversNone
 	s.k = 0
@@ -812,5 +895,5 @@ func (s *System) Reset() {
 	if s.st.Covered == s.n {
 		s.st.CoverRound = 0
 	}
-	s.rehash()
+	s.hashStale = s.hashOn
 }

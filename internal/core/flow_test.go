@@ -31,8 +31,8 @@ func referenceFlows(g *graph.Graph, ptr []int, agents, held []int64) map[arc]int
 // every tier — generic, serial fast, parallel at several shard counts and
 // the sparse degree-2 round — over rings, paths, tori and grids, mixing
 // plain, held and generic StepHeld(nil) rounds. The sparse arm (KernelAuto
-// with k < n/kernel.DenseFraction) also steps a generic twin and must match
-// its occupied list, in order, every round.
+// with k at most maxSparseK) also steps a generic twin and must match its
+// occupied list, in order, every round.
 func TestFlowViewMatchesReference(t *testing.T) {
 	rng := xrand.New(0xf10e)
 	for trial := 0; trial < 80; trial++ {
@@ -52,7 +52,7 @@ func TestFlowViewMatchesReference(t *testing.T) {
 		mode := []KernelMode{KernelGeneric, KernelFast, KernelParallel, KernelAuto}[rng.Intn(4)]
 		k := 1 + rng.Intn(4*n)
 		if mode == KernelAuto {
-			k = 1 + rng.Intn(max(1, n/kernel.DenseFraction-1))
+			k = 1 + rng.Intn(max(1, maxSparseK(n)))
 		}
 		positions := RandomPositions(n, k, rng)
 		pointers := PointersRandom(g, rng)
@@ -107,9 +107,9 @@ func TestFlowViewMatchesReference(t *testing.T) {
 // derived from), a Clone starts empty, and AddAgents, RemoveAgents and
 // ResetCoverage leave it equal to the last round's flows.
 func TestFlowViewAfterMutations(t *testing.T) {
-	g := graph.Ring(24)
-	positions := RandomPositions(24, 48, xrand.New(24))
-	held := make([]int64, 24)
+	g := graph.Ring(32)
+	positions := RandomPositions(32, 48, xrand.New(32))
+	held := make([]int64, 32)
 	for v := range held {
 		held[v] = int64(v % 2)
 	}
@@ -119,11 +119,11 @@ func TestFlowViewAfterMutations(t *testing.T) {
 		"held":    func(s *System) { s.StepHeld(held) },
 		"sparse":  func(s *System) { s.Step() },
 	}
-	// The sparse round runs under KernelAuto on a population below the
-	// flat kernels' threshold; the others force the flat kernel.
+	// The sparse round runs under KernelAuto on a population in the
+	// windows' band; the others force the kernel.
 	build := func(rname string) *System {
 		if rname == "sparse" {
-			s := newTestSystem(t, g, WithAgentsAt(positions[:3]...))
+			s := newTestSystem(t, g, WithAgentsAt(positions[:maxSparseK(32)]...))
 			if s.KernelName() != "ring-sparse" {
 				t.Fatalf("sparse round: kernel %q", s.KernelName())
 			}

@@ -12,14 +12,15 @@ import (
 	"rotorring/internal/xrand"
 )
 
-// This file is the kernel-equivalence differential suite: the specialized
-// ring/path kernels and the sparse degree-2 rounds must match the generic
-// engine configuration-for-configuration — pointers, agent counts, visit
-// counters, coverage bookkeeping, the last round's flow view and
-// (when enabled) the incremental hash — on randomized initializations,
-// including interleavings with held rounds, generic StepHeld(nil) rounds,
-// and accessors that force occupied-list rebuilds. The sparse rounds keep
-// the generic round's occupied list, so they must match its order too.
+// This file is the kernel-equivalence differential suite: the packed
+// ring/path round, the flat held kernels and the sparse degree-2 rounds
+// must match the generic engine configuration-for-configuration —
+// pointers, agent counts, visit counters, coverage bookkeeping, the last
+// round's flow view and (when enabled) the hash — on randomized
+// initializations, including interleavings with held rounds, generic
+// StepHeld(nil) rounds, and accessors that force occupied-list rebuilds or
+// materialize the packed state. The sparse rounds keep the generic round's
+// occupied list, so they must match its order too.
 
 // diffConfig is one randomized differential scenario.
 type diffConfig struct {
@@ -39,9 +40,16 @@ func (c diffConfig) String() string {
 	return fmt.Sprintf("%s(n=%d,k=%d,hash=%v,stacked=%v,rounds=%d)", shape, c.n, c.k, c.hash, c.stacked, c.rounds)
 }
 
-// sparse reports whether c's population is below the flat kernels'
-// threshold, where KernelAuto runs the sparse degree-2 round.
-func (c diffConfig) sparse() bool { return c.k < c.n/kernel.DenseFraction }
+// sparse reports whether KernelAuto runs c's fully-active rounds on the
+// sparse degree-2 round: below the packed round's threshold, or where the
+// windows' entry rule holds.
+func (c diffConfig) sparse() bool {
+	return c.k < c.n/kernel.PackedFraction || c.n >= WindowSpread*c.k*c.k
+}
+
+// heldGeneric reports whether KernelAuto runs c's held rounds on the
+// generic loop, below the flat held kernels' threshold.
+func (c diffConfig) heldGeneric() bool { return c.k < c.n/kernel.DenseFraction }
 
 // systemBuilder draws one random configuration for c and returns a factory
 // that instantiates it under any kernel mode, so differential tests can run
@@ -80,9 +88,10 @@ func systemBuilder(t *testing.T, c diffConfig, rng *xrand.Rand) func(mode Kernel
 
 // buildArms constructs the same random configuration under each tier:
 // forced onto the generic engine, forced onto the specialized kernel, and,
-// when c is sparse, under KernelAuto on the sparse degree-2 round (sparse
-// is nil otherwise).
-func buildArms(t *testing.T, c diffConfig, rng *xrand.Rand) (gen, fast, sparse *System) {
+// when KernelAuto picks differently from both, under KernelAuto: on the
+// sparse degree-2 round, or on the packed round with held rounds on the
+// generic loop (auto is nil otherwise).
+func buildArms(t *testing.T, c diffConfig, rng *xrand.Rand) (gen, fast, auto *System) {
 	t.Helper()
 	mk := systemBuilder(t, c, rng)
 	gen = mk(KernelGeneric)
@@ -98,19 +107,21 @@ func buildArms(t *testing.T, c diffConfig, rng *xrand.Rand) (gen, fast, sparse *
 		t.Fatalf("%v: forced fast selected %q, want %q", c, fast.KernelName(), want)
 	}
 	if c.sparse() {
-		sparse = mk(KernelAuto)
-		if got := sparse.KernelName(); got != want+"-sparse" {
-			t.Fatalf("%v: auto selected %q, want %q", c, got, want+"-sparse")
-		}
+		want += "-sparse"
+	} else if !c.heldGeneric() {
+		return gen, fast, nil
 	}
-	return gen, fast, sparse
+	auto = mk(KernelAuto)
+	if got := auto.KernelName(); got != want {
+		t.Fatalf("%v: auto selected %q, want %q", c, got, want)
+	}
+	return gen, fast, auto
 }
 
 // compareArm compares an arm with the generic engine: every observable of
 // compareSystems and, when the arm runs a sparse round, the occupied list
 // in order, which the sparse round keeps exactly as the generic round
-// builds it. A nil arm (the sparse arm of a dense configuration) is
-// skipped.
+// builds it. A nil arm (the auto arm of a dense configuration) is skipped.
 func compareArm(t *testing.T, c diffConfig, round int, gen, arm *System) {
 	t.Helper()
 	if arm == nil {
@@ -158,8 +169,8 @@ func compareSystems(t *testing.T, c diffConfig, round int, gen, fast *System) {
 	if gen.FullyActiveRounds() != fast.FullyActiveRounds() {
 		t.Fatalf("%v round %d: fullyActive %d vs %d", c, round, gen.FullyActiveRounds(), fast.FullyActiveRounds())
 	}
-	if c.hash && gen.hash != fast.hash {
-		t.Fatalf("%v round %d: hash %#x vs %#x", c, round, gen.hash, fast.hash)
+	if c.hash && gen.ConfigHash() != fast.ConfigHash() {
+		t.Fatalf("%v round %d: hash %#x vs %#x", c, round, gen.ConfigHash(), fast.ConfigHash())
 	}
 	if !gen.StateEqual(fast) {
 		t.Fatalf("%v round %d: StateEqual false after field-wise match", c, round)
@@ -434,32 +445,50 @@ func TestKernelPathTwoNodes(t *testing.T) {
 	}
 }
 
-// TestKernelAutoSelection pins the density heuristic: dense ring and path
-// populations (k ≥ n/kernel.DenseFraction) select the flat kernel, sparse
-// ones the sparse degree-2 round, and unsupported topologies — a cut ring
-// included — the generic engine. Selection follows the population and the
-// topology as they change: a repaired sparse ring goes back to its sparse
-// round, and agents joining past the threshold switch it to the flat
-// kernel.
+// TestKernelAutoSelection pins the density heuristic, separately for
+// fully-active and held rounds: on the ring and path, fully-active rounds
+// take the packed kernel round at k ≥ n/kernel.PackedFraction unless the
+// windows' entry rule holds, and the sparse degree-2 round otherwise; held
+// rounds take the flat held kernel at k ≥ n/kernel.DenseFraction, which
+// HoldNodes reports as nil, and the generic loop otherwise. Unsupported
+// topologies — a cut ring included — run the generic engine. Selection
+// follows the population and the topology as they change: a repaired
+// sparse ring goes back to its sparse round, and agents joining past each
+// threshold switch its tiers.
 func TestKernelAutoSelection(t *testing.T) {
-	ring := graph.Ring(64)
+	ring, big := graph.Ring(64), graph.Ring(1024)
 	cases := []struct {
-		name string
-		g    *graph.Graph
-		k    int
-		opts []Option
-		want string
+		name     string
+		g        *graph.Graph
+		k        int
+		opts     []Option
+		want     string
+		heldFlat bool
 	}{
-		{"dense ring", ring, 16, nil, "ring"},
-		{"sparse ring", ring, 15, nil, "ring-sparse"},
-		{"sparse ring forced", ring, 2, []Option{WithKernelMode(KernelFast)}, "ring"},
-		{"sparse ring forced generic", ring, 2, []Option{WithKernelMode(KernelGeneric)}, "generic"},
-		{"dense ring forced generic", ring, 64, []Option{WithKernelMode(KernelGeneric)}, "generic"},
-		{"dense path", graph.Path(32), 8, nil, "path"},
-		{"sparse path", graph.Path(32), 7, nil, "path-sparse"},
-		{"torus", graph.Torus2D(4, 4), 64, nil, "generic"},
-		{"sparse torus", graph.Torus2D(8, 8), 2, nil, "generic"},
-		{"torus forced fast", graph.Torus2D(4, 4), 64, []Option{WithKernelMode(KernelFast)}, "generic"},
+		{"dense ring", ring, 16, nil, "ring", true},
+		{"packed ring", ring, 15, nil, "ring", false},
+		{"packed ring at the threshold", big, 32, nil, "ring", false},
+		{"sparse ring", big, 31, nil, "ring-sparse", false},
+		{"windowed ring", ring, 2, nil, "ring-sparse", false},
+		{"windows before density", ring, 3, nil, "ring", false},
+		{"sparse ring forced", ring, 2, []Option{WithKernelMode(KernelFast)}, "ring", true},
+		{"sparse ring forced generic", ring, 2, []Option{WithKernelMode(KernelGeneric)}, "generic", false},
+		{"dense ring forced generic", ring, 64, []Option{WithKernelMode(KernelGeneric)}, "generic", false},
+		{"dense path", graph.Path(32), 8, nil, "path", true},
+		{"packed path", graph.Path(32), 7, nil, "path", false},
+		{"sparse path", graph.Path(1024), 20, nil, "path-sparse", false},
+		{"torus", graph.Torus2D(4, 4), 64, nil, "generic", false},
+		{"sparse torus", graph.Torus2D(8, 8), 2, nil, "generic", false},
+		{"torus forced fast", graph.Torus2D(4, 4), 64, []Option{WithKernelMode(KernelFast)}, "generic", false},
+	}
+	check := func(name string, s *System, want string, heldFlat bool) {
+		t.Helper()
+		if got := s.KernelName(); got != want {
+			t.Errorf("%s: kernel %q, want %q", name, got, want)
+		}
+		if got := s.HoldNodes() == nil; got != heldFlat {
+			t.Errorf("%s: held rounds on the flat held kernel %v, want %v", name, got, heldFlat)
+		}
 	}
 	for _, tc := range cases {
 		opts := append([]Option{WithAgentsAt(EquallySpaced(tc.g.NumNodes(), tc.k)...)}, tc.opts...)
@@ -467,37 +496,36 @@ func TestKernelAutoSelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := s.KernelName(); got != tc.want {
-			t.Errorf("%s: kernel %q, want %q", tc.name, got, tc.want)
-		}
+		check(tc.name, s, tc.want, tc.heldFlat)
 	}
 
-	s, err := NewSystem(ring, WithAgentsAt(EquallySpaced(64, 4)...))
+	s, err := NewSystem(big, WithAgentsAt(EquallySpaced(1024, 16)...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	deleted := make([]bool, ring.NumArcs())
-	deleted[ring.ArcID(0, graph.RingCW)] = true
-	cut, _, err := graph.MaskEdges(ring, deleted)
+	deleted := make([]bool, big.NumArcs())
+	deleted[big.ArcID(0, graph.RingCW)] = true
+	cut, _, err := graph.MaskEdges(big, deleted)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, step := range []struct {
-		name   string
-		mutate func() error
-		want   string
+		name     string
+		mutate   func() error
+		want     string
+		heldFlat bool
 	}{
-		{"cut sparse ring", func() error { return s.Rewire(cut, make([]int, 64)) }, "generic"},
-		{"repaired sparse ring", func() error { return s.Rewire(ring, make([]int, 64)) }, "ring-sparse"},
-		{"joined past the threshold", func() error { return s.AddAgents(EquallySpaced(64, 12)...) }, "ring"},
-		{"left below the threshold", func() error { return s.RemoveAgents(EquallySpaced(64, 1)...) }, "ring-sparse"},
+		{"cut sparse ring", func() error { return s.Rewire(cut, make([]int, 1024)) }, "generic", false},
+		{"repaired sparse ring", func() error { return s.Rewire(big, make([]int, 1024)) }, "ring-sparse", false},
+		{"joined past the packed threshold", func() error { return s.AddAgents(EquallySpaced(1024, 16)...) }, "ring", false},
+		{"joined past the held threshold", func() error { return s.AddAgents(EquallySpaced(1024, 224)...) }, "ring", true},
+		{"left below the held threshold", func() error { return s.RemoveAgents(EquallySpaced(1024, 1)...) }, "ring", false},
+		{"left below the packed threshold", func() error { return s.RemoveAgents(EquallySpaced(1024, 224)...) }, "ring-sparse", false},
 	} {
 		if err := step.mutate(); err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
-		if got := s.KernelName(); got != step.want {
-			t.Errorf("%s: kernel %q, want %q", step.name, got, step.want)
-		}
+		check(step.name, s, step.want, step.heldFlat)
 	}
 }
 
@@ -945,6 +973,17 @@ func maxWindowK(n int) int {
 		k++
 	}
 	return k
+}
+
+// maxSparseK is the most agents for which KernelAuto runs fully-active
+// rounds on n nodes of a ring or path on the sparse round, 0 if none: those
+// below the packed round's threshold and those in the windows' band.
+func maxSparseK(n int) int {
+	k := n/kernel.PackedFraction - 1
+	for n >= WindowSpread*(k+1)*(k+1) {
+		k++
+	}
+	return max(k, 0)
 }
 
 // FuzzSparseWindows fuzzes interaction-free windows against the generic

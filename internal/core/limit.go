@@ -9,7 +9,7 @@ import (
 // A rotor-router is a deterministic finite-state system, so from any
 // initialization it eventually cycles through a finite set of
 // configurations. FindLimitCycle locates that cycle with Brent's algorithm
-// (hash-compare fast path, full-state confirmation), and MeasureReturnTime
+// (one exact equality, sameConfig), and MeasureReturnTime
 // computes the paper's return time — the longest interval during which some
 // node stays unvisited in the limit — exactly over one period.
 
@@ -60,9 +60,10 @@ func FindLimitCycle(s *System, maxRounds int64, computeMu bool) (*LimitCycle, er
 // result aborts the search with an error wrapping ErrStopped. Context
 // plumbing lives in the callers; core stays context-free.
 func FindLimitCycleStop(s *System, maxRounds int64, computeMu bool, stop func() bool) (*LimitCycle, error) {
-	// Cycle detection needs the configuration hash every round; switch it
-	// on before snapshotting so every clone inherits it (tier 2: systems
-	// that never detect cycles never pay for hashing).
+	// Cycle detection compares configurations every round, by the hash
+	// unless both sides are packed (sameConfig); switch it on before
+	// snapshotting so every clone inherits it (tier 2: systems that never
+	// detect cycles never pay for hashing).
 	s.EnableConfigHash()
 	var initial *System
 	if computeMu {
@@ -90,7 +91,7 @@ func FindLimitCycleStop(s *System, maxRounds int64, computeMu bool, stop func() 
 		}
 		s.Step()
 		lam++
-		if s.hash == tortoise.hash && s.StateEqual(tortoise) {
+		if s.sameConfig(tortoise) {
 			break
 		}
 	}
@@ -123,7 +124,7 @@ func findMu(initial *System, period, maxRounds int64, stop func() bool) (int64, 
 	lead := initial.Clone()
 	lead.Run(period)
 	mu := int64(0)
-	for !(initial.hash == lead.hash && initial.StateEqual(lead)) {
+	for !initial.sameConfig(lead) {
 		if mu > maxRounds {
 			return 0, fmt.Errorf("%w (μ search exceeded %d rounds)", ErrNoCycle, maxRounds)
 		}
@@ -135,6 +136,17 @@ func findMu(initial *System, period, maxRounds int64, stop func() bool) (int64, 
 		mu++
 	}
 	return mu, nil
+}
+
+// sameConfig is the cycle search's exact equality of configurations: word
+// by word when both systems are packed, and otherwise the hash first and
+// then StateEqual. Packed rounds leave the hash stale, so a packed search
+// never rehashes.
+func (s *System) sameConfig(o *System) bool {
+	if s.st.Packed() && o.st.Packed() {
+		return s.st.PackedEqual(&o.st)
+	}
+	return s.ConfigHash() == o.ConfigHash() && s.StateEqual(o)
 }
 
 // ReturnStats summarizes visit recurrence in the limit cycle (paper §4).

@@ -304,8 +304,9 @@ func TestMuIsMinimal(t *testing.T) {
 // TestReturnTimeAcrossTiers checks MeasureReturnTime, which reads each
 // round's visited nodes from the flow view, on every tier. Random rings
 // and paths must give identical stats under the generic engine,
-// KernelAuto (the sparse round below n/kernel.DenseFraction), the flat
-// kernel and the parallel stepper; on the generic engine the stats must
+// KernelAuto (the sparse round up to maxSparseK agents, the packed round
+// above), the forced kernel and the parallel stepper; on the generic engine
+// the stats must
 // also equal a brute-force pass over one period built from per-round visit
 // deltas. Tori and complete graphs, whose nodes are entered over up to
 // four and n−1 arcs, take the generic and brute-force arms.
@@ -330,7 +331,7 @@ func TestReturnTimeAcrossTiers(t *testing.T) {
 		n = g.NumNodes()
 		k := 1 + rng.Intn(2*n)
 		if trial%2 == 0 {
-			k = 1 + rng.Intn(max(1, n/kernel.DenseFraction-1))
+			k = 1 + rng.Intn(max(1, maxSparseK(n)))
 		}
 		opts := []Option{WithAgentsAt(RandomPositions(n, k, rng)...), WithPointers(PointersRandom(g, rng))}
 		measure := func(extra ...Option) *ReturnStats {

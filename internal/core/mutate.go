@@ -10,13 +10,15 @@ import (
 // This file is the mutation surface perturbation scenarios drive (the
 // engine's schedule subsystem): topology swaps after edge failure/repair,
 // agent churn, pointer resets, and coverage-epoch resets. Every mutation
-// happens between rounds, keeps the configuration consistent (occupied
-// list, visit counters, incremental hash), and re-evaluates the
-// specialized-kernel choice, so stepping stays bit-identical to the generic
-// engine before and after the event.
+// happens between rounds on the flat arrays (it unpacks a packed state
+// first), keeps the configuration consistent (occupied list, visit
+// counters, the hash), and re-evaluates the specialized-kernel choice, so
+// stepping stays bit-identical to the generic engine before and after the
+// event.
 
 // Pointers returns a copy of the current port pointers.
 func (s *System) Pointers() []int {
+	s.st.Materialize()
 	out := make([]int, s.n)
 	for v := range out {
 		out[v] = int(s.st.Ptr[v])
@@ -44,13 +46,14 @@ func (s *System) Rewire(ng *graph.Graph, pointers []int) error {
 			return fmt.Errorf("core: pointer %d invalid at node %d (degree %d)", p, v, ng.Degree(v))
 		}
 	}
+	s.st.Unpack(false)
 	s.g = ng
 	for v, p := range pointers {
 		s.st.Ptr[v] = int32(p)
 	}
 	s.movers = moversNone
 	s.reselectKernel()
-	s.rehash()
+	s.hashStale = s.hashOn
 	return nil
 }
 
@@ -64,6 +67,7 @@ func (s *System) AddAgents(positions ...int) error {
 			return fmt.Errorf("core: agent position %d out of range [0,%d)", v, s.n)
 		}
 	}
+	s.unpack(true)
 	s.ensureOccupied()
 	for _, v := range positions {
 		c := s.st.Agents[v]
@@ -92,6 +96,7 @@ func (s *System) RemoveAgents(positions ...int) error {
 	if int64(len(positions)) >= s.k {
 		return errors.New("core: RemoveAgents would leave no agents")
 	}
+	s.unpack(true)
 	remove := func(v int) {
 		c := s.st.Agents[v]
 		if s.hashOn {
@@ -136,11 +141,12 @@ func (s *System) SetPointers(pointers []int) error {
 			return fmt.Errorf("core: pointer %d invalid at node %d (degree %d)", p, v, s.g.Degree(v))
 		}
 	}
+	s.st.Unpack(false)
 	for v, p := range pointers {
 		s.st.Ptr[v] = int32(p)
 	}
 	s.movers = moversNone
-	s.rehash()
+	s.hashStale = s.hashOn
 	return nil
 }
 
@@ -150,6 +156,7 @@ func (s *System) SetPointers(pointers []int) error {
 // are untouched. Re-coverage measurements after a perturbation
 // (cover-after-fault) are built on it.
 func (s *System) ResetCoverage() {
+	s.unpack(true)
 	s.st.Covered = 0
 	s.st.CoverRound = -1
 	for v, a := range s.st.Agents {

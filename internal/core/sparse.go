@@ -9,9 +9,10 @@ import (
 
 // The sparse degree-2 tier: the generic round of StepHeld, specialized to
 // the canonical ring and path, for fully-active rounds with fewer agents
-// than the flat kernels need to pay off (k < n/kernel.DenseFraction). A
-// flat kernel scans all n nodes per round; this round walks only the
-// occupied ones, like the generic round, and keeps all of that round's
+// than the packed kernel round needs to pay off (k < n/kernel.PackedFraction)
+// or few enough for interaction-free windows (n ≥ WindowSpread·k²). The
+// packed round costs O(n/64) words per plane; this round walks only the
+// occupied nodes, like the generic round, and keeps all of that round's
 // state: the occupied list and its order, the srcNode/srcCnt movers that
 // ForEachFlow reads, coverage and the incremental hash. Degree 2 lets it
 // drop the rest:
@@ -35,6 +36,7 @@ import (
 // replace runs of its rounds by interaction-free windows (window, below)
 // wherever one opens; every other fully-active round runs here.
 func (s *System) stepSparse() {
+	s.unpack(false)
 	s.ensureOccupied()
 	st := &s.st
 	agents, visits, ptr := st.Agents, st.Visits, st.Ptr
@@ -193,13 +195,19 @@ const WindowSpread = 8
 // windowsOn reports whether Run and RunUntilCovered try interaction-free
 // windows: the sparse degree-2 round runs and n ≥ WindowSpread·k².
 func (s *System) windowsOn() bool {
-	return s.fast == nil && s.sparse != kernel.ShapeGeneral && int64(s.n)/(WindowSpread*s.k) >= s.k
+	return s.fast == nil && s.sparse != kernel.ShapeGeneral && s.spread()
+}
+
+// spread reports whether the windows' entry rule n ≥ WindowSpread·k² holds.
+func (s *System) spread() bool {
+	return int64(s.n)/(WindowSpread*s.k) >= s.k
 }
 
 // window runs interaction-free windows back to back, ending at round end,
 // when the cover flag is set at the cover round, or when the next window
 // cannot open; it reports whether any round ran.
 func (s *System) window(end int64, cover bool) bool {
+	s.unpack(false)
 	s.ensureOccupied()
 	cur, st := s.occupied, &s.st
 	if int64(len(cur)) != s.k || end-st.Round < 2 || s.crowded() {

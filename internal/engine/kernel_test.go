@@ -15,17 +15,19 @@ import (
 // kernel tier and asserts byte-identical rows: the specialized kernels and
 // the sparse degree-2 rounds are bit-identical to the generic engine, and
 // the Kernel knob deliberately stays out of seed derivation. Both metrics
-// run rings and a path with cells on each side of the density threshold,
-// so the auto arm steps the flat kernels and the sparse rounds alike, and
-// sparse cells on each side of the window entry rule, so that Run and
-// RunUntilCovered take interaction-free windows in some of them. The cover
-// cells run again under delayed deployments: held rounds of sparse cells
-// and of the generic arm run the generic loop, which draws holds only at
-// its occupied nodes, while the flat held kernels draw at every node, so
-// equal rows pin the two draw passes against each other end to end.
-// Under -short the grid drops its largest ring and densest population; the
-// smaller one still straddles both thresholds, so every tier, both delay
-// schedules and the return metric keep their byte-equality checks.
+// run rings and a path with cells in every band of automatic selection, so
+// the auto arm steps the packed round with flat held rounds (k ≥ n/4), the
+// packed round with generic held rounds (n/32 ≤ k < n/4) and the sparse
+// rounds alike, and sparse cells on each side of the window entry rule, so
+// that Run and RunUntilCovered take interaction-free windows in some of
+// them. The cover cells run again under delayed deployments: held rounds
+// below n/4 and of the generic arm run the generic loop, which draws holds
+// only at its occupied nodes, while the flat held kernels draw at every
+// node, so equal rows pin the two draw passes against each other end to
+// end. Under -short the grid drops its densest population, and the delay
+// schedules and the return metric its largest ring; each grid still
+// straddles every threshold, so every tier, both delay schedules and the
+// return metric keep their byte-equality checks.
 func TestKernelNeverAffectsRotorResults(t *testing.T) {
 	spec := SweepSpec{
 		Topologies: []Topo{"ring", "path"},
@@ -37,7 +39,7 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 		Seed:       11,
 	}
 	if testing.Short() {
-		spec.Sizes, spec.Agents = []int{24, 48}, []int{1, 2, 6}
+		spec.Agents = []int{1, 2, 6}
 	}
 	marshal := func(k Kernel) string {
 		spec.Kernel = k
@@ -56,9 +58,11 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 		}
 		return string(b)
 	}
-	straddles := func() {
+	// straddles checks that the grid has cells in every band; with sparse
+	// set, also below the packed threshold outside the windows' band.
+	straddles := func(sparseBand bool) {
 		t.Helper()
-		var windows, sparse, dense int
+		var windows, sparse, packed, dense int
 		for _, n := range spec.Sizes {
 			for _, k := range spec.Agents {
 				switch {
@@ -66,17 +70,22 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 					dense++
 				case n >= core.WindowSpread*k*k:
 					windows++
-				default:
+				case k < n/kernel.PackedFraction:
 					sparse++
+				default:
+					packed++
 				}
 			}
 		}
-		if windows == 0 || sparse == 0 || dense == 0 {
-			t.Fatalf("sizes %v and agents %v do not straddle the density threshold and the window entry rule",
+		if windows == 0 || windows+sparse == 0 || packed == 0 || dense == 0 {
+			t.Fatalf("sizes %v and agents %v do not straddle the density thresholds and the window entry rule",
 				spec.Sizes, spec.Agents)
 		}
+		if sparseBand && sparse == 0 {
+			t.Fatalf("sizes %v and agents %v have no sparse cell outside the windows' band", spec.Sizes, spec.Agents)
+		}
 	}
-	straddles()
+	straddles(true)
 	auto, generic, fast := marshal(KernelAuto), marshal(KernelGeneric), marshal(KernelFast)
 	if auto != generic || generic != fast {
 		t.Fatal("kernel selection changed sweep results")
@@ -86,6 +95,12 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 	}
 
 	spec.Schedules = []Schedule{"delay:p=0.25", "delay:p=0.5,until=64"}
+	if testing.Short() {
+		// The largest ring only adds a sparse cell outside the windows'
+		// band, whose held rounds run the generic loop like the others.
+		spec.Sizes = spec.Sizes[:2]
+	}
+	straddles(false)
 	if a, g, f := marshal(KernelAuto), marshal(KernelGeneric), marshal(KernelFast); a != g || g != f {
 		t.Fatal("kernel selection changed delayed-deployment results")
 	}
@@ -97,7 +112,7 @@ func TestKernelNeverAffectsRotorResults(t *testing.T) {
 	spec.Agents = []int{2, 3, 24}
 	spec.Placements = []Placement{PlaceEqual}
 	spec.Pointers = []Pointer{PtrNegative}
-	straddles()
+	straddles(false)
 	if a, g, f := marshal(KernelAuto), marshal(KernelGeneric), marshal(KernelFast); a != g || g != f {
 		t.Fatal("kernel selection changed return-time results")
 	}

@@ -14,9 +14,10 @@ import (
 // trajectory (TestEmitBenchJSON): the rotor tiers (generic engine, ring
 // kernel, the scheduled and mission paths) on the acceptance configuration
 // Ring(2^16), the sparse ring round and the scheduled path against the
-// generic engine in the paper's k ≪ n regime, the same regime's
-// interaction-free windows, the serial-versus-parallel ring pair at 2^24
-// nodes,
+// generic engine in the paper's k ≪ n regime, the packed round against the
+// generic engine in the band it took over from the sparse round, the
+// k ≪ n regime's interaction-free windows, the serial-versus-parallel ring
+// pair at 2^24 nodes,
 // and one walk pair (per-agent versus counts-based) at k = 10·n. Keeping
 // the workload in one place means `make bench-kernels` and the committed
 // JSON always measure the same thing.
@@ -66,14 +67,25 @@ const (
 )
 
 // The sparse pair runs the paper's own regime, k ≪ n: the largest ring of
-// the paper tables with 64 agents, below the flat kernels' density
-// threshold, where KernelAuto runs the sparse ring round. A round costs
-// about a microsecond, so the pair measures many more rounds than the
+// the paper tables with 64 agents, below the packed round's density
+// threshold (n/32), where KernelAuto runs the sparse ring round. A round
+// costs about a microsecond, so the pair measures many more rounds than the
 // default.
 const (
 	kernelBenchSparseN      = 4096
 	kernelBenchSparseK      = 64
 	kernelBenchSparseRounds = 1 << 14
+)
+
+// The packed pair runs the band between the packed round's density
+// threshold and the flat held kernels' (n/32 ≤ k < n/4), where KernelAuto
+// has run fully-active rounds bit-sliced since they replaced the sparse
+// round there: a paper-grid cover cell's size with 64 agents. Rounds cost
+// a fraction of a microsecond.
+const (
+	kernelBenchPackedN      = 512
+	kernelBenchPackedK      = 64
+	kernelBenchPackedRounds = 1 << 16
 )
 
 // The window pair runs the regime where interaction-free windows open: a
@@ -180,8 +192,8 @@ func KernelBenchCases() []KernelBenchCase {
 	}
 	// The mission-path case measures the mission runner's stepping cost: the
 	// same dense rotor workload with a patrol mission state attached, so
-	// every round pays the ring kernel plus one O(n) read of the flow view
-	// and the per-arc staleness bookkeeping. The horizon is set far beyond
+	// every round pays the ring kernel plus one read of the flow view, O(n)
+	// with k = n/2, and the per-arc staleness bookkeeping. The horizon is set far beyond
 	// the measurement so Done never fires. Stated against rotor-generic,
 	// it shows what a mission costs on top of the kernel it keeps.
 	mission := func() (func(), error) {
@@ -218,6 +230,7 @@ func KernelBenchCases() []KernelBenchCase {
 	}
 	ringName := fmt.Sprintf("ring(%d)", kernelBenchRotorN)
 	sparseRing := fmt.Sprintf("ring(%d)", kernelBenchSparseN)
+	packedRing := fmt.Sprintf("ring(%d)", kernelBenchPackedN)
 	windowRing := fmt.Sprintf("ring(%d)", kernelBenchWindowN)
 	walkRing := fmt.Sprintf("ring(%d)", kernelBenchWalkN)
 	bigRing := fmt.Sprintf("ring(%d)", kernelBenchBigN)
@@ -238,6 +251,11 @@ func KernelBenchCases() []KernelBenchCase {
 		{Name: "rotor-sched-delay-sparse", Process: "rotor", Graph: sparseRing, K: kernelBenchSparseK,
 			Baseline: "rotor-sparse-generic", Rounds: kernelBenchSparseRounds,
 			NewStepper: scheduled(kernelBenchSparseN, kernelBenchSparseK)},
+		{Name: "rotor-packed-generic", Process: "rotor", Graph: packedRing, K: kernelBenchPackedK,
+			Rounds: kernelBenchPackedRounds, NewStepper: rotor(kernelBenchPackedN, kernelBenchPackedK, kernelBenchWarmup, 0, core.KernelGeneric, "generic")},
+		{Name: "rotor-packed", Process: "rotor", Graph: packedRing, K: kernelBenchPackedK,
+			Baseline: "rotor-packed-generic", Rounds: kernelBenchPackedRounds,
+			NewStepper: rotor(kernelBenchPackedN, kernelBenchPackedK, kernelBenchWarmup, 0, core.KernelAuto, "ring")},
 		{Name: "rotor-window-generic", Process: "rotor", Graph: windowRing, K: kernelBenchWindowK,
 			Rounds: kernelBenchWindowRounds, Chunk: kernelBenchWindowChunk,
 			NewStepper: rotor(kernelBenchWindowN, kernelBenchWindowK, kernelBenchWarmup, kernelBenchWindowChunk, core.KernelGeneric, "generic")},

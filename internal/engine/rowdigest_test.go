@@ -18,10 +18,11 @@ var updateDigests = flag.Bool("update-digests", false, "rewrite the row-digest g
 // seeds, simulation order or the row encoding changed — which silently
 // invalidates every deployed row cache and breaks service/library byte
 // identity for old spools, so it must be an explicit, versioned decision
-// (bump the rowcache/v3 key prefix), never an accident. The v3 bump itself
-// was such a decision: the hold-draw stream became counter-based
-// (helddraw.go), changing delay-schedule rows; this fixture was regenerated
-// with it.
+// (bump the rowcache/v4 key prefix), never an accident. The v3 bump was
+// such a decision: the hold-draw stream became counter-based (helddraw.go),
+// changing delay-schedule rows; this fixture was regenerated with it. The
+// v4 bump changed only the keys: caches held the error rows that
+// unscheduled restab_time jobs used to write.
 type digestFixture struct {
 	V     int                `json:"v"`
 	Specs []specDigestRecord `json:"specs"`

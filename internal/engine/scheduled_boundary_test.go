@@ -180,18 +180,21 @@ func sameValue(a, b float64) bool {
 // ring runs its ring tier, an edge failure degrades it to the generic
 // engine (the cut ring's ports are no longer the canonical ring shape), and
 // the repair — which restores the pristine topology — re-specializes back
-// to the same tier. KernelName is asserted in every epoch, for a dense
-// population (the flat ring kernel) and a sparse one (the sparse round).
+// to the same tier. KernelName is asserted in every epoch, for dense
+// populations (the packed ring round) and a sparse one (the sparse round).
 func TestScheduledKernelRespecializesAcrossFaultEpochs(t *testing.T) {
 	for _, tc := range []struct {
 		k    int
 		tier string
 	}{
-		// 12 agents on 48 nodes reach the density threshold (k ≥ n/4), so
-		// KernelAuto selects the ring kernel exactly as a sweep job would;
-		// 3 agents stay below it and run the sparse ring round.
+		// 12 agents on 48 nodes reach the held rounds' density threshold
+		// (k ≥ n/4), so KernelAuto selects the ring kernel for every round
+		// exactly as a sweep job would; 3 agents reach the packed round's
+		// (k ≥ n/32) but not the held one's; 2 agents are few enough for
+		// interaction-free windows (n ≥ 8k²) and run the sparse ring round.
 		{12, "ring"},
-		{3, "ring-sparse"},
+		{3, "ring"},
+		{2, "ring-sparse"},
 	} {
 		sp := buildScheduledRotor(t, 48, tc.k, 2201, "edgefail:t=50,count=1,repair=150")
 		kernel := func() string { return sp.inner.(*rotorProc).sys.KernelName() }

@@ -119,9 +119,9 @@ type Kernel int
 
 // Kernel tiers. The zero value is the default (automatic selection).
 const (
-	// KernelAuto lets each job pick: flat rotor kernels and counts-based
-	// walks where dense enough, the sparse ring/path rotor rounds below
-	// the flat kernels' density, generic engines otherwise.
+	// KernelAuto lets each job pick: the ring/path rotor kernels and
+	// counts-based walks where dense enough, the sparse ring/path rotor
+	// rounds below the kernels' density, generic engines otherwise.
 	KernelAuto Kernel = iota
 	// KernelGeneric forces the generic rotor engine and per-agent walks.
 	KernelGeneric

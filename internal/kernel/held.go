@@ -5,7 +5,7 @@ package kernel
 // before this tier every held round fell off the fast path onto the generic
 // engine one round at a time — the schedule tax BENCH_engine.json pins.
 //
-// The ring kernel below fuses the split and assemble passes of ring.go into
+// The ring kernel below fuses a flat round's split and assemble passes into
 // a single sweep with rolling registers: when node u has been computed, node
 // u-1's arrivals are fully determined (they need the clockwise share of u-2
 // and the anticlockwise movers of u), so the kernel finalizes u-1 on the
@@ -13,7 +13,9 @@ package kernel
 // held fold (clamp, stayer add-back) would otherwise cost. The path kernel
 // uses the same fusion without the wrap-around.
 //
-// Differences from the fully-active kernels, forced by held semantics:
+// The held kernels read and write the flat arrays, so the owner unpacks a
+// packed state (packed.go) before a held round. Differences from a
+// fully-active round, forced by held semantics:
 //
 //   - next[v] = held_v + arrivals_v: stayers are added back after the split
 //     of the m = c - held movers. held is clamped to [0, agents[v]] exactly

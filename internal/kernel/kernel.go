@@ -3,32 +3,38 @@
 // results live on (the ring and the path, both degree ≤ 2), selected
 // automatically by core.NewSystem and falling back to the generic
 // port-labeled-graph machinery everywhere else. Select makes the choice by
-// shape and density: the flat kernels here for k ≥ n/DenseFraction, and
-// below that threshold core's sparse degree-2 round, which shares the
-// generic engine's occupied list and so lives next to it in core.
+// shape and density, separately for fully-active and held rounds: the
+// packed round here for fully-active rounds at k ≥ n/PackedFraction, the
+// flat held kernels for held rounds at k ≥ n/DenseFraction, and below
+// those thresholds core's sparse degree-2 round and generic loop, which
+// share the generic engine's occupied list and so live next to it in core.
 //
 // The package owns two things:
 //
-//   - State: the flat configuration arrays of a running system (pointers,
-//     agent counts, visit counters, coverage bookkeeping). core.System
-//     embeds a State so that a kernel can advance a round without any
-//     indirection through the graph adjacency structure or the generic
-//     engine's occupied/candidate lists.
+//   - State: the configuration of a running system, as flat arrays
+//     (pointers, agent counts, visit counters, coverage bookkeeping) and,
+//     once a fully-active round has run on it, a packed bit-sliced copy
+//     (packed.go). core.System embeds a State so that a kernel can advance
+//     a round without any indirection through the graph adjacency
+//     structure or the generic engine's occupied/candidate lists. The flat
+//     arrays are a lazily materialized view of the packed state: the owner
+//     calls Materialize before reading them and Unpack before writing
+//     them.
 //
 //   - Stepper: the interface a specialized kernel implements. A Stepper
-//     advances exactly one round, fully active (Step) or with held agents
-//     (StepHeld, held.go), and must be bit-identical to the generic engine
-//     on the configuration state it shares: pointers, agent counts, visits,
-//     coverage and round counters. The differential tests in core enforce
-//     this configuration-for-configuration.
+//     advances fully-active rounds (Step, Run) or one round with held
+//     agents (StepHeld, held.go), and must be bit-identical to the generic
+//     engine on the configuration state it shares: pointers, agent counts,
+//     visits, coverage and round counters. The differential tests in core
+//     enforce this configuration-for-configuration.
 //
-// Tier 1 (this package) is the ring/path rotor kernel: a branch-light loop
-// over the flat count arrays with direct (v±1) mod n addressing and
-// closed-form port splitting, plus the fused held-round variants in
-// held.go. Tier 2, the opt-in configuration hash of limit-cycle detection,
-// belongs to core alone: the kernels never hash, and core recomputes the
-// hash in one O(n) pass after a kernel round when hashing is on, the same
-// order as the round itself.
+// Tier 1 (this package) is the ring/path rotor kernel: the bit-sliced
+// fully-active round of packed.go, 64 nodes per machine word, plus the
+// fused flat held-round variants in held.go. Tier 2, the opt-in
+// configuration hash of limit-cycle detection, belongs to core alone: the
+// kernels never hash, core marks its hash stale after a kernel round and
+// recomputes it in one O(n) pass when it is next read, and the cycle search
+// compares packed states word by word (PackedEqual).
 // Tier 3 — counts-based binomial stepping for the random-walk baseline —
 // lives in internal/randwalk and shares this package's shape detection.
 // Orthogonally, Parallelize (parallel.go) shards a fully-active flat ring
@@ -37,15 +43,17 @@ package kernel
 
 import "rotorring/internal/graph"
 
-// State is the flat rotor-router configuration a Stepper advances. It is
-// owned by core.System, which exposes its own accessors over these arrays;
+// State is the rotor-router configuration a Stepper advances. It is owned
+// by core.System, which exposes its own accessors over these arrays;
 // kernels mutate them directly. Ptr, Agents and Visits have length N; the
-// scratch buffers are kernel-managed. A round's movements are not stored:
-// the owner derives them from the pre-round counts a kernel leaves in
-// Scratch. The paper's exit counter e_v(t) is not stored either; by
-// conservation it is Visits[v] − Agents[v]. Nor is the configuration hash:
-// core keeps it, and recomputes it in O(n) after a kernel round when
-// hashing is on.
+// scratch buffers are kernel-managed. After a packed round the flat arrays
+// are stale until Materialize, and the owner must Unpack before writing
+// them. A round's movements are not stored: the owner derives them from
+// the pre-round counts a round leaves behind, in Scratch after a flat round
+// and in the packed state after a packed one (ForEachMover). The paper's
+// exit counter e_v(t) is not stored either; by conservation it is
+// Visits[v] − Agents[v]. Nor is the configuration hash: core keeps it.
+// The scalars below are current after every round.
 type State struct {
 	// N is the number of nodes.
 	N int
@@ -68,11 +76,18 @@ type State struct {
 	Round             int64
 	FullyActiveRounds int64
 
-	// Scratch is the kernels' double buffer for next-round agent counts
-	// and Split their per-node departing-split scratch. Both are allocated
-	// lazily on first specialized step.
+	// Scratch is the flat kernels' double buffer for next-round agent
+	// counts and Split their per-node departing-split scratch. Both are
+	// allocated lazily on first flat step.
 	Scratch []int64
 	Split   []int64
+
+	// pk is the packed state, allocated on the first packed round; pkOn
+	// says it holds the configuration, and stale that the flat arrays lag
+	// behind it.
+	pk    *packed
+	pkOn  bool
+	stale bool
 }
 
 // NewState allocates a zeroed State for n nodes (coverage fields are set by
@@ -87,8 +102,9 @@ func NewState(n int) State {
 	}
 }
 
-// Clone returns a deep copy of the state. The scratch buffers are not
-// carried over; the copy reallocates its own on first specialized step.
+// Clone returns a deep copy of the state, the packed state included. The
+// scratch buffers are not carried over; the copy reallocates its own on
+// first specialized step.
 func (st *State) Clone() State {
 	c := *st
 	c.Ptr = append([]int32(nil), st.Ptr...)
@@ -96,25 +112,34 @@ func (st *State) Clone() State {
 	c.Visits = append([]int64(nil), st.Visits...)
 	c.Scratch = nil
 	c.Split = nil
+	if st.Packed() {
+		c.pk = st.pk.clone()
+	} else {
+		c.pk, c.pkOn, c.stale = nil, false, false
+	}
 	return c
 }
 
-// Stepper advances one synchronous round over a State. A nil Stepper means
+// Stepper advances synchronous rounds over a State. A nil Stepper means
 // "generic only". The serial implementations are stateless (all mutable
 // state lives in the State), so one Stepper value may serve many systems;
 // the parallel stepper returned by Parallelize carries merge scratch and
 // must be per-system. A single State must not be stepped from two
-// goroutines at once. Steppers never hash: a hashing owner rehashes the
-// configuration after each kernel round.
+// goroutines at once. Steppers never hash: a hashing owner marks its hash
+// stale after each kernel round.
 type Stepper interface {
 	// Name identifies the kernel ("ring", "path") for logs and benchmarks.
 	Name() string
 	// Step advances one round in which every agent is active. The caller
 	// guarantees the State was built for a graph this kernel supports.
 	Step(st *State)
+	// Run advances fully-active rounds, exactly as that many Steps, until
+	// round end or, when cover is set, until every node has been visited.
+	Run(st *State, end int64, cover bool)
 	// StepHeld advances one delayed-deployment round (held.go) in which
 	// held[v] agents at node v skip their move and leave their node's
-	// pointer share untouched. held must have length N; entries are
+	// pointer share untouched. It runs on the flat arrays: the caller must
+	// Unpack a packed state first. held must have length N; entries are
 	// clamped to [0, agents[v]], so stale values at unoccupied nodes are
 	// ignored.
 	StepHeld(st *State, held []int64)
@@ -190,15 +215,16 @@ func isPathShape(g *graph.Graph, n int) bool {
 	return true
 }
 
-// DenseFraction is the density threshold of automatic kernel selection: the
-// flat kernels scan all n nodes per round, so they only pay off against an
-// occupied-list round when agents number at least n/DenseFraction. Below it
-// the owner runs its sparse degree-2 round (core's ring-sparse and
-// path-sparse tiers), which walks only the occupied nodes.
+// DenseFraction is the density threshold of automatic kernel selection
+// for held rounds: the flat held kernels scan all n nodes per round, so
+// they only pay off against the generic occupied-list loop when agents
+// number at least n/DenseFraction. Below it held rounds run the generic
+// loop.
 //
 // Measured on a 2-vCPU x86-64 host from random placements and pointers, as
-// the median of seven paired runs, the sparse round's throughput over the
-// flat kernel's at k agents:
+// the median of seven paired runs, when fully-active rounds still ran a
+// flat kernel too: the sparse round's throughput over the flat kernel's at
+// k agents:
 //
 //	            k = n/8   3n/16   n/4    5n/16   3n/8
 //	Ring(512)   3.07      1.71    1.00   0.97    0.82
@@ -207,24 +233,63 @@ func isPathShape(g *graph.Graph, n int) bool {
 //	Path(4096)            1.47    1.04   0.87
 //
 // Both shapes cross near n/4, the ring a little above and the path a
-// little below. Hashed rounds, where the flat kernel pays core's O(n)
-// rehash, cross a little above it, measured the same way: Ring(128) 1.24
-// and Path(128) 1.20 at n/4, 1.03 and 0.87 at 5n/16. One constant serves
-// both shapes.
+// little below, and one constant serves both shapes. Held rounds at
+// n/4 ≤ k < 5n/16 with hashing on may still be faster on the generic loop
+// at n = 128 (ROADMAP).
 const DenseFraction = 4
 
-// Select picks the stepping tier for k agents on g and detects g's shape
-// once for both answers. On the canonical ring or path it returns the flat
-// kernel when k ≥ n/DenseFraction, or always when force is set. Otherwise
-// the Stepper is nil and the returned shape tells the owner which sparse
-// degree-2 round applies; ShapeGeneral means the generic engine.
-func Select(g *graph.Graph, k int64, force bool) (Stepper, Shape) {
-	shape := DetectShape(g)
-	if shape == ShapeGeneral || (!force && k < int64(g.NumNodes()/DenseFraction)) {
-		return nil, shape
+// PackedFraction is the density threshold of automatic kernel selection
+// for fully-active rounds: the packed round (packed.go) costs O(n/64·planes)
+// a round against the sparse round's O(occupied), so it runs when agents
+// number at least n/PackedFraction, except where the owner's
+// interaction-free windows apply (n ≥ 8k², marked w below).
+//
+// Measured on a 2-vCPU x86-64 host as runs of 3·10^6·8/n rounds after n
+// rounds of warmup, from random placements and pointers and from all
+// agents on node 0, each the median of seven paired runs: the packed
+// round's throughput over the sparse round's (with its windows where they
+// open) at k agents:
+//
+//	                   k = n/64  n/48   n/32   n/24   n/16
+//	Ring(128)   random     0.40w  0.41w  0.83w  1.69   2.35
+//	Ring(512)   random     0.43w  1.15   1.29   1.80   2.24
+//	Ring(2048)  random     0.68   0.90   1.36   1.53   2.29
+//	Ring(8192)  random     0.84   1.11   1.50   1.71   2.37
+//	Ring(128)   single     0.42w  0.40w  0.86w  1.70   2.48
+//	Ring(512)   single     0.53w  1.10   1.37   1.58   2.11
+//	Ring(2048)  single     0.76   0.84   1.31   1.46   2.04
+//	Ring(8192)  single     0.53   0.74   1.06   1.05   1.03
+//	Path(128)   random     0.33w  0.34w  0.78w  1.63   2.19
+//	Path(512)   random     0.40w  1.11   1.58   1.73   2.43
+//	Path(2048)  random     0.85   1.07   1.40   1.61   2.20
+//	Path(8192)  random     0.83   1.06   1.31   1.55   1.94
+//	Path(128)   single     0.34w  0.34w  0.79w  1.60   2.24
+//	Path(512)   single     0.58w  1.01   1.39   1.74   2.11
+//	Path(2048)  single     0.59   0.73   1.05   1.27   1.56
+//	Path(8192)  single     0.45   0.50   0.51   0.58   0.27
+//
+// Outside the windows' band every shape and start crosses between n/48
+// and n/32, except a pile on a long path's endpoint: it spreads over few
+// nodes for thousands of rounds, which the sparse round walks and the
+// packed round does not, and its counts need many planes.
+const PackedFraction = 32
+
+// Select picks the stepping tiers for k agents on g and detects g's shape
+// once for all answers. On the canonical ring or path it returns the
+// kernel for fully-active rounds when k ≥ n/PackedFraction, and held is
+// set when its held rounds also take the kernel, at k ≥ n/DenseFraction;
+// force selects both whatever k. Otherwise the Stepper is nil and the
+// returned shape tells the owner which sparse degree-2 round applies;
+// ShapeGeneral means the generic engine.
+func Select(g *graph.Graph, k int64, force bool) (s Stepper, held bool, shape Shape) {
+	shape = DetectShape(g)
+	n := int64(g.NumNodes())
+	if shape == ShapeGeneral || (!force && k < n/PackedFraction) {
+		return nil, false, shape
 	}
+	held = force || k >= n/DenseFraction
 	if shape == ShapeRing {
-		return ringStepper{}, shape
+		return ringStepper{}, held, shape
 	}
-	return pathStepper{}, shape
+	return pathStepper{}, held, shape
 }

@@ -17,8 +17,9 @@ package kernel
 //
 // Because nothing about the arithmetic depends on the shard boundaries, the
 // result is bit-identical at every shard count — including 1, where the
-// stepper delegates to the serial kernel outright. Held rounds run the
-// serial fused held kernel. The differential fuzz in core compares shard
+// stepper delegates to the serial packed round outright. At more shards it
+// unpacks a packed state first, since it reads the flat arrays. Held rounds
+// run the serial fused held kernel. The differential fuzz in core compares shard
 // counts against each other and against the generic engine.
 
 import (
@@ -86,6 +87,7 @@ func (pk *parallelRing) Step(st *State) {
 		ringStepper{}.Step(st)
 		return
 	}
+	st.Unpack(false)
 	cur := st.Agents
 	next, split := st.buffers()
 	ptr, visits := st.Ptr, st.Visits
@@ -142,6 +144,13 @@ func (pk *parallelRing) Step(st *State) {
 	st.Agents, st.Scratch = next, cur
 	st.Round = round
 	st.FullyActiveRounds++
+}
+
+// Run steps sharded rounds until round end or, with cover, the cover round.
+func (pk *parallelRing) Run(st *State, end int64, cover bool) {
+	for st.Round < end && !(cover && st.Covered == st.N) {
+		pk.Step(st)
+	}
 }
 
 // StepHeld runs the serial fused held ring round: held rounds are not

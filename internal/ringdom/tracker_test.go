@@ -253,6 +253,17 @@ func TestRandomConfigurationsDomainStructure(t *testing.T) {
 	}
 }
 
+// maxSparseK is the most agents for which KernelAuto runs a ring of n
+// nodes on the sparse round, 0 if none: those below the packed round's
+// threshold and those in the interaction-free windows' band.
+func maxSparseK(n int) int {
+	k := n/kernel.PackedFraction - 1
+	for n >= core.WindowSpread*(k+1)*(k+1) {
+		k++
+	}
+	return max(k, 0)
+}
+
 // TestTrackerAcrossTiers: the tracker takes each round's arrivals from the
 // flow view, so its classification must not depend on the tier the ring
 // steps on. After every Step, LastVisitKind agrees at every node between a
@@ -267,7 +278,7 @@ func TestTrackerAcrossTiers(t *testing.T) {
 		n := 3 + rng.Intn(126)
 		k := 1 + rng.Intn(2*n)
 		if trial%2 == 0 {
-			k = 1 + rng.Intn(max(1, n/kernel.DenseFraction-1))
+			k = 1 + rng.Intn(max(1, maxSparseK(n)))
 		}
 		g := graph.Ring(n)
 		opts := []core.Option{

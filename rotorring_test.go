@@ -171,8 +171,8 @@ func TestDomainFacade(t *testing.T) {
 }
 
 // TestTrackDomainsKeepsRingKernel: domain tracking reads the flow view, so
-// a tracked ring keeps its ring tier — the flat kernel when dense, the
-// sparse round when sparse — and reports exactly the lazy domains and
+// a tracked ring keeps its ring tier — the packed kernel round when dense,
+// the sparse round when sparse — and reports exactly the lazy domains and
 // borders of a forced-generic run.
 func TestTrackDomainsKeepsRingKernel(t *testing.T) {
 	const n = 96
@@ -180,8 +180,9 @@ func TestTrackDomainsKeepsRingKernel(t *testing.T) {
 		k    int
 		tier string
 	}{
-		{24, "ring"},       // k ≥ n/4: KernelAuto selects the ring kernel
-		{5, "ring-sparse"}, // below it, the sparse ring round
+		{24, "ring"},       // k ≥ n/4: the ring kernel, held rounds included
+		{5, "ring"},        // k ≥ n/32: the packed round, held rounds generic
+		{3, "ring-sparse"}, // n ≥ 8k²: the sparse ring round and its windows
 	} {
 		build := func(kernel KernelPolicy) *RotorSim {
 			sim, err := newRotorSim(Ring(n), Agents(tc.k), Place(PlaceEqualSpacing),
