@@ -141,3 +141,46 @@ func BenchmarkFindLimitCycle(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPackedReads times one packed round and a read on Ring(512) with
+// k = 64 from a random start: the configuration hash, which a quiesce
+// mission reads every round, and every node's visits, which X7 reads every
+// round. The hash reads counts and pointers alone; the visits are derived
+// once a round, on the first read.
+func BenchmarkPackedReads(b *testing.B) {
+	const n, k = 512, 64
+	g := graph.Ring(n)
+	for _, bc := range []struct {
+		name string
+		read func(s *System) uint64
+	}{
+		{"step+hash", func(s *System) uint64 { return s.ConfigHash() }},
+		{"step+visits", func(s *System) uint64 {
+			var sum uint64
+			for v := 0; v < n; v++ {
+				sum += uint64(s.Visits(v))
+			}
+			return sum
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := xrand.New(1)
+			sys, err := NewSystem(g, WithAgentsAt(RandomPositions(n, k, rng)...),
+				WithPointers(PointersRandom(g, rng)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := sys.KernelName(); got != "ring" {
+				b.Fatalf("kernel %q, want ring", got)
+			}
+			sys.Run(n)
+			var sink uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.Step()
+				sink += bc.read(sys)
+			}
+			_ = sink
+		})
+	}
+}

@@ -21,7 +21,11 @@
 // generic engine and many times faster. The system's flat arrays are then a
 // lazily materialized view of the packed state: reads materialize them
 // once and keep the packed state, writes (held, generic and sparse rounds,
-// the mutations) materialize them and drop it. Held rounds take the
+// the mutations) materialize them and drop it. Packed rounds count no
+// visits: Visits derives them exactly, once per round read, from the
+// packed state's base, its current configuration and the rounds since,
+// and readers of counts and pointers alone (the configuration hash among
+// them) never pay for it. Held rounds take the
 // kernel's flat held tier at k ≥ n/kernel.DenseFraction and the generic
 // loop below it. Below the packed threshold, fully-active rounds run the
 // sparse degree-2 round (sparse.go): the generic occupied-list round with
@@ -108,7 +112,8 @@ type System struct {
 
 	// st holds the configuration state shared with the stepping kernels;
 	// see kernel.State. After a packed round its flat arrays are stale:
-	// readers call st.Materialize, writers unpack.
+	// readers call st.MaterializeConfig, or st.Materialize to read visits,
+	// and writers unpack.
 	st kernel.State
 
 	// fast is the specialized kernel selected for this system's
@@ -359,7 +364,7 @@ func (s *System) Round() int64 { return s.st.Round }
 
 // AgentsAt returns the number of agents currently at v.
 func (s *System) AgentsAt(v int) int64 {
-	s.st.Materialize()
+	s.st.MaterializeConfig()
 	return s.st.Agents[v]
 }
 
@@ -370,7 +375,7 @@ func (s *System) AgentsAt(v int) int64 {
 // step: the kernels advance by buffer swap or in packed form, so the slice
 // goes stale each round.
 func (s *System) AgentCountsView() []int64 {
-	s.st.Materialize()
+	s.st.MaterializeConfig()
 	return s.st.Agents
 }
 
@@ -391,7 +396,7 @@ func (s *System) HoldNodes() []int {
 
 // Pointer returns the current port pointer of v.
 func (s *System) Pointer(v int) int {
-	s.st.Materialize()
+	s.st.MaterializeConfig()
 	return int(s.st.Ptr[v])
 }
 
@@ -412,7 +417,9 @@ func (s *System) KernelName() string {
 // Visits returns n_v(t): the initial agent count of v plus the number of
 // arrivals at v during rounds [1, t], matching the paper's counters. The
 // paper's exit counter follows by conservation: e_v(t) = Visits(v) −
-// AgentsAt(v).
+// AgentsAt(v). After packed rounds the first read derives every node's
+// visits in O(n) (kernel.State.Materialize); later reads in the round cost
+// nothing more.
 func (s *System) Visits(v int) int64 {
 	s.st.Materialize()
 	return s.st.Visits[v]
@@ -431,7 +438,7 @@ func (s *System) FullyActiveRounds() int64 { return s.st.FullyActiveRounds }
 
 // Positions returns the sorted multiset of agent positions.
 func (s *System) Positions() []int {
-	s.st.Materialize()
+	s.st.MaterializeConfig()
 	out := make([]int, 0, s.k)
 	for v := 0; v < s.n; v++ {
 		for i := int64(0); i < s.st.Agents[v]; i++ {
@@ -447,7 +454,7 @@ func (s *System) ensureOccupied() {
 	if s.occValid {
 		return
 	}
-	s.st.Materialize()
+	s.st.MaterializeConfig()
 	s.occupied = s.occupied[:0]
 	for v := 0; v < s.n; v++ {
 		occ := s.st.Agents[v] > 0
@@ -768,7 +775,7 @@ func hashCnt(v int, c int64) uint64 {
 
 // fullHash recomputes the configuration hash from scratch.
 func (s *System) fullHash() uint64 {
-	s.st.Materialize()
+	s.st.MaterializeConfig()
 	agents := s.st.Agents[:len(s.st.Ptr)]
 	var h uint64
 	for v, p := range s.st.Ptr {
@@ -820,8 +827,8 @@ func (s *System) StateEqual(o *System) bool {
 	if s.st.Packed() && o.st.Packed() {
 		return s.st.PackedEqual(&o.st)
 	}
-	s.st.Materialize()
-	o.st.Materialize()
+	s.st.MaterializeConfig()
+	o.st.MaterializeConfig()
 	for v := 0; v < s.n; v++ {
 		if s.st.Ptr[v] != o.st.Ptr[v] || s.st.Agents[v] != o.st.Agents[v] {
 			return false
@@ -868,7 +875,7 @@ func (s *System) Clone() *System {
 // topology, and a population changed by AddAgents/RemoveAgents returns to
 // its initial size.
 func (s *System) Reset() {
-	s.st.Unpack(false)
+	s.st.Drop()
 	s.g = s.g0
 	s.movers = moversNone
 	s.k = 0

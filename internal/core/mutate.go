@@ -18,7 +18,7 @@ import (
 
 // Pointers returns a copy of the current port pointers.
 func (s *System) Pointers() []int {
-	s.st.Materialize()
+	s.st.MaterializeConfig()
 	out := make([]int, s.n)
 	for v := range out {
 		out[v] = int(s.st.Ptr[v])
@@ -156,6 +156,7 @@ func (s *System) SetPointers(pointers []int) error {
 // are untouched. Re-coverage measurements after a perturbation
 // (cover-after-fault) are built on it.
 func (s *System) ResetCoverage() {
+	s.st.DiscardVisits() // overwritten below
 	s.unpack(true)
 	s.st.Covered = 0
 	s.st.CoverRound = -1

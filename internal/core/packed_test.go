@@ -133,7 +133,7 @@ func runPackedOps(t *testing.T, c diffConfig, gen *System, arms []*System, ops [
 // advanced by fuzzed Run and RunUntilCovered chunks (runPackedOps) on the
 // forced kernel and under KernelAuto. With huge set, 2^20 to 2^21 agents
 // share a ring of 3 to 8 nodes, so that counts take twenty planes and the
-// visit accumulator is flushed between reads.
+// visits derived at each read cover thousands of rounds.
 func FuzzKernelPackedEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(62), uint32(40), true, false, false, false, windowOps(100, 7, -3000))
 	f.Add(uint64(2), uint16(63), uint32(300), false, true, true, false, windowOps(5, 1000, 64))
@@ -163,15 +163,95 @@ func FuzzKernelPackedEquivalence(f *testing.F) {
 	})
 }
 
-// TestPackedAccumulatorFlush runs a million agents on Ring(3) for long
-// enough that the visit accumulator fills its top plane and is flushed
-// several times between reads: visits must still equal the generic
-// engine's.
+// TestPackedAccumulatorFlush runs a million agents on Ring(3) and Path(3)
+// for 9000 rounds between reads, with counts of twenty planes: the visits
+// derived at each read must still equal the generic engine's.
 func TestPackedAccumulatorFlush(t *testing.T) {
 	for _, ring := range []bool{true, false} {
 		c := diffConfig{ring: ring, n: 3, k: 1 << 20, stacked: true}
 		gen, fast, _ := buildArms(t, c, xrand.New(3))
 		runPackedOps(t, c, gen, []*System{fast}, windowOps(1, 9000, 9000, 1), 1<<16)
+	}
+}
+
+// TestPackedVisitsRebase stacks 2^42 agents on Ring(3) and on Path(3) and
+// runs them in chunks to 2.5·10^6 rounds, comparing every node's visits and
+// counts with the generic engine's after each chunk. The middle chunk
+// alone moves k·2.2·10^6 > 2^63 agents, which only the packed state's
+// re-base, a derivation every 2^62/(n·k) rounds, keeps exact; every node's
+// visits still fit an int64.
+func TestPackedVisitsRebase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2.5·10^6 rounds on each arm")
+	}
+	const k = int64(1) << 42
+	for _, g := range []*graph.Graph{graph.Ring(3), graph.Path(3)} {
+		counts := []int64{0, k, 0}
+		mk := func(mode KernelMode) *System {
+			return newTestSystem(t, g, WithAgentCounts(counts), WithKernelMode(mode))
+		}
+		gen, fast := mk(KernelGeneric), mk(KernelFast)
+		for _, r := range []int64{100_003, 2_200_000, 199_997} {
+			gen.Run(r)
+			fast.Run(r)
+			if !fast.st.Packed() {
+				t.Fatalf("%s: no packed state after Run", fast.KernelName())
+			}
+			for v := 0; v < 3; v++ {
+				if a, b := gen.Visits(v), fast.Visits(v); a != b {
+					t.Fatalf("%s round %d: visits at node %d: generic %d, packed %d", fast.KernelName(), gen.Round(), v, a, b)
+				}
+				if a, b := gen.AgentsAt(v), fast.AgentsAt(v); a != b {
+					t.Fatalf("%s round %d: agents at node %d: generic %d, packed %d", fast.KernelName(), gen.Round(), v, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestPackedVisitsMidRun reads visits at random points of packed runs on
+// rings and paths at word boundaries, from stacked and random starts, and
+// keeps stepping packed: each read derives the visits and moves the
+// packed state's base while the state stays packed, and reads of counts,
+// pointers and the hash between them leave the visits pending. Every value
+// read must equal the generic engine's.
+func TestPackedVisitsMidRun(t *testing.T) {
+	rng := xrand.New(0x7157)
+	for _, n := range []int{2, 3, 63, 64, 65, 127, 128, 129, 1000} {
+		for _, ring := range []bool{true, false} {
+			if ring && n < 3 {
+				continue
+			}
+			for i, k := range []int{max(1, n/8), n - 1, 4*n + 1} {
+				c := diffConfig{ring: ring, n: n, k: k, hash: i == 1, stacked: rng.Bool()}
+				gen, fast, _ := buildArms(t, c, rng)
+				for op := 0; op < 30; op++ {
+					r := int64(1 + rng.Intn(min(3*n, 400)))
+					gen.Run(r)
+					fast.Run(r)
+					round := int(gen.Round())
+					switch rng.Intn(3) {
+					case 0:
+						for j := 0; j < 1+rng.Intn(4); j++ {
+							v := rng.Intn(n)
+							if a, b := gen.Visits(v), fast.Visits(v); a != b {
+								t.Fatalf("%v round %d: visits at node %d: generic %d, packed %d", c, round, v, a, b)
+							}
+						}
+					case 1:
+						v := rng.Intn(n)
+						if gen.AgentsAt(v) != fast.AgentsAt(v) || gen.Pointer(v) != fast.Pointer(v) ||
+							gen.ConfigHash() != fast.ConfigHash() {
+							t.Fatalf("%v round %d: configuration differs at node %d", c, round, v)
+						}
+					}
+					if !fast.st.Packed() {
+						t.Fatalf("%v round %d: a read dropped the packed state", c, round)
+					}
+				}
+				compareSystems(t, c, int(gen.Round()), gen, fast)
+			}
+		}
 	}
 }
 

@@ -18,8 +18,9 @@
 //     a round without any indirection through the graph adjacency
 //     structure or the generic engine's occupied/candidate lists. The flat
 //     arrays are a lazily materialized view of the packed state: the owner
-//     calls Materialize before reading them and Unpack before writing
-//     them.
+//     calls MaterializeConfig before reading counts or pointers,
+//     Materialize before reading visits, which packed rounds do not count
+//     but a read derives (packed.go), and Unpack before writing them.
 //
 //   - Stepper: the interface a specialized kernel implements. A Stepper
 //     advances fully-active rounds (Step, Run) or one round with held
@@ -47,13 +48,15 @@ import "rotorring/internal/graph"
 // by core.System, which exposes its own accessors over these arrays;
 // kernels mutate them directly. Ptr, Agents and Visits have length N; the
 // scratch buffers are kernel-managed. After a packed round the flat arrays
-// are stale until Materialize, and the owner must Unpack before writing
-// them. A round's movements are not stored: the owner derives them from
-// the pre-round counts a round leaves behind, in Scratch after a flat round
-// and in the packed state after a packed one (ForEachMover). The paper's
-// exit counter e_v(t) is not stored either; by conservation it is
-// Visits[v] − Agents[v]. Nor is the configuration hash: core keeps it.
-// The scalars below are current after every round.
+// are stale: MaterializeConfig brings Ptr and Agents up to date,
+// Materialize Visits too, and the owner must Unpack before writing them
+// (or Drop, when it overwrites them all). A round's movements are not
+// stored: the owner derives them from the pre-round counts a round leaves
+// behind, in Scratch after a flat round and in the packed state after a
+// packed one (ForEachMover). The paper's exit counter e_v(t) is not stored
+// either; by conservation it is Visits[v] − Agents[v]. Nor is the
+// configuration hash: core keeps it. The scalars below are current after
+// every round.
 type State struct {
 	// N is the number of nodes.
 	N int
@@ -64,7 +67,8 @@ type State struct {
 	// Step rather than retaining the backing array.
 	Agents []int64
 	// Visits holds n_v(t): initial agents at v plus arrivals in [1, t]. A
-	// node is covered once its count is nonzero.
+	// node is covered once its count is nonzero. Packed rounds leave it at
+	// their base's visits until Materialize derives the rest.
 	Visits []int64
 
 	// Covered is the number of covered nodes; CoverRound the first round
@@ -245,33 +249,36 @@ const DenseFraction = 4
 // interaction-free windows apply (n ≥ 8k², marked w below).
 //
 // Measured on a 2-vCPU x86-64 host as runs of 3·10^6·8/n rounds after n
-// rounds of warmup, from random placements and pointers and from all
-// agents on node 0, each the median of seven paired runs: the packed
+// rounds of warmup, from random placements and from all agents on node 0,
+// with random pointers, each the median of seven paired runs: the packed
 // round's throughput over the sparse round's (with its windows where they
 // open) at k agents:
 //
 //	                   k = n/64  n/48   n/32   n/24   n/16
-//	Ring(128)   random     0.40w  0.41w  0.83w  1.69   2.35
-//	Ring(512)   random     0.43w  1.15   1.29   1.80   2.24
-//	Ring(2048)  random     0.68   0.90   1.36   1.53   2.29
-//	Ring(8192)  random     0.84   1.11   1.50   1.71   2.37
-//	Ring(128)   single     0.42w  0.40w  0.86w  1.70   2.48
-//	Ring(512)   single     0.53w  1.10   1.37   1.58   2.11
-//	Ring(2048)  single     0.76   0.84   1.31   1.46   2.04
-//	Ring(8192)  single     0.53   0.74   1.06   1.05   1.03
-//	Path(128)   random     0.33w  0.34w  0.78w  1.63   2.19
-//	Path(512)   random     0.40w  1.11   1.58   1.73   2.43
-//	Path(2048)  random     0.85   1.07   1.40   1.61   2.20
-//	Path(8192)  random     0.83   1.06   1.31   1.55   1.94
-//	Path(128)   single     0.34w  0.34w  0.79w  1.60   2.24
-//	Path(512)   single     0.58w  1.01   1.39   1.74   2.11
-//	Path(2048)  single     0.59   0.73   1.05   1.27   1.56
-//	Path(8192)  single     0.45   0.50   0.51   0.58   0.27
+//	Ring(128)   random     0.54w  0.54w  1.10w  2.39   3.25
+//	Ring(512)   random     0.75w  2.04   3.19   4.06   5.42
+//	Ring(2048)  random     1.66   2.51   3.47   3.71   4.43
+//	Ring(8192)  random     1.65   2.27   2.98   3.21   4.24
+//	Ring(128)   single     0.54w  0.44w  1.28w  2.34   3.10
+//	Ring(512)   single     0.82w  1.98   3.06   3.80   4.65
+//	Ring(2048)  single     1.23   1.34   1.80   2.34   3.38
+//	Ring(8192)  single     0.86   1.17   1.42   1.58   1.65
+//	Path(128)   random     0.38w  0.39w  0.99w  2.34   3.19
+//	Path(512)   random     0.59w  1.89   3.26   4.02   5.05
+//	Path(2048)  random     1.56   2.31   3.08   3.56   4.35
+//	Path(8192)  random     1.70   2.18   2.28   2.72   3.88
+//	Path(128)   single     0.39w  0.40w  0.99w  1.90   3.16
+//	Path(512)   single     0.96w  1.78   2.69   3.08   3.26
+//	Path(2048)  single     0.96   1.18   1.68   2.10   2.11
+//	Path(8192)  single     0.65   0.75   0.72   0.75   0.47
 //
-// Outside the windows' band every shape and start crosses between n/48
-// and n/32, except a pile on a long path's endpoint: it spreads over few
+// Outside the windows' band every shape and start crosses between n/64
+// and n/48, except a pile on a long path's endpoint: it spreads over few
 // nodes for thousands of rounds, which the sparse round walks and the
-// packed round does not, and its counts need many planes.
+// packed round does not, and its counts need many planes. The threshold
+// stays at n/32, where it crossed before rounds stopped counting visits:
+// no cell of the benchmark workloads lies in n/48 ≤ k < n/32 outside the
+// windows' band, which is empty below n = 289.
 const PackedFraction = 32
 
 // Select picks the stepping tiers for k agents on g and detects g's shape

@@ -105,9 +105,9 @@ func TestStateCloneIndependence(t *testing.T) {
 
 // TestPackedLazyView checks the packed state's flat view: Materialize
 // keeps the packed state, Unpack drops it and, when asked, leaves the last
-// round's movers in Scratch, and the visit accumulator adds up across
-// flushes, with every node's count kept in the packed planes past 64
-// nodes and several planes.
+// round's movers in Scratch, and the visits derived from thousands of
+// packed rounds add up, with every node's count kept in the packed planes
+// past 64 nodes and several planes.
 func TestPackedLazyView(t *testing.T) {
 	const n = 130
 	st := NewState(n)
@@ -118,7 +118,7 @@ func TestPackedLazyView(t *testing.T) {
 			st.Covered++
 		}
 	}
-	const rounds = 20000 // past several flushes of the accumulator
+	const rounds = 20000 // derived at the last two rounds
 	var pre []int64
 	for r := 0; r < rounds; r++ {
 		if r == rounds-1 {

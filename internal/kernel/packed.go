@@ -16,18 +16,19 @@ import "math/bits"
 //     their pointers stay 0.
 //   - The new counts are R shifted one node up plus L shifted one node down,
 //     with the ring's wrap; P ^= odd.
-//   - Coverage adds the popcount of newly occupied bits, and the new counts,
-//     which after a fully-active round are exactly the arrivals, are added
-//     to a bit-sliced visit accumulator.
+//   - Coverage adds the popcount of newly occupied bits.
 //
 // Bits beyond node n−1 stay zero in every plane, so n need not be a
 // multiple of 64. The packed state is allocated on the first packed round
 // and mirrors the flat arrays of State lazily: see Materialize and Unpack.
-
-// accSlack is how many planes the visit accumulator has beyond the count
-// planes' stride: it is flushed into Visits at the latest every 2^accSlack
-// rounds, and on any read.
-const accSlack = 8
+//
+// Rounds count no visits. The state keeps a base (its counts a⁰ and
+// pointers π⁰ when it was packed or visits were last derived, whose visits
+// are in Visits) and the number r of packed rounds since, and a read
+// derives every node's visits exactly from conservation (derive). A
+// degree-2 pointer flips once per exit, so node v's exits since the base
+// are e = 2q + p with p = π ⊕ π⁰, ⌈e/2⌉ = q + p of them through π⁰'s port;
+// the flows across the edges, conservation and Σe = k·r fix every q.
 
 // packed is the bit-sliced configuration. Count planes are word-major:
 // plane i of the 64-node word w is cnt[w*stride+i].
@@ -38,6 +39,7 @@ type packed struct {
 	stride int    // count planes per word: bits.Len64(k) plus one for the carry
 	planes int    // active planes of cnt: every count is < 2^planes
 	movers int    // active planes of prev
+	ring   bool   // the shape the state was packed for: ring or path
 
 	cnt  []uint64 // agent counts
 	prev []uint64 // the previous round's counts: its movers
@@ -45,62 +47,183 @@ type packed struct {
 	cov  []uint64 // covered plane: nodes visited at least once
 	rl   []uint64 // round scratch: R then L planes, 2*stride per word, then stride zeros
 
-	// acc accumulates the arrivals not yet in Visits, plane i of word w at
-	// acc[w*accPlanes+i]. accMax bounds every node's accumulated count, so
-	// that the accumulator is flushed before it could overflow.
-	acc       []uint64
-	accPlanes int
-	accMax    uint64
+	// The base of the visits derive adds: its counts, laid out as cnt with
+	// basePlanes active planes, and its pointer plane. rounds counts the
+	// packed rounds since, each moving all k agents, and at rebase rounds
+	// a round derives the visits whether or not anything reads them, so
+	// that n·k·rounds stays below 2^62 and derive's sums cannot overflow.
+	base       []uint64
+	basePtr    []uint64
+	basePlanes int
+	k          int64
+	rounds     int64
+	rebase     int64
 }
 
 // Packed reports whether the packed state is valid, that is whether the
 // last fully-active round ran packed and no write has dropped it since.
 func (st *State) Packed() bool { return st.pk != nil && st.pkOn }
 
-// Materialize brings the flat arrays Ptr, Agents and Visits up to date with
-// the packed state and keeps the packed state valid. It is a no-op when
-// they are current; otherwise it costs one O(n·planes) pass.
+// Materialize brings every flat array up to date with the packed state,
+// Visits included, and keeps the packed state valid. It is a no-op when
+// they are current; otherwise it costs O(n·planes) for the counts and
+// pointers and O(n·planes) more for visits pending since the base, which
+// it derives and moves the base to now.
 func (st *State) Materialize() {
-	if st.stale {
+	if st.stale || st.pkOn && st.pk.rounds > 0 {
 		st.materialize()
 	}
 }
 
+// materialize is Materialize's slow path, apart so that Materialize
+// inlines into every per-node read.
 func (st *State) materialize() {
+	st.MaterializeConfig()
+	if st.pk.rounds > 0 {
+		st.derive()
+	}
+}
+
+// MaterializeConfig brings Ptr and Agents up to date with the packed state
+// and leaves Visits pending: the view of readers that never read visits,
+// such as a configuration hash read every round.
+func (st *State) MaterializeConfig() {
+	if st.stale {
+		st.decode()
+	}
+}
+
+// decode is MaterializeConfig's slow path: it clears each word's counts and
+// sets the bits of every occupied node plane by plane.
+func (st *State) decode() {
 	pk := st.pk
 	agents, ptr := st.Agents[:st.N], st.Ptr[:st.N]
 	for w := 0; w < pk.words; w++ {
-		c := pk.cnt[w*pk.stride : w*pk.stride+pk.planes]
-		p := pk.ptr[w]
 		lo := w << 6
-		for v := lo; v < min(lo+64, st.N); v++ {
-			j := uint(v - lo)
-			var m int64
-			for i, x := range c {
-				m |= int64(x>>j&1) << i
+		a, pv := agents[lo:min(lo+64, st.N)], ptr[lo:min(lo+64, st.N)]
+		clear(a)
+		for i, x := range pk.cnt[w*pk.stride : w*pk.stride+pk.planes] {
+			for ; x != 0; x &= x - 1 {
+				a[bits.TrailingZeros64(x)] |= 1 << i
 			}
-			agents[v] = m
-			ptr[v] = int32(p >> j & 1)
+		}
+		p := pk.ptr[w]
+		for j := range pv {
+			pv[j] = int32(p >> j & 1)
 		}
 	}
-	pk.flush(st.Visits)
 	st.stale = false
 }
 
-// flush adds the accumulated arrivals into visits and clears the
-// accumulator.
-func (pk *packed) flush(visits []int64) {
-	a := pk.accPlanes
+// derive adds the visits of the packed rounds since the base to Visits and
+// moves the base to the current configuration. Node v's exits since the
+// base are e_v = 2q_v + p_v with p_v = π_v ⊕ π⁰_v, a degree-2 pointer
+// flipping once per exit; q_v + c_v of them went right and q_v + d_v left,
+// where (c_v, d_v) is (p_v, 0) when π⁰_v pointed right and (0, p_v)
+// otherwise. The path's endpoints send all their exits through their one
+// port and keep pointer 0: e_v = q_v, with c_v = d_v = 0. Conservation on
+// edge (v, v+1) reads R_v − L_{v+1} = Φ − S_v, where S_v = Σ_{u≤v}(a_u − a⁰_u)
+// and Φ is the net flow across the ring's wrap edge into node 0 (0 on the
+// path), so q_v = t + D_v − v·Φ with D_0 = −d_0 and
+// D_{v+1} = D_v + c_v + S_v − d_{v+1}. Closing the ring fixes Φ, and
+// Σ_v e_v = k·rounds fixes t. Both divisions are exact on any
+// configuration the rounds reach: a remainder is a kernel bug and panics.
+// Then V_v = V⁰_v + e_v + a_v − a⁰_v. The first pass adds all of it but
+// t − v·Φ, which the second adds once both are known.
+func (st *State) derive() {
+	pk := st.pk
+	n := st.N
+	visits := st.Visits[:n]
+	var z, s, sumD, sumP int64 // z is D_v + d_v, s is S_{v−1}
+	var delta [64]int64        // a_v − a⁰_v across one word
 	for w := 0; w < pk.words; w++ {
-		acc := pk.acc[w*a : (w+1)*a]
-		for i, x := range acc {
+		lo, o := w<<6, w*pk.stride
+		dv := delta[:min(64, n-lo)]
+		clear(dv)
+		for i, x := range pk.cnt[o : o+pk.planes] {
 			for ; x != 0; x &= x - 1 {
-				visits[w<<6|bits.TrailingZeros64(x)] += 1 << i
+				dv[bits.TrailingZeros64(x)] += 1 << i
 			}
-			acc[i] = 0
+		}
+		for i, x := range pk.base[o : o+pk.basePlanes] {
+			for ; x != 0; x &= x - 1 {
+				dv[bits.TrailingZeros64(x)] -= 1 << i
+			}
+		}
+		// π⁰ points right at 0 on the ring and at 1 inside the path.
+		b := pk.basePtr[w]
+		pw := pk.ptr[w] ^ b
+		dw := pw & b
+		if !pk.ring {
+			dw = pw &^ b
+		}
+		sumP += int64(bits.OnesCount64(pw))
+		vs := visits[lo:]
+		vs = vs[:len(dv)]
+		for j, x := range dv {
+			p, d := int64(pw>>j&1), int64(dw>>j&1)
+			q := z - d // D_v
+			vs[j] += 2*q + p + x
+			sumD += q
+			s += x
+			z += p - 2*d + s
 		}
 	}
-	pk.accMax = 0
+	if s != 0 {
+		panic("kernel: packed visits: the rounds changed the agent count")
+	}
+	// sumW is Σ_v w_v, with e_v = w_v·q_v + p_v, and sumWD the sum of
+	// w_v·(D_v − v·Φ).
+	sumW, sumWD, phi := int64(2*n), 2*sumD, int64(0)
+	if pk.ring {
+		if z%int64(n) != 0 {
+			panic("kernel: packed visits: the ring's flows do not close")
+		}
+		phi = z / int64(n)
+		sumWD -= phi * int64(n) * int64(n-1)
+	} else {
+		// The endpoints count D_v once: D_0 = 0, and D_{n−1} = z, as
+		// c_{n−1} = S_{n−1} = 0.
+		sumW -= 2
+		sumWD -= z
+		visits[n-1] -= z
+	}
+	num := pk.k*pk.rounds - sumP - sumWD
+	if num < 0 || num%sumW != 0 {
+		panic("kernel: packed visits: the exits do not add up to k·rounds")
+	}
+	t := num / sumW
+	x := 2 * t
+	for v := range visits {
+		visits[v] += x
+		x -= 2 * phi
+	}
+	if !pk.ring {
+		visits[0] -= t
+		visits[n-1] -= t
+	}
+	pk.rebaseNow()
+}
+
+// rebaseNow makes the current configuration the base, with no rounds
+// since.
+func (pk *packed) rebaseNow() {
+	for w := 0; w < pk.words; w++ {
+		o := w * pk.stride
+		copy(pk.base[o:o+pk.planes], pk.cnt[o:o+pk.planes])
+	}
+	copy(pk.basePtr, pk.ptr)
+	pk.basePlanes = pk.planes
+	pk.rounds = 0
+}
+
+// DiscardVisits moves the base to the current configuration without
+// deriving the visits since: the owner is about to overwrite Visits, and a
+// later Materialize or Unpack decodes counts and pointers alone.
+func (st *State) DiscardVisits() {
+	if st.Packed() {
+		st.pk.rebaseNow()
+	}
 }
 
 // Unpack materializes the flat arrays and drops the packed state: the
@@ -120,6 +243,12 @@ func (st *State) Unpack(movers bool) {
 		st.ForEachMover(func(v int, m int64, _ int32) { st.Scratch[v] = m })
 	}
 	st.pkOn = false
+}
+
+// Drop drops the packed state without decoding any of it: the owner is
+// about to overwrite every flat array.
+func (st *State) Drop() {
+	st.pkOn, st.stale = false, false
 }
 
 // ForEachMover calls f(v, m, p) for every node v that m ≥ 1 agents left in
@@ -176,12 +305,14 @@ func (pk *packed) clone() *packed {
 	c.ptr = append([]uint64(nil), pk.ptr...)
 	c.cov = append([]uint64(nil), pk.cov...)
 	c.rl = nil
-	c.acc = append([]uint64(nil), pk.acc...)
+	c.base = append([]uint64(nil), pk.base...)
+	c.basePtr = append([]uint64(nil), pk.basePtr...)
 	return &c
 }
 
-// pack builds the packed state from the flat arrays, which must be current.
-func (st *State) pack() {
+// pack builds the packed state from the flat arrays, which must be current,
+// and makes it the base.
+func (st *State) pack(ring bool) {
 	n := st.N
 	var k, hi int64
 	for _, m := range st.Agents[:n] {
@@ -192,27 +323,27 @@ func (st *State) pack() {
 	stride := bits.Len64(uint64(k)) + 1
 	pk := st.pk
 	if pk == nil || pk.stride != stride {
-		accPlanes := min(64, stride+accSlack)
 		pk = &packed{
-			words:     words,
-			top:       uint(n-1) & 63,
-			stride:    stride,
-			cnt:       make([]uint64, words*stride),
-			prev:      make([]uint64, words*stride),
-			ptr:       make([]uint64, words),
-			cov:       make([]uint64, words),
-			acc:       make([]uint64, words*accPlanes),
-			accPlanes: accPlanes,
+			words:   words,
+			top:     uint(n-1) & 63,
+			stride:  stride,
+			cnt:     make([]uint64, words*stride),
+			prev:    make([]uint64, words*stride),
+			ptr:     make([]uint64, words),
+			cov:     make([]uint64, words),
+			base:    make([]uint64, words*stride),
+			basePtr: make([]uint64, words),
 		}
 		pk.last = ^uint64(0) >> (63 - pk.top)
 		st.pk = pk
 	}
 	pk.planes = max(1, bits.Len64(uint64(hi)))
 	pk.movers = 0
+	pk.ring, pk.k = ring, k
+	// n·k·rebase ≤ 2^62, or one round when n·k alone exceeds it.
+	pk.rebase = max(1, 1<<62/int64(n)/max(k, 1))
 	clear(pk.cnt)
 	clear(pk.prev)
-	clear(pk.acc)
-	pk.accMax = 0
 	for w := 0; w < words; w++ {
 		c := pk.cnt[w*stride : w*stride+pk.planes]
 		var p, cov uint64
@@ -230,6 +361,7 @@ func (st *State) pack() {
 		}
 		pk.ptr[w], pk.cov[w] = p, cov
 	}
+	pk.rebaseNow()
 	st.pkOn = true
 }
 
@@ -245,7 +377,7 @@ func (st *State) runPacked(ring bool, end int64, cover bool) {
 // flat arrays first when the previous round was not packed.
 func (st *State) stepPacked(ring bool) {
 	if !st.Packed() {
-		st.pack()
+		st.pack(ring)
 	}
 	pk := st.pk
 	b := pk.planes
@@ -271,13 +403,6 @@ func (st *State) stepPacked(ring bool) {
 		// loses at most one bit a round.
 		pk.planes = b - 1
 	}
-	// The next round adds counts below 2^(planes+1); flush now if that
-	// could overflow the accumulator.
-	pk.accMax += 1<<pk.planes - 1
-	if pk.accMax > accCap(pk.accPlanes)-(1<<(pk.planes+1)-1) {
-		pk.flush(st.Visits)
-	}
-
 	round := st.Round + 1
 	if !full {
 		st.Covered += newly
@@ -288,21 +413,15 @@ func (st *State) stepPacked(ring bool) {
 	st.Round = round
 	st.FullyActiveRounds++
 	st.stale = true
-}
-
-// accCap is the largest count an accumulator of a planes holds.
-func accCap(a int) uint64 {
-	if a >= 64 {
-		return ^uint64(0)
+	if pk.rounds++; pk.rounds == pk.rebase {
+		st.Materialize()
 	}
-	return 1<<a - 1
 }
 
 // round computes the next counts of any plane count b = pk.planes into
-// pk.prev, b+1 planes a word, flips the pointers, adds the new counts to the
-// visit accumulator and, unless full, to the covered plane. It returns the
-// newly covered nodes and, ORed over all words, the new counts' plane b−1
-// and carry plane b.
+// pk.prev, b+1 planes a word, flips the pointers and, unless full, adds the
+// new counts to the covered plane. It returns the newly covered nodes and,
+// ORed over all words, the new counts' plane b−1 and carry plane b.
 func (pk *packed) round(ring, full bool) (newly int, topOr, carryOr uint64) {
 	words, stride, b := pk.words, pk.stride, pk.planes
 	cnt, out, ptr, rl := pk.cnt, pk.prev, pk.ptr, pk.scratch()
@@ -395,7 +514,10 @@ func (pk *packed) round(ring, full bool) (newly int, topOr, carryOr uint64) {
 		occ |= carry
 		topOr |= o[b-1]
 		carryOr |= carry
-		newly += pk.visit(w, occ, o, full)
+		if !full {
+			newly += bits.OnesCount64(occ &^ pk.cov[w])
+			pk.cov[w] |= occ
+		}
 	}
 	return newly, topOr, carryOr
 }
@@ -408,36 +530,13 @@ func (pk *packed) scratch() []uint64 {
 	return pk.rl
 }
 
-// visit adds the new count planes o of word w, whose occupied bits are
-// occ, to the visit accumulator, carrying on only until the carry word is
-// zero, and unless full marks the word's newly occupied nodes covered,
-// returning how many there are.
-func (pk *packed) visit(w int, occ uint64, o []uint64, full bool) (newly int) {
-	a := pk.accPlanes
-	acc := pk.acc[w*a : (w+1)*a]
-	var carry uint64
-	for i, x := range o {
-		s := acc[i] ^ x
-		carry, acc[i] = acc[i]&x|carry&s, s^carry
-	}
-	for i := len(o); carry != 0; i++ {
-		carry, acc[i] = acc[i]&carry, acc[i]^carry
-	}
-	if full {
-		return 0
-	}
-	newly = bits.OnesCount64(occ &^ pk.cov[w])
-	pk.cov[w] |= occ
-	return newly
-}
-
 // round1 is round for counts of at most 1 (one plane), the commonest case
 // at k ≤ n/8: R and L are single planes, computed in a first pass into the
 // round scratch, and the second pass adds them shifted. It relies on plane
 // 1 being zero.
 func (pk *packed) round1(ring, full bool) (newly int, topOr, carryOr uint64) {
 	words, stride, lastW, top := pk.words, pk.stride, pk.words-1, pk.top
-	cnt, out, ptr, cov, acc, a := pk.cnt, pk.prev, pk.ptr, pk.cov, pk.acc, pk.accPlanes
+	cnt, out, ptr, cov := pk.cnt, pk.prev, pk.ptr, pk.cov
 	rs, ls := pk.scratch()[:words], pk.rl[words:2*words]
 
 	// flip turns the pointer plane into the plane of nodes whose odd agent
@@ -467,7 +566,7 @@ func (pk *packed) round1(ring, full bool) (newly int, topOr, carryOr uint64) {
 	if ring {
 		ri, wrap = rs[lastW]>>top&1, (ls[0]&1)<<top
 	}
-	for w, ow, aw := 0, 0, 0; w < words; w, ow, aw = w+1, ow+stride, aw+a {
+	for w, ow := 0, 0; w < words; w, ow = w+1, ow+stride {
 		r := rs[w]
 		x := r<<1 | ri
 		ri = r >> 63
@@ -483,19 +582,6 @@ func (pk *packed) round1(ring, full bool) (newly int, topOr, carryOr uint64) {
 		o[0], o[1] = s0, s1
 		topOr |= s0
 		carryOr |= s1
-
-		// Visits, as in visit.
-		ac := acc[aw : aw+a]
-		u := ac[0]
-		ac[0] = u ^ s0
-		k := u & s0
-		u = ac[1]
-		t := u ^ s1
-		ac[1] = t ^ k
-		k = u&s1 | k&t
-		for i := 2; k != 0; i++ {
-			k, ac[i] = ac[i]&k, ac[i]^k
-		}
 		if !full {
 			occ := s0 | s1
 			newly += bits.OnesCount64(occ &^ cov[w])
@@ -512,7 +598,7 @@ func (pk *packed) round1(ring, full bool) (newly int, topOr, carryOr uint64) {
 // keeps, and on a stride of at least 4.
 func (pk *packed) round3(ring, full bool) (newly int, topOr, carryOr uint64) {
 	words, stride, lastW, top, b := pk.words, pk.stride, pk.words-1, pk.top, pk.planes
-	cnt, out, ptr, cov, acc, a := pk.cnt, pk.prev, pk.ptr, pk.cov, pk.acc, pk.accPlanes
+	cnt, out, ptr, cov := pk.cnt, pk.prev, pk.ptr, pk.cov
 
 	// ri is the R share entering word w from node 64w−1, li the L share
 	// entering from node 64w+64. On the ring, word 0 takes node n−1's R
@@ -578,29 +664,8 @@ func (pk *packed) round3(ring, full bool) (newly int, topOr, carryOr uint64) {
 		o[0], o[1], o[2], o[3] = s0, s1, s2, cy
 		topOr |= o[b-1]
 		carryOr |= o[b]
-		occ := s0 | s1 | s2 | cy
-
-		// Visits, as in visit.
-		ac := acc[w*a : w*a+a]
-		u := ac[0]
-		ac[0] = u ^ s0
-		k := u & s0
-		u = ac[1]
-		t = u ^ s1
-		ac[1] = t ^ k
-		k = u&s1 | k&t
-		u = ac[2]
-		t = u ^ s2
-		ac[2] = t ^ k
-		k = u&s2 | k&t
-		u = ac[3]
-		t = u ^ cy
-		ac[3] = t ^ k
-		k = u&cy | k&t
-		for i := 4; k != 0; i++ {
-			k, ac[i] = ac[i]&k, ac[i]^k
-		}
 		if !full {
+			occ := s0 | s1 | s2 | cy
 			newly += bits.OnesCount64(occ &^ cov[w])
 			cov[w] |= occ
 		}
