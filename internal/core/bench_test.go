@@ -15,7 +15,7 @@ import (
 // when it is next read.
 
 // BenchmarkAblationBatchedStep: the generic engine, forced because a dense
-// ring would select the flat kernel, with many agents stacked on few nodes
+// ring would select the packed kernel, with many agents stacked on few nodes
 // (the regime the batching targets). Each iteration replays a fixed
 // 32-round window from the stacked start so the regime cannot drift as the
 // benchmark runs longer.

@@ -20,16 +20,16 @@
 // bit-sliced packed round, 64 nodes per machine word — bit-identical to the
 // generic engine and many times faster. The system's flat arrays are then a
 // lazily materialized view of the packed state: reads materialize them
-// once and keep the packed state, writes (held, generic and sparse rounds,
-// the mutations) materialize them and drop it. Packed rounds count no
-// visits: Visits derives them exactly, once per round read, from the
-// packed state's base, its current configuration and the rounds since,
-// and readers of counts and pointers alone (the configuration hash among
-// them) never pay for it. Held rounds take the
-// kernel's flat held tier at k ≥ n/kernel.DenseFraction and the generic
-// loop below it. Below the packed threshold, fully-active rounds run the
-// sparse degree-2 round (sparse.go): the generic occupied-list round with
-// closed-form splits. With fewer agents still (n ≥ WindowSpread·k²), the
+// once and keep the packed state, writes (generic and sparse rounds, the
+// mutations) materialize them and drop it. Packed rounds count no visits:
+// Visits derives them exactly, once per round read, from the packed
+// state's base, its current configuration and the moves since, and
+// readers of counts and pointers alone (the configuration hash among them)
+// never pay for it. Held rounds take the kernel's packed held round at
+// k ≥ n/kernel.DenseFraction and the generic loop below it, both asking a
+// per-node callback for the hold counts. Below the packed threshold,
+// fully-active rounds run the sparse degree-2 round (sparse.go): the
+// generic occupied-list round with closed-form splits. With fewer agents still (n ≥ WindowSpread·k²), the
 // sparse round runs whatever the density, and Run and RunUntilCovered move
 // lone, well-separated agents through interaction-free windows: stretches
 // of rounds in which no two agents can meet, run as one tight loop over the
@@ -39,9 +39,9 @@
 // ForEachFlow reads the last round's per-arc flows on demand without
 // recording anything while stepping.
 //
-// The engine also supports delayed deployments (§2.1): StepHeld freezes a
-// chosen number of agents per node for one round, which is the primitive
-// that the deploy package's schedules are built from.
+// The engine also supports delayed deployments (§2.1): StepHeldFunc and
+// StepHeld freeze a chosen number of agents per node for one round, which
+// is the primitive that the deploy package's schedules are built from.
 package core
 
 import (
@@ -66,7 +66,7 @@ const (
 	// path, fully-active rounds run the packed kernel round when
 	// k ≥ n/kernel.PackedFraction (n/32) and the windows' rule
 	// n ≥ WindowSpread·k² does not hold, and the sparse degree-2 round
-	// otherwise; held rounds take the flat held kernel when
+	// otherwise; held rounds take the packed held round when
 	// k ≥ n/kernel.DenseFraction (n/4) and the generic loop below it.
 	// Every other topology runs the generic engine. This is the default.
 	KernelAuto KernelMode = iota
@@ -119,7 +119,7 @@ type System struct {
 	// fast is the specialized kernel selected for this system's
 	// fully-active rounds (nil when they run the sparse round or the
 	// generic engine), and heldFast says whether held rounds run its held
-	// tier; StepHeld(nil) takes the generic path. parShards fixes the
+	// round; StepHeldFunc(nil) takes the generic path. parShards fixes the
 	// shard count under KernelParallel (0 = GOMAXPROCS at step time).
 	fast      kernel.Stepper
 	heldFast  bool
@@ -141,12 +141,9 @@ type System struct {
 
 	// movers says where ForEachFlow finds the last round's movers:
 	// srcNode/srcCnt after a generic or sparse round, st.Scratch (the
-	// pre-round counts a flat kernel swapped out) minus the clamped held
-	// after a flat kernel round, and the packed state's previous planes
-	// after a packed round. held is that flat round's hold vector, nil when
-	// it was fully active.
+	// pre-round counts a flat round swapped out) after a flat round, and
+	// the packed state's previous planes after a packed round.
 	movers moverSource
-	held   []int64
 
 	// Scratch buffers reused across rounds. cand holds the generic
 	// round's candidates for the next occupied list, and the sparse
@@ -176,7 +173,7 @@ type moverSource uint8
 const (
 	moversNone    moverSource = iota // no round since the view was emptied
 	moversGeneric                    // srcNode/srcCnt
-	moversKernel                     // st.Scratch minus the clamped held
+	moversKernel                     // st.Scratch
 	moversPacked                     // the packed state's previous planes
 )
 
@@ -187,7 +184,6 @@ type config struct {
 	positions []int
 	counts    []int64
 	pointers  []int
-	hash      bool
 	kmode     KernelMode
 	parShards int
 }
@@ -216,19 +212,6 @@ func WithAgentCounts(counts []int64) Option {
 func WithPointers(pointers []int) Option {
 	return func(c *config) error {
 		c.pointers = append([]int(nil), pointers...)
-		return nil
-	}
-}
-
-// WithConfigHash enables configuration hashing from round zero. Hashing
-// costs two mixes per moved node in an occupied-list round; kernel rounds
-// only mark the hash stale, and the next read or incremental update
-// recomputes it with two mixes per node. It is off by default;
-// FindLimitCycle and MeasureReturnTime enable it on demand (see
-// EnableConfigHash), and ConfigHash self-enables on first call.
-func WithConfigHash() Option {
-	return func(c *config) error {
-		c.hash = true
 		return nil
 	}
 }
@@ -322,9 +305,6 @@ func NewSystem(g *graph.Graph, opts ...Option) (*System, error) {
 	}
 
 	s.Reset()
-	if c.hash {
-		s.EnableConfigHash()
-	}
 	return s, nil
 }
 
@@ -369,29 +349,13 @@ func (s *System) AgentsAt(v int) int64 {
 }
 
 // AgentCountsView returns the live per-node agent-count array, indexed by
-// node. It is a zero-copy view for flat read loops on hot paths (the
-// schedule runner's hold-draw fill) where per-node AgentsAt calls would
-// dominate. Callers must not mutate it, and must re-fetch it after any
-// step: the kernels advance by buffer swap or in packed form, so the slice
-// goes stale each round.
+// node. It is a zero-copy view for flat read loops on hot paths where
+// per-node AgentsAt calls would dominate. Callers must not mutate it, and
+// must re-fetch it after any step: the kernels advance by buffer swap or
+// in packed form, so the slice goes stale each round.
 func (s *System) AgentCountsView() []int64 {
 	s.st.MaterializeConfig()
 	return s.st.Agents
-}
-
-// HoldNodes returns the nodes whose held entries the next StepHeld reads:
-// nil when the flat kernel's held tier runs held rounds (k ≥
-// n/kernel.DenseFraction, or forced), since it reads every node, and
-// otherwise the occupied list that the generic loop walks, whichever tier
-// runs the fully-active rounds. The schedule runner draws holds only at
-// these nodes. The slice is the system's own; callers must not mutate it,
-// and it is stale after the next step.
-func (s *System) HoldNodes() []int {
-	if s.heldFast {
-		return nil
-	}
-	s.ensureOccupied()
-	return s.occupied
 }
 
 // Pointer returns the current port pointer of v.
@@ -481,7 +445,7 @@ func (s *System) Occupied() []int {
 // its source's movers, pointer after the round and degree, and every tier
 // leaves the movers behind. A read costs O(arcs moved) after a generic
 // round, O(n/64 + nodes moved) after a packed round and O(n) after a flat
-// kernel round. The view is empty before the first round and after Reset,
+// parallel round. The view is empty before the first round and after Reset,
 // Rewire and SetPointers (which move the pointers the flows derive from),
 // and starts empty in a Clone; AddAgents, RemoveAgents and ResetCoverage
 // leave it intact.
@@ -500,9 +464,6 @@ func (s *System) ForEachFlow(f func(v, port int, agents int64)) {
 		}
 	case moversKernel:
 		for v, m := range s.st.Scratch {
-			if s.held != nil {
-				m -= min(max(s.held[v], 0), m)
-			}
 			if m > 0 {
 				emitFlows(v, m, g.Degree(v), int(ptr[v]), f)
 			}
@@ -540,11 +501,11 @@ func (s *System) Step() {
 	switch {
 	case s.fast != nil:
 		s.fast.Step(&s.st)
-		s.afterKernel(nil)
+		s.afterKernel()
 	case s.sparse != kernel.ShapeGeneral:
 		s.stepSparse()
 	default:
-		s.StepHeld(nil)
+		s.StepHeldFunc(nil)
 	}
 }
 
@@ -576,7 +537,7 @@ func (s *System) advance(end int64, cover bool) {
 	if s.fast != nil {
 		if s.st.Round < end && !(cover && s.st.Covered == s.n) {
 			s.fast.Run(&s.st, end, cover)
-			s.afterKernel(nil)
+			s.afterKernel()
 		}
 		return
 	}
@@ -597,34 +558,30 @@ func (s *System) coverAt(round int64) {
 	}
 }
 
-// StepHeld runs one round of a delayed deployment D (§2.1): held[v] agents
-// at node v skip their move this round (clamped to the number present). A
-// nil held slice means every agent is active. Held agents do not advance
-// the pointer — exactly the paper's D(v,t) semantics.
+// StepHeldFunc runs one round of a delayed deployment D (§2.1): hold(v, c)
+// of the c agents at node v skip their move this round (clamped to
+// [0, c]). Held agents do not advance the pointer — exactly the paper's
+// D(v,t) semantics. hold is asked once per occupied node, with the node's
+// count at the start of the round, and never for an empty node; a nil hold
+// means every agent is active.
 //
-// Held rounds run on the flat kernel's held tier (kernel.Stepper.StepHeld)
-// when k ≥ n/kernel.DenseFraction on the ring or path, bit-identically to
-// the generic engine below, which everything else runs on — ring and path
-// populations below that density included, whether their fully-active
-// rounds run packed or sparse. StepHeld(nil) on a system with a
-// specialized kernel or a sparse round is equivalent to Step but
-// deliberately takes the generic path — it is the reference arm of the
-// differential tests.
-//
-// The generic path reads held only at the occupied nodes, which HoldNodes
-// lists; the flat held kernels read every entry. A kernel round keeps a
-// reference to held for ForEachFlow, so a caller that reads the round's
-// flows must leave held unchanged until then.
-func (s *System) StepHeld(held []int64) {
-	if held != nil && s.heldFast {
-		s.st.Unpack(false)
-		s.fast.StepHeld(&s.st, held)
-		s.afterKernel(held)
+// Held rounds run on the kernel's packed held round (kernel.Stepper.StepHeld,
+// in node order) when k ≥ n/kernel.DenseFraction on the ring or path,
+// bit-identically to the generic loop below, which everything else runs on
+// (in occupied-list order) — ring and path populations below that density
+// included, whether their fully-active rounds run packed or sparse.
+// StepHeldFunc(nil) on a system with a specialized kernel or a sparse round
+// is equivalent to Step but deliberately takes the generic path — it is
+// the reference arm of the differential tests.
+func (s *System) StepHeldFunc(hold func(v int, c int64) int64) {
+	if hold != nil && s.heldFast {
+		s.fast.StepHeld(&s.st, hold)
+		s.afterKernel()
 		return
 	}
 	s.unpack(false)
 	s.ensureOccupied()
-	s.movers, s.held = moversGeneric, nil
+	s.movers = moversGeneric
 
 	// The occupied list is exactly the nodes with agents, before the round
 	// and after it, so the incremental hash drops each source's count at
@@ -638,11 +595,8 @@ func (s *System) StepHeld(held []int64) {
 	for _, v := range s.occupied {
 		c := s.st.Agents[v]
 		var h int64
-		if held != nil && held[v] > 0 {
-			h = held[v]
-			if h > c {
-				h = c
-			}
+		if hold != nil {
+			h = min(max(hold(v, c), 0), c)
 		}
 		if h > 0 {
 			anyHeld = true
@@ -726,14 +680,23 @@ func (s *System) StepHeld(held []int64) {
 	}
 }
 
+// StepHeld is StepHeldFunc with held[v] agents held at node v: held must
+// cover every occupied node, and a nil held is StepHeldFunc(nil).
+func (s *System) StepHeld(held []int64) {
+	var hold func(v int, c int64) int64
+	if held != nil {
+		hold = func(v int, _ int64) int64 { return held[v] }
+	}
+	s.StepHeldFunc(hold)
+}
+
 // afterKernel records kernel rounds, which keep neither the occupied list
 // nor the hash: the occupied list goes stale, the hash is marked stale,
 // and ForEachFlow reads the movers from the packed state after a packed
-// round and otherwise from the counts a flat round swapped out (minus
-// held, nil when the round was fully active).
-func (s *System) afterKernel(held []int64) {
+// round and otherwise from the counts a flat round swapped out.
+func (s *System) afterKernel() {
 	s.occValid = false
-	s.movers, s.held = moversKernel, held
+	s.movers = moversKernel
 	if s.st.Packed() {
 		s.movers = moversPacked
 	}
@@ -749,7 +712,7 @@ func (s *System) unpack(flows bool) {
 		flows = flows && s.movers == moversPacked
 		s.st.Unpack(flows)
 		if flows {
-			s.movers, s.held = moversKernel, nil
+			s.movers = moversKernel
 		}
 	}
 	s.freshHash()
@@ -807,7 +770,7 @@ func (s *System) EnableConfigHash() {
 
 // ConfigHash returns the hash of the current configuration (pointers and
 // agent positions; visit counters excluded), enabling hash maintenance on
-// first use (WithConfigHash enables it from round zero instead). After
+// first use (EnableConfigHash enables it before any read instead). After
 // kernel rounds it costs one O(n) pass, and nothing more until the next
 // round. Equal configurations have equal hashes; unequal ones collide with
 // probability about 2^-64, so cycle detection confirms with StateEqual.

@@ -101,7 +101,7 @@ func TestFlowViewMatchesReference(t *testing.T) {
 }
 
 // TestFlowViewAfterMutations pins what each between-round mutation does to
-// the view, after a generic round, a kernel round, a held kernel round and
+// the view, after a generic round, a kernel round, a packed held round and
 // a sparse round:
 // SetPointers, Rewire and Reset empty it (they move the pointers flows are
 // derived from), a Clone starts empty, and AddAgents, RemoveAgents and

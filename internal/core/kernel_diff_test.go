@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the kernel-equivalence differential suite: the packed
-// ring/path round, the flat held kernels and the sparse degree-2 rounds
+// ring/path round, fully active and held, and the sparse degree-2 rounds
 // must match the generic engine configuration-for-configuration —
 // pointers, agent counts, visit counters, coverage bookkeeping, the last
 // round's flow view and (when enabled) the hash — on randomized
@@ -48,7 +48,7 @@ func (c diffConfig) sparse() bool {
 }
 
 // heldGeneric reports whether KernelAuto runs c's held rounds on the
-// generic loop, below the flat held kernels' threshold.
+// generic loop, below the packed held round's threshold.
 func (c diffConfig) heldGeneric() bool { return c.k < c.n/kernel.DenseFraction }
 
 // systemBuilder draws one random configuration for c and returns a factory
@@ -74,13 +74,12 @@ func systemBuilder(t *testing.T, c diffConfig, rng *xrand.Rand) func(mode Kernel
 			WithPointers(pointers),
 			WithKernelMode(mode),
 		}
-		if c.hash {
-			opts = append(opts, WithConfigHash())
-		}
-		opts = append(opts, extra...)
-		s, err := NewSystem(g, opts...)
+		s, err := NewSystem(g, append(opts, extra...)...)
 		if err != nil {
 			t.Fatalf("%v: NewSystem: %v", c, err)
+		}
+		if c.hash {
+			s.EnableConfigHash()
 		}
 		return s
 	}
@@ -257,8 +256,8 @@ func TestKernelDifferential(t *testing.T) {
 }
 
 // TestKernelDifferentialHeldInterleaving checks held rounds against the
-// generic engine: on ring and path shapes StepHeld dispatches to the fused
-// held kernels, so this is the primary differential for that tier, and it
+// generic engine: on ring and path shapes StepHeld dispatches to the packed
+// held round, so this is the primary differential for that tier, and it
 // also covers the occupied-bookkeeping rebuilds when holds interleave with
 // plain fast rounds. The fast system also takes generic StepHeld(nil)
 // rounds between kernel rounds, where a stale mover source would leak
@@ -395,23 +394,22 @@ func TestKernelDifferentialReset(t *testing.T) {
 
 // TestKernelPathTwoNodes exercises the path kernel's degenerate case: two
 // endpoints and no interior. The split/assemble passes run on boundary
-// terms alone, and the held kernel's n == 2 branch swaps the endpoints'
-// movers. Fully-active rounds and held rounds (random holds, over-asking
-// and negative entries included, all held, none held) are compared with
-// the generic engine after every round, with and without hashing.
+// terms alone, and a held round swaps the endpoints' movers. Fully-active
+// rounds and held rounds (random holds, over-asking and negative entries
+// included, all held, none held) are compared with the generic engine
+// after every round, with and without hashing.
 func TestKernelPathTwoNodes(t *testing.T) {
 	g := graph.Path(2)
 	rng := xrand.New(2)
 	for _, hash := range []bool{false, true} {
 		for _, counts := range [][]int64{{3, 0}, {1, 1}, {5, 2}} {
 			mk := func(mode KernelMode) *System {
-				opts := []Option{WithAgentCounts(counts), WithKernelMode(mode)}
-				if hash {
-					opts = append(opts, WithConfigHash())
-				}
-				s, err := NewSystem(g, opts...)
+				s, err := NewSystem(g, WithAgentCounts(counts), WithKernelMode(mode))
 				if err != nil {
 					t.Fatal(err)
+				}
+				if hash {
+					s.EnableConfigHash()
 				}
 				return s
 			}
@@ -434,7 +432,7 @@ func TestKernelPathTwoNodes(t *testing.T) {
 					}
 				case 2: // every agent held
 					held[0], held[1] = gen.AgentsAt(0), gen.AgentsAt(1)
-				case 3: // none held, through the held kernel
+				case 3: // none held, through the packed held round
 					held[0], held[1] = 0, 0
 				}
 				gen.StepHeld(held)
@@ -449,21 +447,21 @@ func TestKernelPathTwoNodes(t *testing.T) {
 // fully-active and held rounds: on the ring and path, fully-active rounds
 // take the packed kernel round at k ≥ n/kernel.PackedFraction unless the
 // windows' entry rule holds, and the sparse degree-2 round otherwise; held
-// rounds take the flat held kernel at k ≥ n/kernel.DenseFraction, which
-// HoldNodes reports as nil, and the generic loop otherwise. Unsupported
-// topologies — a cut ring included — run the generic engine. Selection
-// follows the population and the topology as they change: a repaired
-// sparse ring goes back to its sparse round, and agents joining past each
-// threshold switch its tiers.
+// rounds take the packed held round at k ≥ n/kernel.DenseFraction and the
+// generic loop otherwise (heldOnKernel). Unsupported topologies — a cut
+// ring included — run the generic engine. Selection follows the
+// population and the topology as they change: a repaired sparse ring goes
+// back to its sparse round, and agents joining past each threshold switch
+// its tiers.
 func TestKernelAutoSelection(t *testing.T) {
 	ring, big := graph.Ring(64), graph.Ring(1024)
 	cases := []struct {
-		name     string
-		g        *graph.Graph
-		k        int
-		opts     []Option
-		want     string
-		heldFlat bool
+		name       string
+		g          *graph.Graph
+		k          int
+		opts       []Option
+		want       string
+		heldPacked bool
 	}{
 		{"dense ring", ring, 16, nil, "ring", true},
 		{"packed ring", ring, 15, nil, "ring", false},
@@ -481,13 +479,13 @@ func TestKernelAutoSelection(t *testing.T) {
 		{"sparse torus", graph.Torus2D(8, 8), 2, nil, "generic", false},
 		{"torus forced fast", graph.Torus2D(4, 4), 64, []Option{WithKernelMode(KernelFast)}, "generic", false},
 	}
-	check := func(name string, s *System, want string, heldFlat bool) {
+	check := func(name string, s *System, want string, heldPacked bool) {
 		t.Helper()
 		if got := s.KernelName(); got != want {
 			t.Errorf("%s: kernel %q, want %q", name, got, want)
 		}
-		if got := s.HoldNodes() == nil; got != heldFlat {
-			t.Errorf("%s: held rounds on the flat held kernel %v, want %v", name, got, heldFlat)
+		if got := heldOnKernel(s); got != heldPacked {
+			t.Errorf("%s: held rounds on the packed held round %v, want %v", name, got, heldPacked)
 		}
 	}
 	for _, tc := range cases {
@@ -496,7 +494,7 @@ func TestKernelAutoSelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		check(tc.name, s, tc.want, tc.heldFlat)
+		check(tc.name, s, tc.want, tc.heldPacked)
 	}
 
 	s, err := NewSystem(big, WithAgentsAt(EquallySpaced(1024, 16)...))
@@ -510,10 +508,10 @@ func TestKernelAutoSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, step := range []struct {
-		name     string
-		mutate   func() error
-		want     string
-		heldFlat bool
+		name       string
+		mutate     func() error
+		want       string
+		heldPacked bool
 	}{
 		{"cut sparse ring", func() error { return s.Rewire(cut, make([]int, 1024)) }, "generic", false},
 		{"repaired sparse ring", func() error { return s.Rewire(big, make([]int, 1024)) }, "ring-sparse", false},
@@ -525,34 +523,41 @@ func TestKernelAutoSelection(t *testing.T) {
 		if err := step.mutate(); err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
-		check(step.name, s, step.want, step.heldFlat)
+		check(step.name, s, step.want, step.heldPacked)
 	}
 }
 
+// heldOnKernel reports whether s runs held rounds on the kernel's packed
+// held round rather than the generic loop: one held round on a clone
+// leaves the clone packed only on the kernel.
+func heldOnKernel(s *System) bool {
+	c := s.Clone()
+	c.StepHeldFunc(func(int, int64) int64 { return 0 })
+	return c.st.Packed()
+}
+
 // TestConfigHashOptIn pins the tier-2 semantics: hashing is off by
-// default, WithConfigHash enables it from round zero, ConfigHash
+// default, EnableConfigHash enables it from round zero, ConfigHash
 // self-enables lazily, and a lazily enabled hash matches the
 // incrementally maintained one on the same trajectory.
 func TestConfigHashOptIn(t *testing.T) {
 	g := graph.Ring(48)
-	mk := func(opts ...Option) *System {
-		s, err := NewSystem(g, append([]Option{
-			WithAgentsAt(EquallySpaced(48, 12)...),
-			WithPointers(PointersUniform(g, 1)),
-		}, opts...)...)
+	mk := func() *System {
+		s, err := NewSystem(g, WithAgentsAt(EquallySpaced(48, 12)...), WithPointers(PointersUniform(g, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
 
-	eager := mk(WithConfigHash())
+	eager := mk()
+	eager.EnableConfigHash()
 	lazy := mk()
 	if !eager.hashOn {
-		t.Fatal("WithConfigHash did not enable hashing")
+		t.Fatal("EnableConfigHash did not enable hashing")
 	}
 	if lazy.hashOn {
-		t.Fatal("hashing enabled without WithConfigHash")
+		t.Fatal("hashing enabled by default")
 	}
 	eager.Run(100)
 	lazy.Run(100)
@@ -765,7 +770,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 }
 
 // FuzzKernelHeldEquivalence fuzzes the held-round tier: random hold
-// interleavings on ring and path shapes, fused held kernels vs the generic
+// interleavings on ring and path shapes, the packed held round vs the generic
 // engine, with occasional generic StepHeld(nil) rounds in between. holdSeed
 // decouples the hold pattern from the configuration draw so the fuzzer can
 // vary them independently. Sparse populations add the KernelAuto arm, whose
@@ -787,7 +792,7 @@ func FuzzKernelHeldEquivalence(f *testing.F) {
 		for r := 1; r <= c.rounds; r++ {
 			switch hrng.Intn(5) {
 			case 0:
-				// A generic round between held kernel rounds.
+				// A generic round between packed held rounds.
 				gen.Step()
 				fast.StepHeld(nil)
 				if sparse != nil {
@@ -921,13 +926,12 @@ func TestSparseWindows(t *testing.T) {
 				pointers = tc.pointers(g)
 			}
 			mk := func(mode KernelMode) *System {
-				opts := []Option{WithAgentsAt(tc.positions...), WithPointers(pointers), WithKernelMode(mode)}
-				if hash {
-					opts = append(opts, WithConfigHash())
-				}
-				s, err := NewSystem(g, opts...)
+				s, err := NewSystem(g, WithAgentsAt(tc.positions...), WithPointers(pointers), WithKernelMode(mode))
 				if err != nil {
 					t.Fatal(err)
+				}
+				if hash {
+					s.EnableConfigHash()
 				}
 				return s
 			}

@@ -53,11 +53,11 @@ func TestRewireKernelAndHash(t *testing.T) {
 	rng := xrand.New(3)
 	s, err := NewSystem(g,
 		WithAgentsAt(RandomPositions(n, n, rng)...), // dense: kernel selected
-		WithPointers(PointersRandom(g, rng)),
-		WithConfigHash())
+		WithPointers(PointersRandom(g, rng)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.EnableConfigHash()
 	if s.KernelName() != "ring" {
 		t.Fatalf("dense ring system runs on %q, want the ring kernel", s.KernelName())
 	}
@@ -97,10 +97,11 @@ func TestRewireKernelAndHash(t *testing.T) {
 func TestChurnAndPointerMutations(t *testing.T) {
 	n := 32
 	g := graph.Ring(n)
-	s, err := NewSystem(g, WithAgentsAt(0, 5), WithConfigHash())
+	s, err := NewSystem(g, WithAgentsAt(0, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.EnableConfigHash()
 	s.Run(4)
 
 	visits7, visits20, covered := s.Visits(7), s.Visits(20), s.Covered()

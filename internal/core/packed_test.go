@@ -13,8 +13,8 @@ import (
 // arms next to the generic engine at the sizes where words begin and end,
 // at every density, through count planes that grow and shrink, and through
 // every switch between the packed state and the flat arrays: reads that
-// materialize, held and generic rounds that unpack, and Run chunks with no
-// read in between.
+// materialize, held rounds that stay packed, generic rounds that unpack,
+// and Run chunks with no read in between.
 
 // packedSizes are the node counts around word boundaries, and larger.
 var packedSizes = []int{2, 3, 63, 64, 65, 127, 128, 129, 200, 1000}
@@ -31,8 +31,8 @@ func packedAgents(n int) []int {
 	return ks
 }
 
-// TestPackedDifferential steps the forced kernel (packed fully-active
-// rounds, flat held rounds) and KernelAuto against the generic engine on
+// TestPackedDifferential steps the forced kernel (packed rounds, fully
+// active and held) and KernelAuto against the generic engine on
 // rings and paths of packedSizes nodes, from random and stacked starts,
 // with and without hashing. Each trial mixes single packed rounds, Run
 // chunks with no read between their rounds, held rounds and generic
@@ -179,7 +179,8 @@ func TestPackedAccumulatorFlush(t *testing.T) {
 // counts with the generic engine's after each chunk. The middle chunk
 // alone moves k·2.2·10^6 > 2^63 agents, which only the packed state's
 // re-base, a derivation every 2^62/(n·k) rounds, keeps exact; every node's
-// visits still fit an int64.
+// visits still fit an int64. A last chunk of 4·10^5 held rounds, each
+// holding a different share at every node, crosses a re-base too.
 func TestPackedVisitsRebase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2.5·10^6 rounds on each arm")
@@ -191,9 +192,20 @@ func TestPackedVisitsRebase(t *testing.T) {
 			return newTestSystem(t, g, WithAgentCounts(counts), WithKernelMode(mode))
 		}
 		gen, fast := mk(KernelGeneric), mk(KernelFast)
-		for _, r := range []int64{100_003, 2_200_000, 199_997} {
-			gen.Run(r)
-			fast.Run(r)
+		hold := func(v int, c int64) int64 { return c / int64(2+v) }
+		for _, chunk := range []struct {
+			rounds int64
+			held   bool
+		}{{100_003, false}, {2_200_000, false}, {199_997, false}, {400_000, true}} {
+			if chunk.held {
+				for i := int64(0); i < chunk.rounds; i++ {
+					gen.StepHeldFunc(hold)
+					fast.StepHeldFunc(hold)
+				}
+			} else {
+				gen.Run(chunk.rounds)
+				fast.Run(chunk.rounds)
+			}
 			if !fast.st.Packed() {
 				t.Fatalf("%s: no packed state after Run", fast.KernelName())
 			}
@@ -213,8 +225,10 @@ func TestPackedVisitsRebase(t *testing.T) {
 // rings and paths at word boundaries, from stacked and random starts, and
 // keeps stepping packed: each read derives the visits and moves the
 // packed state's base while the state stays packed, and reads of counts,
-// pointers and the hash between them leave the visits pending. Every value
-// read must equal the generic engine's.
+// pointers and the hash between them leave the visits pending. Packed
+// held rounds interleave with the runs, half of them holding every agent,
+// so that visits must derive from the moves made and not from k·rounds.
+// Every value read must equal the generic engine's.
 func TestPackedVisitsMidRun(t *testing.T) {
 	rng := xrand.New(0x7157)
 	for _, n := range []int{2, 3, 63, 64, 65, 127, 128, 129, 1000} {
@@ -226,6 +240,14 @@ func TestPackedVisitsMidRun(t *testing.T) {
 				c := diffConfig{ring: ring, n: n, k: k, hash: i == 1, stacked: rng.Bool()}
 				gen, fast, _ := buildArms(t, c, rng)
 				for op := 0; op < 30; op++ {
+					if rng.Intn(3) == 0 {
+						hold := holdAll
+						if rng.Bool() {
+							hold = holdSome(rng.Uint64())
+						}
+						gen.StepHeldFunc(hold)
+						fast.StepHeldFunc(hold)
+					}
 					r := int64(1 + rng.Intn(min(3*n, 400)))
 					gen.Run(r)
 					fast.Run(r)
@@ -250,6 +272,108 @@ func TestPackedVisitsMidRun(t *testing.T) {
 					}
 				}
 				compareSystems(t, c, int(gen.Round()), gen, fast)
+			}
+		}
+	}
+}
+
+// holdAll holds every agent; holdSome(salt) holds a pseudo-random share of
+// each node's agents, a function of the node alone, so that every arm
+// holds the same agents in whatever order it asks.
+func holdAll(_ int, c int64) int64 { return c }
+
+func holdSome(salt uint64) func(v int, c int64) int64 {
+	return func(v int, c int64) int64 { return int64(xrand.Mix64(salt+uint64(v)) % uint64(c+1)) }
+}
+
+// TestPackedHeldPlaneDrop follows packed rounds of piled-up agents with
+// held rounds that let at most one agent leave each node, so that the
+// movers' plane count drops by two or more below the previous round's and
+// the arrivals land on planes that still hold an older round's counts;
+// packed fully-active rounds follow. Rings and paths at word boundaries,
+// from piles of up to 2^9 agents, are compared with the generic engine
+// after every round.
+func TestPackedHeldPlaneDrop(t *testing.T) {
+	rng := xrand.New(0xd209)
+	for _, n := range []int{3, 63, 64, 65, 129} {
+		for _, ring := range []bool{true, false} {
+			for _, k := range []int{40, 600} {
+				c := diffConfig{ring: ring, n: n, k: k, stacked: true}
+				gen, fast, _ := buildArms(t, c, rng)
+				for cycle := 0; cycle < 8; cycle++ {
+					for r := rng.Intn(3); r >= 0; r-- {
+						gen.Step()
+						fast.Step()
+						compareSystems(t, c, int(gen.Round()), gen, fast)
+					}
+					// All agents but one stay at most nodes, all of them at
+					// the rest.
+					salt := rng.Uint64()
+					hold := func(v int, m int64) int64 { return m - int64(xrand.Mix64(salt+uint64(v))&1) }
+					for r := rng.Intn(2); r >= 0; r-- {
+						gen.StepHeldFunc(hold)
+						fast.StepHeldFunc(hold)
+						if !fast.st.Packed() {
+							t.Fatalf("%v: a held round left the packed state", c)
+						}
+						compareSystems(t, c, int(gen.Round()), gen, fast)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHeldAsksOncePerOccupiedNode checks the hold callback's contract on
+// both held paths, the packed held round and the generic loop: a held
+// round asks once for every occupied node, with its count at the start of
+// the round, and never for an empty node; the packed round asks in node
+// order. Rings and paths at word boundaries, from random and stacked
+// starts, take held rounds between fully-active runs.
+func TestHeldAsksOncePerOccupiedNode(t *testing.T) {
+	rng := xrand.New(0xa5c)
+	for _, n := range []int{2, 3, 63, 64, 65, 130} {
+		for _, ring := range []bool{true, false} {
+			if ring && n < 3 {
+				continue
+			}
+			for _, k := range []int{1, n/4 + 1, 3 * n} {
+				c := diffConfig{ring: ring, n: n, k: k, stacked: rng.Bool()}
+				gen, fast, _ := buildArms(t, c, rng)
+				for op := 0; op < 20; op++ {
+					hold := holdSome(rng.Uint64())
+					for _, s := range []*System{gen, fast} {
+						counts := make([]int64, n)
+						for v := range counts {
+							counts[v] = s.AgentsAt(v)
+						}
+						asked, last := make([]bool, n), -1
+						s.StepHeldFunc(func(v int, cnt int64) int64 {
+							switch {
+							case asked[v]:
+								t.Fatalf("%v on %s: node %d asked twice", c, s.KernelName(), v)
+							case cnt != counts[v] || cnt == 0:
+								t.Fatalf("%v on %s: node %d asked with %d agents, has %d", c, s.KernelName(), v, cnt, counts[v])
+							case s == fast && v < last:
+								t.Fatalf("%v: the packed held round asked node %d after %d", c, v, last)
+							}
+							asked[v], last = true, v
+							return hold(v, cnt)
+						})
+						for v, cnt := range counts {
+							if cnt > 0 && !asked[v] {
+								t.Fatalf("%v on %s: occupied node %d never asked", c, s.KernelName(), v)
+							}
+						}
+					}
+					if !fast.st.Packed() {
+						t.Fatalf("%v: the forced kernel's held round did not run packed", c)
+					}
+					compareSystems(t, c, int(gen.Round()), gen, fast)
+					r := int64(rng.Intn(n))
+					gen.Run(r)
+					fast.Run(r)
+				}
 			}
 		}
 	}
@@ -313,7 +437,9 @@ func TestPackedViewAcrossWrites(t *testing.T) {
 	g := graph.Ring(130)
 	positions := RandomPositions(130, 62, xrand.New(130))
 	mk := func(mode KernelMode) *System {
-		return newTestSystem(t, g, WithAgentsAt(positions...), WithConfigHash(), WithKernelMode(mode))
+		s := newTestSystem(t, g, WithAgentsAt(positions...), WithKernelMode(mode))
+		s.EnableConfigHash()
+		return s
 	}
 	c := diffConfig{ring: true, n: 130, k: 62, hash: true}
 	gen, fast := mk(KernelGeneric), mk(KernelFast)

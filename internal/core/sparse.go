@@ -7,7 +7,7 @@ import (
 	"rotorring/internal/kernel"
 )
 
-// The sparse degree-2 tier: the generic round of StepHeld, specialized to
+// The sparse degree-2 tier: the generic round of StepHeldFunc, specialized to
 // the canonical ring and path, for fully-active rounds with fewer agents
 // than the packed kernel round needs to pay off (k < n/kernel.PackedFraction)
 // or few enough for interaction-free windows (n ≥ WindowSpread·k²). The
@@ -29,10 +29,10 @@ import (
 // measured 0–10% slower at (n, k) = (128, 2), (128, 8) and (512, 32): the
 // hold draw, not the round, dominated those rounds. That was measured
 // while the schedule runner drew holds at all n nodes; it now draws only
-// at the occupied ones (HoldNodes), so the comparison is due again.
+// at the occupied ones, so the comparison is due again.
 
 // stepSparse runs one fully-active round on the ring or path named by
-// s.sparse, bit-identically to StepHeld(nil). Run and RunUntilCovered
+// s.sparse, bit-identically to StepHeldFunc(nil). Run and RunUntilCovered
 // replace runs of its rounds by interaction-free windows (window, below)
 // wherever one opens; every other fully-active round runs here.
 func (s *System) stepSparse() {
@@ -143,7 +143,7 @@ func (s *System) stepSparse() {
 	s.occupied = append(occ, fresh...)
 	s.cand = fresh
 
-	s.movers, s.held = moversGeneric, nil
+	s.movers = moversGeneric
 	st.Round = round
 	st.FullyActiveRounds++
 }
@@ -301,7 +301,7 @@ windows:
 	}
 	s.occupied, s.srcNode, s.srcCnt = cur, next, cnt
 	s.hash += dh
-	s.movers, s.held = moversGeneric, nil
+	s.movers = moversGeneric
 	st.FullyActiveRounds += round - start
 	st.Round = round
 	s.windowRounds += round - start

@@ -10,10 +10,10 @@ import (
 // This file is the delayed-deployment draw stream: one Binomial(agents,
 // HoldP) hold count per occupied node per held round. The draws are a pure
 // function of (hold seed, round, node) — counter-based, not sequential — so
-// the stream is independent of chunk boundaries, worker counts, occupied-set
-// iteration and every other engine internal. That is what lets the schedule
-// runner hand whole hold-regime chunks to the fused held kernels: any
-// decomposition of a run produces bit-identical draws.
+// the stream is independent of chunk boundaries, worker counts, the order a
+// held round asks for its nodes in (node order on the packed held round,
+// occupied-list order on the generic loop) and every other engine internal:
+// any decomposition of a run produces bit-identical draws.
 //
 // Versioning note: this replaced a sequential stream (one rng shared with
 // the event draws, consumed in occupied order). Delay-schedule rows changed
@@ -23,15 +23,8 @@ import (
 // The hot path inverts precomputed Binomial CDFs branchlessly: threshold
 // rows are padded to a fixed width with MaxUint64 sentinels and the draw is
 // the borrow-counted number of thresholds at or below the uniform word
-// (bits.Sub64 compiles to flag arithmetic, no data-dependent branches).
-// With dense random occupancy both the per-node occupancy test and a
-// short-circuiting CDF scan mispredict on nearly every occupied node, which
-// costs more than the work they skip — so for the flat held kernels, which
-// read every node, fill draws every node unconditionally (the empty row is
-// all sentinels, so empty nodes draw 0). The generic loop reads holds only
-// at its occupied nodes, at most k of them, so for its rounds fillAt draws
-// only at those, with the counter word fill reaches there: the same draw
-// at every node either pass writes.
+// (bits.Sub64 compiles to flag arithmetic, no data-dependent branches), so
+// a short-circuiting CDF scan cannot mispredict on nearly every node.
 
 // smallHoldMax bounds the per-count inverse-CDF tables. Hold draws on the
 // scheduled hot path are overwhelmingly for small per-node populations
@@ -59,7 +52,7 @@ type heldDraw struct {
 	seed uint64
 	// tiny holds the CDF thresholds of Binomial(c, p) for c in 0..4 at a
 	// fixed width of 4, padded with MaxUint64 sentinels; row c occupies
-	// tiny[c*4 : c*4+4] and row 0 is all sentinels (empty nodes draw 0).
+	// tiny[c*4 : c*4+4] and row 0 is all sentinels (an empty node draws 0).
 	tiny [(tinyHoldMax + 1) * tinyHoldMax]uint64
 	// mid holds the same thresholds for c in 1..16 at a fixed width of 16,
 	// padded identically — the predictable slow row for mid-size counts.
@@ -106,7 +99,7 @@ func scale64(cdf float64) uint64 {
 	return uint64(math.Ldexp(cdf, 64))
 }
 
-// roundBase folds the round number into the stream seed; fill folds the
+// roundBase folds the round number into the stream seed; at folds the
 // node in. Two Mix64 layers keep neighboring (round, node) pairs
 // decorrelated.
 func (hd *heldDraw) roundBase(round int64) uint64 {
@@ -133,7 +126,7 @@ func (hd *heldDraw) drawBig(u uint64, c int64) int64 {
 
 // drawTiny is the draw of a node holding c <= tinyHoldMax agents from its
 // uniform word u: the borrow count against c's fixed-width row. It is
-// small enough to inline into both fill loops.
+// small enough to inline into at.
 func (hd *heldDraw) drawTiny(u uint64, c int64) int64 {
 	row := (*[tinyHoldMax]uint64)(hd.tiny[c*tinyHoldMax:])
 	_, b0 := bits.Sub64(u, row[0], 0)
@@ -143,38 +136,15 @@ func (hd *heldDraw) drawTiny(u uint64, c int64) int64 {
 	return tinyHoldMax - int64(b0+b1+b2+b3)
 }
 
-// fill writes the hold count of every node into held, Binomial(c, p) for a
-// node holding c agents, reading populations from counts: empty nodes draw
-// 0 through the all-sentinel row, so the pass is branch-free node to node
-// and leaves no stale entries. This is the hot path of the flat held
-// kernels — one flat loop, with the tiny-row draws inlined.
-func (hd *heldDraw) fill(held, counts []int64, base uint64) {
-	held = held[:len(counts)]
-	ctr := base // advanced by heldMixStep per node: base + (v+1)·step
-	for v, c := range counts {
-		ctr += heldMixStep
-		u := xrand.Mix64(ctr)
-		if uint64(c) <= tinyHoldMax {
-			held[v] = hd.drawTiny(u, c)
-			continue
-		}
-		held[v] = hd.drawBig(u, c)
+// at returns the hold count of node v holding c agents in the round whose
+// counter base is base: Binomial(c, p) drawn from the counter word
+// base + (v+1)·heldMixStep.
+func (hd *heldDraw) at(base uint64, v int, c int64) int64 {
+	u := xrand.Mix64(base + uint64(v+1)*heldMixStep)
+	if uint64(c) <= tinyHoldMax {
+		return hd.drawTiny(u, c)
 	}
-}
-
-// fillAt writes into held the hold count of each listed node, exactly as
-// fill draws it: node v's counter word is base + (v+1)·heldMixStep, which
-// is fill's running counter at v. Entries of unlisted nodes are left as
-// they are.
-func (hd *heldDraw) fillAt(held, counts []int64, nodes []int, base uint64) {
-	for _, v := range nodes {
-		u := xrand.Mix64(base + uint64(v+1)*heldMixStep)
-		if c := counts[v]; uint64(c) <= tinyHoldMax {
-			held[v] = hd.drawTiny(u, c)
-		} else {
-			held[v] = hd.drawBig(u, c)
-		}
-	}
+	return hd.drawBig(u, c)
 }
 
 // heldSeedOf derives the hold-draw stream seed from the job's schedule

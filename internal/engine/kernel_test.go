@@ -16,16 +16,16 @@ import (
 // the sparse degree-2 rounds are bit-identical to the generic engine, and
 // the Kernel knob deliberately stays out of seed derivation. Both metrics
 // run rings and a path with cells in every band of automatic selection, so
-// the auto arm steps the packed round with flat held rounds (k ≥ n/4), the
+// the auto arm steps the packed round with packed held rounds (k ≥ n/4), the
 // packed round with generic held rounds (n/32 ≤ k < n/4) and the sparse
 // rounds alike, and sparse cells on each side of the window entry rule, so
 // that Run and RunUntilCovered take interaction-free windows in some of
 // them. The cover cells run again under delayed deployments: held rounds
-// below n/4 and of the generic arm run the generic loop, which draws holds
-// only at its occupied nodes, while the flat held kernels draw at every
-// node, so equal rows pin the two draw passes against each other end to
-// end. Under -short the grid drops its densest population, and the delay
-// schedules and the return metric its largest ring; each grid still
+// below n/4 and of the generic arm run the generic loop, which asks for
+// holds in occupied-list order, and the rest the packed held round, which
+// asks in node order, so equal rows pin the two orders against each other
+// end to end. Under -short the grid drops its densest population, and the
+// delay schedules and the return metric its largest ring; each grid still
 // straddles every threshold, so every tier, both delay schedules and the
 // return metric keep their byte-equality checks.
 func TestKernelNeverAffectsRotorResults(t *testing.T) {

@@ -13,7 +13,8 @@ import (
 // root package's BenchmarkKernel benchmarks and the BENCH_engine.json
 // trajectory (TestEmitBenchJSON): the rotor tiers (generic engine, ring
 // kernel, the scheduled and mission paths) on the acceptance configuration
-// Ring(2^16), the sparse ring round and the scheduled path against the
+// Ring(2^16), the scheduled path at the density of scenario-mix's dense
+// delay cells, the sparse ring round and the scheduled path against the
 // generic engine in the paper's k ≪ n regime, the packed round against the
 // generic engine in the band it took over from the sparse round, the
 // k ≪ n regime's interaction-free windows, the serial-versus-parallel ring
@@ -78,14 +79,24 @@ const (
 )
 
 // The packed pair runs the band between the packed round's density
-// threshold and the flat held kernels' (n/32 ≤ k < n/4), where KernelAuto
-// has run fully-active rounds bit-sliced since they replaced the sparse
-// round there: a paper-grid cover cell's size with 64 agents. Rounds cost
-// a fraction of a microsecond.
+// threshold and the held rounds' (n/32 ≤ k < n/4), where KernelAuto has
+// run fully-active rounds bit-sliced since they replaced the sparse round
+// there: a paper-grid cover cell's size with 64 agents. Rounds cost a
+// fraction of a microsecond.
 const (
 	kernelBenchPackedN      = 512
 	kernelBenchPackedK      = 64
 	kernelBenchPackedRounds = 1 << 16
+)
+
+// The small delay case runs a permanent delay schedule on Ring(128) with
+// 32 agents, the size and density of scenario-mix's dense delay cells, at
+// the held rounds' threshold (k = n/DenseFraction), so that they run the
+// packed held round. Rounds cost a fraction of a microsecond.
+const (
+	kernelBenchDelayN      = 128
+	kernelBenchDelayK      = 32
+	kernelBenchDelayRounds = 1 << 16
 )
 
 // The window pair runs the regime where interaction-free windows open: a
@@ -154,12 +165,11 @@ func KernelBenchCases() []KernelBenchCase {
 	// cost: a rotor workload behind the schedule runner with a permanent
 	// delay regime, so every round pays the counter-based hold draws plus
 	// a held round — the steady-state cost of the scheduled path. On the
-	// dense Ring(2^16) that is an all-node draw and a fused held-kernel
-	// round; on the sparse pair's ring it is a draw at the occupied nodes
-	// and a generic-loop round. Stated against the generic engine on the
-	// same ring, the gap is the price of the scenario layer, not of the
-	// wrapper (whose pass-through rounds delegate straight to the inner hot
-	// loop).
+	// dense rings that is a packed held round, on the sparse pair's ring a
+	// generic-loop round, each drawing at the occupied nodes as the round
+	// asks for them. Where stated against the generic engine on the same
+	// ring, the gap is the price of the scenario layer, not of the wrapper
+	// (whose pass-through rounds delegate straight to the inner hot loop).
 	scheduled := func(n, k int) func() (func(), error) {
 		return func() (func(), error) {
 			g := graph.Ring(n)
@@ -231,6 +241,7 @@ func KernelBenchCases() []KernelBenchCase {
 	ringName := fmt.Sprintf("ring(%d)", kernelBenchRotorN)
 	sparseRing := fmt.Sprintf("ring(%d)", kernelBenchSparseN)
 	packedRing := fmt.Sprintf("ring(%d)", kernelBenchPackedN)
+	delayRing := fmt.Sprintf("ring(%d)", kernelBenchDelayN)
 	windowRing := fmt.Sprintf("ring(%d)", kernelBenchWindowN)
 	walkRing := fmt.Sprintf("ring(%d)", kernelBenchWalkN)
 	bigRing := fmt.Sprintf("ring(%d)", kernelBenchBigN)
@@ -241,6 +252,8 @@ func KernelBenchCases() []KernelBenchCase {
 			Baseline: "rotor-generic", NewStepper: rotor(kernelBenchRotorN, kernelBenchRotorK, kernelBenchWarmup, 0, core.KernelFast, "ring")},
 		{Name: "rotor-sched-delay", Process: "rotor", Graph: ringName, K: kernelBenchRotorK,
 			Baseline: "rotor-generic", NewStepper: scheduled(kernelBenchRotorN, kernelBenchRotorK)},
+		{Name: "rotor-sched-delay-small", Process: "rotor", Graph: delayRing, K: kernelBenchDelayK,
+			Rounds: kernelBenchDelayRounds, NewStepper: scheduled(kernelBenchDelayN, kernelBenchDelayK)},
 		{Name: "rotor-mission-patrol", Process: "rotor", Graph: ringName, K: kernelBenchRotorK,
 			Baseline: "rotor-generic", NewStepper: mission},
 		{Name: "rotor-sparse-generic", Process: "rotor", Graph: sparseRing, K: kernelBenchSparseK,

@@ -66,18 +66,12 @@ type ReturnMeasurer interface {
 // per-job row, not a crash — the same graceful degradation metrics use.
 
 // Holder is the capability of running delayed-deployment rounds (§2.1):
-// StepHeld advances one round in which held[v] agents at node v skip their
-// move, and AgentCountsView is a zero-copy, node-indexed view of the
-// current agent counts, from which the schedule runner draws each round's
-// holds. HoldNodes lists the nodes whose held entries the next StepHeld
-// reads, or is nil when it reads every node; the runner draws only at
-// listed nodes, and entries elsewhere keep stale values. Both views are
-// read-only and stale after the next step; consumers re-fetch them every
-// round.
+// StepHeldFunc advances one round in which hold(v, c) of the c agents at
+// each occupied node v skip their move. hold is asked once per occupied
+// node, with its count, in an order the schedule runner must not depend
+// on.
 type Holder interface {
-	StepHeld(held []int64)
-	AgentCountsView() []int64
-	HoldNodes() []int
+	StepHeldFunc(hold func(v int, c int64) int64)
 }
 
 // Rewirer is the capability of swapping the topology mid-run (same node

@@ -86,13 +86,11 @@ func (p *rotorProc) ForEachFlow(fn func(v, port int, agents int64)) {
 
 // Schedule capabilities (see process.go): the rotor supports the full
 // perturbation surface.
-func (p *rotorProc) StepHeld(held []int64)                   { p.sys.StepHeld(held) }
-func (p *rotorProc) AgentCountsView() []int64                { return p.sys.AgentCountsView() }
-func (p *rotorProc) HoldNodes() []int                        { return p.sys.HoldNodes() }
-func (p *rotorProc) Rewire(g *graph.Graph, ptrs []int) error { return p.sys.Rewire(g, ptrs) }
-func (p *rotorProc) SetPointers(ptrs []int) error            { return p.sys.SetPointers(ptrs) }
-func (p *rotorProc) AddAgents(positions ...int) error        { return p.sys.AddAgents(positions...) }
-func (p *rotorProc) RemoveAgents(positions ...int) error     { return p.sys.RemoveAgents(positions...) }
+func (p *rotorProc) StepHeldFunc(hold func(v int, c int64) int64) { p.sys.StepHeldFunc(hold) }
+func (p *rotorProc) Rewire(g *graph.Graph, ptrs []int) error      { return p.sys.Rewire(g, ptrs) }
+func (p *rotorProc) SetPointers(ptrs []int) error                 { return p.sys.SetPointers(ptrs) }
+func (p *rotorProc) AddAgents(positions ...int) error             { return p.sys.AddAgents(positions...) }
+func (p *rotorProc) RemoveAgents(positions ...int) error          { return p.sys.RemoveAgents(positions...) }
 
 func (p *rotorProc) RunUntilCovered(maxRounds int64) (int64, error) {
 	return p.sys.RunUntilCovered(maxRounds)

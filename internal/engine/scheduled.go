@@ -13,12 +13,12 @@ import (
 // and applies the cell's compiled SchedulePlan while stepping — discrete
 // events (edge failure/repair, churn, pointer resets) fire at their
 // planned rounds, and the delayed-deployment regime turns rounds into
-// StepHeld rounds with per-agent Binomial hold draws. Between events the
+// held rounds with per-node Binomial hold draws. Between events the
 // wrapper hands whole chunks to the inner process's hot path — plain
 // stretches via RunUntilCovered / Run, hold-regime stretches via runHeld,
-// whose rounds dispatch to the fused held kernels — so both regimes run
-// specialized, bit-identically to an unscheduled run of the same
-// configuration where the regimes coincide.
+// whose rounds dispatch to the packed held round on dense rings and paths
+// — so both regimes run specialized, bit-identically to an unscheduled run
+// of the same configuration where the regimes coincide.
 //
 // Every seed-dependent choice is drawn from the job's schedule stream
 // (scheduleSeedOf), never from worker identity; hold draws come from their
@@ -31,15 +31,19 @@ type scheduledProc struct {
 	plan  *SchedulePlan
 	spec  string // canonical schedule spec, for error messages
 
-	n        int // node count (constant across rewires)
-	rng      *xrand.Rand
-	draw     *heldDraw // hold-draw stream; nil when the plan has no hold regime
+	n   int // node count (constant across rewires)
+	rng *xrand.Rand
+	// draw is the hold-draw stream and hold its callback for the process's
+	// held rounds, drawing from the current round's counter base; both are
+	// nil when the plan has no hold regime.
+	draw     *heldDraw
+	hold     func(v int, c int64) int64
+	base     uint64
 	pristine *graph.Graph
 	cur      *graph.Graph
 	toOld    [][]int32 // current port -> pristine port; nil when cur == pristine
 	deleted  []bool    // deleted edges, by pristine arc id; nil until first failure
 	next     int       // next plan event to apply
-	held     []int64   // hold-draw scratch, node-indexed
 }
 
 // newScheduledProc wraps p with the schedule runner for inst. It fails —
@@ -94,6 +98,7 @@ func newScheduledProc(p Proc, procName string, inst schedInstance, env *JobEnv) 
 	}
 	if plan.HoldP > 0 {
 		sp.draw = newHeldDraw(plan.HoldP, heldSeedOf(seed))
+		sp.hold = func(v int, c int64) int64 { return sp.draw.at(sp.base, v, c) }
 	}
 	return sp, nil
 }
@@ -175,31 +180,19 @@ func (sp *scheduledProc) applyDue() {
 // stepHeld runs one delayed-deployment round: each agent at an occupied
 // node is held with probability HoldP (one Binomial draw per node, from the
 // counter-based hold stream keyed by round and node), and the round executes
-// on the process's held path — the fused held kernels on dense ring and path
-// populations, the generic loop otherwise. The draws read the counts view,
-// which goes stale at every step, so it is re-fetched each round. A held
-// kernel reads every node, so its rounds fill every entry (empty nodes draw
-// 0); the generic loop reads only its occupied nodes, so its rounds draw
-// only at the HoldNodes list and leave stale holds elsewhere, which nothing
-// reads.
+// on the process's held path — the packed held round on dense ring and path
+// populations, the generic loop otherwise. Either asks the hold callback
+// once per occupied node, in its own order, which the counter-based draws
+// do not depend on.
 func (sp *scheduledProc) stepHeld() {
-	h := sp.inner.(Holder)
-	if sp.held == nil {
-		sp.held = make([]int64, sp.n)
-	}
-	base := sp.draw.roundBase(sp.inner.Round())
-	if nodes := h.HoldNodes(); nodes != nil {
-		sp.draw.fillAt(sp.held, h.AgentCountsView(), nodes, base)
-	} else {
-		sp.draw.fill(sp.held, h.AgentCountsView(), base)
-	}
-	h.StepHeld(sp.held)
+	sp.base = sp.draw.roundBase(sp.inner.Round())
+	sp.inner.(Holder).StepHeldFunc(sp.hold)
 }
 
 // runHeld is the hold-regime chunk runner: it advances held rounds until
 // target, the next plan event, the regime's end, or (when stopCovered) full
 // coverage — whichever comes first. The loop body is the scheduled hot
-// path: one draw pass and one held round, no event scans. Callers applyDue
+// path: one held round with its draws, no event scans. Callers applyDue
 // first, so the chunk bound is strictly ahead and progress is guaranteed.
 func (sp *scheduledProc) runHeld(target int64, stopCovered bool) {
 	bound := sp.nextEventRound(target)

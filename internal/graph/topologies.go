@@ -245,17 +245,3 @@ func tryRandomRegular(n, d int, rng *xrand.Rand) (*Graph, bool) {
 	}
 	return &Graph{adj: adj, m: m}, true
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

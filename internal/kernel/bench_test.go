@@ -6,9 +6,8 @@ import (
 	"rotorring/internal/xrand"
 )
 
-// benchState builds a dense random configuration on n nodes with k agents,
-// the regime the flat kernels are selected for.
-func benchState(n int, k int64) (State, []int64) {
+// benchState builds a random configuration on n nodes with k agents.
+func benchState(n int, k int64) State {
 	st := NewState(n)
 	rng := xrand.New(1)
 	for i := int64(0); i < k; i++ {
@@ -22,14 +21,12 @@ func benchState(n int, k int64) (State, []int64) {
 	for v := 0; v < n; v++ {
 		st.Ptr[v] = int32(rng.Intn(2))
 	}
-	held := make([]int64, n)
-	for v := 0; v < n; v++ {
-		if st.Agents[v] > 0 {
-			held[v] = st.Agents[v] / 4
-		}
-	}
-	return st, held
+	return st
 }
+
+// quarter holds a quarter of every node's agents, as a delay:p=0.25 round
+// holds on average.
+func quarter(_ int, c int64) int64 { return c / 4 }
 
 // BenchmarkRingStep times steady-state packed ring rounds: the first
 // rounds pack the flat arrays and spread the random start out, and the
@@ -41,7 +38,7 @@ func BenchmarkRingStep(b *testing.B) {
 		k    int64
 	}{{"n=512,k=64", 512, 64}, {"n=2^16,k=2^15", 1 << 16, 1 << 15}} {
 		b.Run(c.name, func(b *testing.B) {
-			st, _ := benchState(c.n, c.k)
+			st := benchState(c.n, c.k)
 			for i := 0; i < 256; i++ {
 				ringStepper{}.Step(&st)
 			}
@@ -53,18 +50,20 @@ func BenchmarkRingStep(b *testing.B) {
 	}
 }
 
+// BenchmarkRingStepHeld and BenchmarkPathStepHeld time packed held rounds
+// on a dense random start.
 func BenchmarkRingStepHeld(b *testing.B) {
-	st, held := benchState(1<<16, 1<<15)
+	st := benchState(1<<16, 1<<15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ringStepper{}.StepHeld(&st, held)
+		ringStepper{}.StepHeld(&st, quarter)
 	}
 }
 
 func BenchmarkPathStepHeld(b *testing.B) {
-	st, held := benchState(1<<16, 1<<15)
+	st := benchState(1<<16, 1<<15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pathStepper{}.StepHeld(&st, held)
+		pathStepper{}.StepHeld(&st, quarter)
 	}
 }

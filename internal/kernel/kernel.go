@@ -4,16 +4,16 @@
 // automatically by core.NewSystem and falling back to the generic
 // port-labeled-graph machinery everywhere else. Select makes the choice by
 // shape and density, separately for fully-active and held rounds: the
-// packed round here for fully-active rounds at k ≥ n/PackedFraction, the
-// flat held kernels for held rounds at k ≥ n/DenseFraction, and below
-// those thresholds core's sparse degree-2 round and generic loop, which
-// share the generic engine's occupied list and so live next to it in core.
+// packed round here for fully-active rounds at k ≥ n/PackedFraction and
+// for held rounds at k ≥ n/DenseFraction, and below those thresholds
+// core's sparse degree-2 round and generic loop, which share the generic
+// engine's occupied list and so live next to it in core.
 //
 // The package owns two things:
 //
 //   - State: the configuration of a running system, as flat arrays
 //     (pointers, agent counts, visit counters, coverage bookkeeping) and,
-//     once a fully-active round has run on it, a packed bit-sliced copy
+//     once a kernel round has run on it, a packed bit-sliced copy
 //     (packed.go). core.System embeds a State so that a kernel can advance
 //     a round without any indirection through the graph adjacency
 //     structure or the generic engine's occupied/candidate lists. The flat
@@ -24,18 +24,17 @@
 //
 //   - Stepper: the interface a specialized kernel implements. A Stepper
 //     advances fully-active rounds (Step, Run) or one round with held
-//     agents (StepHeld, held.go), and must be bit-identical to the generic
-//     engine on the configuration state it shares: pointers, agent counts,
+//     agents (StepHeld), and must be bit-identical to the generic engine
+//     on the configuration state it shares: pointers, agent counts,
 //     visits, coverage and round counters. The differential tests in core
 //     enforce this configuration-for-configuration.
 //
 // Tier 1 (this package) is the ring/path rotor kernel: the bit-sliced
-// fully-active round of packed.go, 64 nodes per machine word, plus the
-// fused flat held-round variants in held.go. Tier 2, the opt-in
-// configuration hash of limit-cycle detection, belongs to core alone: the
-// kernels never hash, core marks its hash stale after a kernel round and
-// recomputes it in one O(n) pass when it is next read, and the cycle search
-// compares packed states word by word (PackedEqual).
+// round of packed.go, 64 nodes per machine word, fully active or held.
+// Tier 2, the opt-in configuration hash of limit-cycle detection, belongs
+// to core alone: the kernels never hash, core marks its hash stale after a
+// kernel round and recomputes it in one O(n) pass when it is next read,
+// and the cycle search compares packed states word by word (PackedEqual).
 // Tier 3 — counts-based binomial stepping for the random-walk baseline —
 // lives in internal/randwalk and shares this package's shape detection.
 // Orthogonally, Parallelize (parallel.go) shards a fully-active flat ring
@@ -51,10 +50,11 @@ import "rotorring/internal/graph"
 // are stale: MaterializeConfig brings Ptr and Agents up to date,
 // Materialize Visits too, and the owner must Unpack before writing them
 // (or Drop, when it overwrites them all). A round's movements are not
-// stored: the owner derives them from the pre-round counts a round leaves
-// behind, in Scratch after a flat round and in the packed state after a
-// packed one (ForEachMover). The paper's exit counter e_v(t) is not stored
-// either; by conservation it is Visits[v] − Agents[v]. Nor is the
+// stored: the owner derives them from the movers a round leaves behind,
+// its pre-round counts in Scratch after a flat round and the counts less
+// the held agents in the packed state after a packed one (ForEachMover).
+// The paper's exit counter e_v(t) is not stored either; by conservation
+// it is Visits[v] − Agents[v]. Nor is the
 // configuration hash: core keeps it. The scalars below are current after
 // every round.
 type State struct {
@@ -80,8 +80,8 @@ type State struct {
 	Round             int64
 	FullyActiveRounds int64
 
-	// Scratch is the flat kernels' double buffer for next-round agent
-	// counts and Split their per-node departing-split scratch. Both are
+	// Scratch is the flat round's double buffer for next-round agent
+	// counts and Split its per-node departing-split scratch. Both are
 	// allocated lazily on first flat step.
 	Scratch []int64
 	Split   []int64
@@ -140,13 +140,12 @@ type Stepper interface {
 	// Run advances fully-active rounds, exactly as that many Steps, until
 	// round end or, when cover is set, until every node has been visited.
 	Run(st *State, end int64, cover bool)
-	// StepHeld advances one delayed-deployment round (held.go) in which
-	// held[v] agents at node v skip their move and leave their node's
-	// pointer share untouched. It runs on the flat arrays: the caller must
-	// Unpack a packed state first. held must have length N; entries are
-	// clamped to [0, agents[v]], so stale values at unoccupied nodes are
-	// ignored.
-	StepHeld(st *State, held []int64)
+	// StepHeld advances one delayed-deployment round in which hold(v, c)
+	// of the c agents at each occupied node v, clamped to [0, c], skip
+	// their move and leave their node's pointer untouched. It asks hold
+	// once per occupied node, in node order, and runs on the packed state,
+	// packing the flat arrays first when they hold the configuration.
+	StepHeld(st *State, hold func(v int, c int64) int64)
 }
 
 // Shape classifies a topology for kernel selection.
@@ -220,25 +219,30 @@ func isPathShape(g *graph.Graph, n int) bool {
 }
 
 // DenseFraction is the density threshold of automatic kernel selection
-// for held rounds: the flat held kernels scan all n nodes per round, so
-// they only pay off against the generic occupied-list loop when agents
-// number at least n/DenseFraction. Below it held rounds run the generic
-// loop.
+// for held rounds: they run the packed held round when agents number at
+// least n/DenseFraction, and the generic occupied-list loop below it.
 //
-// Measured on a 2-vCPU x86-64 host from random placements and pointers, as
-// the median of seven paired runs, when fully-active rounds still ran a
-// flat kernel too: the sparse round's throughput over the flat kernel's at
-// k agents:
+// Measured on a 2-vCPU x86-64 host from random placements and pointers,
+// with Binomial(c, 1/4) holds, after n held warmup rounds, as the median
+// of seven paired runs of 6·10^6/n held rounds: the packed held round's
+// throughput over the generic loop's at k agents:
 //
-//	            k = n/8   3n/16   n/4    5n/16   3n/8
-//	Ring(512)   3.07      1.71    1.00   0.97    0.82
-//	Ring(4096)            1.79    1.26   0.97
-//	Path(512)   2.01      1.38    0.88   0.87    0.60
-//	Path(4096)            1.47    1.04   0.87
+//	            k = n/32  n/16   n/8    3n/16  n/4    5n/16  3n/8
+//	Ring(128)   0.92      1.31   1.38   1.42   1.54   1.56   1.53
+//	Ring(512)   1.06      1.54   1.33   1.61   1.67   1.52   1.93
+//	Ring(4096)  1.02      1.32   1.31   1.56   1.57   1.66   1.74
+//	Path(128)   0.94      1.32   1.45   1.56   1.53   1.61   1.32
+//	Path(512)   1.11      1.36   1.27   1.67   1.44   1.54   1.64
+//	Path(4096)  1.07      1.29   1.29   1.19   1.42   1.96   2.19
 //
-// Both shapes cross near n/4, the ring a little above and the path a
-// little below, and one constant serves both shapes. Held rounds at
-// n/4 ≤ k < 5n/16 with hashing on may still be faster on the generic loop
+// The two cross near n/32, and the packed held round leads from n/16 on
+// every size measured. The constant stays at n/4, where the flat held
+// kernels the packed held round replaced crossed, until a lower one is
+// measured end to end (ROADMAP). Rows do not depend on it, except X7's:
+// its delayed systems (k = n/32 at full scale, about n/19 at quick) draw
+// random numbers in Occupied() order, which a kernel round does not keep,
+// so a threshold at n/19 or below would change its output. Held rounds
+// at n/4 ≤ k < 5n/16 with hashing on may be faster on the generic loop
 // at n = 128 (ROADMAP).
 const DenseFraction = 4
 

@@ -22,13 +22,18 @@ import "math/bits"
 // multiple of 64. The packed state is allocated on the first packed round
 // and mirrors the flat arrays of State lazily: see Materialize and Unpack.
 //
+// A held round (§2.1) is the same rule applied to the movers: the held
+// counts h, asked of the owner node by node, are subtracted plane by plane,
+// the movers m − h take the round, and h is added back to the arrivals.
+//
 // Rounds count no visits. The state keeps a base (its counts a⁰ and
 // pointers π⁰ when it was packed or visits were last derived, whose visits
-// are in Visits) and the number r of packed rounds since, and a read
-// derives every node's visits exactly from conservation (derive). A
+// are in Visits), the number r of packed rounds since and the number M of
+// agent moves in them (k a fully-active round, k − held a held one), and a
+// read derives every node's visits exactly from conservation (derive). A
 // degree-2 pointer flips once per exit, so node v's exits since the base
 // are e = 2q + p with p = π ⊕ π⁰, ⌈e/2⌉ = q + p of them through π⁰'s port;
-// the flows across the edges, conservation and Σe = k·r fix every q.
+// the flows across the edges, conservation and Σe = M fix every q.
 
 // packed is the bit-sliced configuration. Count planes are word-major:
 // plane i of the 64-node word w is cnt[w*stride+i].
@@ -42,21 +47,24 @@ type packed struct {
 	ring   bool   // the shape the state was packed for: ring or path
 
 	cnt  []uint64 // agent counts
-	prev []uint64 // the previous round's counts: its movers
+	prev []uint64 // the previous round's counts less its held agents: its movers
 	ptr  []uint64 // pointer plane
 	cov  []uint64 // covered plane: nodes visited at least once
 	rl   []uint64 // round scratch: R then L planes, 2*stride per word, then stride zeros
+	held []uint64 // held-round scratch: the held counts, laid out as cnt
 
 	// The base of the visits derive adds: its counts, laid out as cnt with
 	// basePlanes active planes, and its pointer plane. rounds counts the
-	// packed rounds since, each moving all k agents, and at rebase rounds
-	// a round derives the visits whether or not anything reads them, so
-	// that n·k·rounds stays below 2^62 and derive's sums cannot overflow.
+	// packed rounds since and moves the agent moves in them, and at rebase
+	// rounds a round derives the visits whether or not anything reads
+	// them, so that n·k·rounds, and with it n·moves, stays below 2^62 and
+	// derive's sums cannot overflow.
 	base       []uint64
 	basePtr    []uint64
 	basePlanes int
 	k          int64
 	rounds     int64
+	moves      int64
 	rebase     int64
 }
 
@@ -126,7 +134,7 @@ func (st *State) decode() {
 // and Φ is the net flow across the ring's wrap edge into node 0 (0 on the
 // path), so q_v = t + D_v − v·Φ with D_0 = −d_0 and
 // D_{v+1} = D_v + c_v + S_v − d_{v+1}. Closing the ring fixes Φ, and
-// Σ_v e_v = k·rounds fixes t. Both divisions are exact on any
+// Σ_v e_v = moves fixes t. Both divisions are exact on any
 // configuration the rounds reach: a remainder is a kernel bug and panics.
 // Then V_v = V⁰_v + e_v + a_v − a⁰_v. The first pass adds all of it but
 // t − v·Φ, which the second adds once both are known.
@@ -188,9 +196,9 @@ func (st *State) derive() {
 		sumWD -= z
 		visits[n-1] -= z
 	}
-	num := pk.k*pk.rounds - sumP - sumWD
+	num := pk.moves - sumP - sumWD
 	if num < 0 || num%sumW != 0 {
-		panic("kernel: packed visits: the exits do not add up to k·rounds")
+		panic("kernel: packed visits: the exits do not add up to the moves")
 	}
 	t := num / sumW
 	x := 2 * t
@@ -214,7 +222,7 @@ func (pk *packed) rebaseNow() {
 	}
 	copy(pk.basePtr, pk.ptr)
 	pk.basePlanes = pk.planes
-	pk.rounds = 0
+	pk.rounds, pk.moves = 0, 0
 }
 
 // DiscardVisits moves the base to the current configuration without
@@ -304,7 +312,7 @@ func (pk *packed) clone() *packed {
 	c.prev = make([]uint64, len(pk.prev))
 	c.ptr = append([]uint64(nil), pk.ptr...)
 	c.cov = append([]uint64(nil), pk.cov...)
-	c.rl = nil
+	c.rl, c.held = nil, nil
 	c.base = append([]uint64(nil), pk.base...)
 	c.basePtr = append([]uint64(nil), pk.basePtr...)
 	return &c
@@ -369,17 +377,25 @@ func (st *State) pack(ring bool) {
 // cover set, until every node has been visited.
 func (st *State) runPacked(ring bool, end int64, cover bool) {
 	for st.Round < end && !(cover && st.Covered == st.N) {
-		st.stepPacked(ring)
+		st.stepPacked(ring, nil)
 	}
 }
 
-// stepPacked runs one fully-active round on the packed state, packing the
-// flat arrays first when the previous round was not packed.
-func (st *State) stepPacked(ring bool) {
+// stepPacked runs one round on the packed state, packing the flat arrays
+// first when the previous round was not packed. With hold nil every agent
+// moves; otherwise hold(v, c), clamped to [0, c], of the c agents at each
+// occupied node v sit the round out: their planes leave the counts before
+// the round (subtractHeld) and rejoin the arrivals after it (addHeld).
+func (st *State) stepPacked(ring bool, hold func(v int, c int64) int64) {
 	if !st.Packed() {
 		st.pack(ring)
 	}
 	pk := st.pk
+	planes, stale := pk.planes, pk.movers
+	var held int64
+	if hold != nil {
+		held = pk.subtractHeld(hold)
+	}
 	b := pk.planes
 	full := st.Covered == st.N
 	var newly int
@@ -396,6 +412,8 @@ func (st *State) stepPacked(ring bool) {
 	pk.cnt, pk.prev = pk.prev, pk.cnt
 	pk.movers = b
 	switch {
+	case held != 0:
+		pk.addHeld(b, planes, stale)
 	case carryOr != 0:
 		pk.planes = b + 1
 	case topOr == 0:
@@ -411,11 +429,104 @@ func (st *State) stepPacked(ring bool) {
 		}
 	}
 	st.Round = round
-	st.FullyActiveRounds++
+	if held == 0 {
+		st.FullyActiveRounds++
+	}
 	st.stale = true
+	pk.moves += pk.k - held
 	if pk.rounds++; pk.rounds == pk.rebase {
 		st.Materialize()
 	}
+}
+
+// subtractHeld asks hold for the held agents of every occupied node, in
+// node order, with the node's count, decoding each word's counts once.
+// It keeps the clamped held counts in pk.held and subtracts them from the
+// counts, which become the round's movers, and sets pk.planes to the
+// movers' plane count. It returns the number of agents held.
+func (pk *packed) subtractHeld(hold func(v int, c int64) int64) (held int64) {
+	stride, planes := pk.stride, pk.planes
+	if len(pk.held) != len(pk.cnt) {
+		pk.held = make([]uint64, len(pk.cnt))
+	}
+	b := 1
+	var c [64]int64 // the word's counts, zero again once asked
+	for w := 0; w < pk.words; w++ {
+		o := w * stride
+		cw, hw := pk.cnt[o:o+planes], pk.held[o:o+planes]
+		clear(hw)
+		var occ uint64
+		for i, x := range cw {
+			occ |= x
+			for ; x != 0; x &= x - 1 {
+				c[bits.TrailingZeros64(x)] |= 1 << i
+			}
+		}
+		var wordHeld int64
+		for ; occ != 0; occ &= occ - 1 {
+			j := bits.TrailingZeros64(occ)
+			m := c[j]
+			c[j] = 0
+			h := min(max(hold(w<<6|j, m), 0), m)
+			for x := uint64(h); x != 0; x &= x - 1 {
+				hw[bits.TrailingZeros64(x)] |= 1 << j
+			}
+			wordHeld += h
+		}
+		if wordHeld != 0 {
+			held += wordHeld
+			var borrow uint64
+			for i, y := range hw {
+				x := cw[i]
+				cw[i] = x ^ y ^ borrow
+				borrow = ^x&(y|borrow) | x&y&borrow
+			}
+		}
+		for i := planes - 1; i >= b; i-- {
+			if cw[i] != 0 {
+				b = i + 1
+				break
+			}
+		}
+	}
+	pk.planes = b
+	return held
+}
+
+// addHeld adds the held counts back to the arrivals of a held round whose
+// movers had b planes, taken from counts of planes planes, and recounts the
+// planes. The round wrote the arrivals' b + 1 planes over the previous
+// movers, which had stale planes; a held round's planes can drop by more
+// than one, so the planes above the arrivals are cleared first.
+func (pk *packed) addHeld(b, planes, stale int) {
+	stride := pk.stride
+	// Every count is at most k < 2^(stride−1), so the sums fit in lim
+	// planes.
+	lim := min(stride, max(b+1, planes)+1)
+	top := 1
+	for w := 0; w < pk.words; w++ {
+		o := w * stride
+		if stale > b+1 {
+			clear(pk.cnt[o+b+1 : o+stale])
+		}
+		cw, hw := pk.cnt[o:o+lim], pk.held[o:o+planes]
+		var carry uint64
+		for i, y := range hw {
+			x := cw[i]
+			cw[i] = x ^ y ^ carry
+			carry = x&y | carry&(x^y)
+		}
+		for i := planes; carry != 0; i++ {
+			cw[i], carry = cw[i]^carry, cw[i]&carry
+		}
+		for i := lim - 1; i >= top; i-- {
+			if cw[i] != 0 {
+				top = i + 1
+				break
+			}
+		}
+	}
+	pk.planes = top
 }
 
 // round computes the next counts of any plane count b = pk.planes into

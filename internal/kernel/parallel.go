@@ -19,8 +19,8 @@ package kernel
 // result is bit-identical at every shard count — including 1, where the
 // stepper delegates to the serial packed round outright. At more shards it
 // unpacks a packed state first, since it reads the flat arrays. Held rounds
-// run the serial fused held kernel. The differential fuzz in core compares shard
-// counts against each other and against the generic engine.
+// run the serial packed held round. The differential fuzz in core compares
+// shard counts against each other and against the generic engine.
 
 import (
 	"runtime"
@@ -153,8 +153,21 @@ func (pk *parallelRing) Run(st *State, end int64, cover bool) {
 	}
 }
 
-// StepHeld runs the serial fused held ring round: held rounds are not
+// StepHeld runs the serial packed held ring round: held rounds are not
 // sharded.
-func (pk *parallelRing) StepHeld(st *State, held []int64) {
-	ringStepper{}.StepHeld(st, held)
+func (pk *parallelRing) StepHeld(st *State, hold func(v int, c int64) int64) {
+	ringStepper{}.StepHeld(st, hold)
+}
+
+// buffers returns the zero-initialized-on-allocation next and split
+// scratch arrays of the flat round; contents are fully overwritten each
+// round, so reuse needs no clearing.
+func (st *State) buffers() (next, split []int64) {
+	if len(st.Scratch) != st.N {
+		st.Scratch = make([]int64, st.N)
+	}
+	if len(st.Split) != st.N {
+		st.Split = make([]int64, st.N)
+	}
+	return st.Scratch, st.Split
 }

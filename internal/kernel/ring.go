@@ -1,34 +1,22 @@
 package kernel
 
-// The tier-1 ring and path kernels. Fully-active rounds run bit-sliced on
-// the packed state (packed.go), 64 nodes per machine word; held rounds run
-// the fused flat kernels of held.go on the flat arrays.
+// The tier-1 ring and path kernels. Fully-active and held rounds alike run
+// bit-sliced on the packed state (packed.go), 64 nodes per machine word.
 //
 // Degree-2 split law (the paper's round rule specialized to d = 2): the m
 // agents leaving v use ports p, p+1, …, p+m-1 (mod 2), so port p carries
 // ⌈m/2⌉, the other port ⌊m/2⌋, and the pointer ends at (p+m) mod 2.
-
-// buffers returns the zero-initialized-on-allocation next and split
-// scratch arrays of the flat rounds; contents are fully overwritten each
-// round, so reuse needs no clearing.
-func (st *State) buffers() (next, split []int64) {
-	if len(st.Scratch) != st.N {
-		st.Scratch = make([]int64, st.N)
-	}
-	if len(st.Split) != st.N {
-		st.Split = make([]int64, st.N)
-	}
-	return st.Scratch, st.Split
-}
 
 // ringStepper is the tier-1 kernel for graph.Ring topologies.
 type ringStepper struct{}
 
 func (ringStepper) Name() string { return "ring" }
 
-func (ringStepper) Step(st *State) { st.stepPacked(true) }
+func (ringStepper) Step(st *State) { st.stepPacked(true, nil) }
 
 func (ringStepper) Run(st *State, end int64, cover bool) { st.runPacked(true, end, cover) }
+
+func (ringStepper) StepHeld(st *State, hold func(v int, c int64) int64) { st.stepPacked(true, hold) }
 
 // pathStepper is the tier-1 kernel for graph.Path topologies. Interior
 // nodes have port 0 → v-1 and port 1 → v+1; the endpoints have a single
@@ -37,6 +25,8 @@ type pathStepper struct{}
 
 func (pathStepper) Name() string { return "path" }
 
-func (pathStepper) Step(st *State) { st.stepPacked(false) }
+func (pathStepper) Step(st *State) { st.stepPacked(false, nil) }
 
 func (pathStepper) Run(st *State, end int64, cover bool) { st.runPacked(false, end, cover) }
+
+func (pathStepper) StepHeld(st *State, hold func(v int, c int64) int64) { st.stepPacked(false, hold) }

@@ -420,17 +420,7 @@ func (s *Server) Submit(wire []byte) (sw *sweepJob, created bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	sw = &sweepJob{
-		id:      id,
-		dir:     filepath.Join(s.sweepsDir(), id),
-		hash:    hash,
-		wire:    canonical,
-		exp:     exp,
-		fs:      s.fs,
-		pending: make(map[int][]byte),
-		notify:  make(chan struct{}),
-		stats:   &s.stats,
-	}
+	sw = s.newSweepJob(id, filepath.Join(s.sweepsDir(), id), hash, canonical, exp)
 	if err := s.fs.MkdirAll(sw.dir); err != nil {
 		return nil, false, &spoolError{err}
 	}
@@ -541,6 +531,22 @@ func (s *Server) recoverSpool() error {
 	return nil
 }
 
+// newSweepJob returns the state of sweep id, spooled in dir, with the hash
+// and bytes of its canonical wire spec and its expansion, before any row.
+func (s *Server) newSweepJob(id, dir, hash string, wire []byte, exp *engine.ExpandedSweep) *sweepJob {
+	return &sweepJob{
+		id:      id,
+		dir:     dir,
+		hash:    hash,
+		wire:    wire,
+		exp:     exp,
+		fs:      s.fs,
+		pending: make(map[int][]byte),
+		notify:  make(chan struct{}),
+		stats:   &s.stats,
+	}
+}
+
 // loadSweep validates one spool directory back into a sweepJob.
 func (s *Server) loadSweep(id, dir string) (*sweepJob, error) {
 	wire, err := s.fs.ReadFile(filepath.Join(dir, "spec.json"))
@@ -573,17 +579,7 @@ func (s *Server) loadSweep(id, dir string) (*sweepJob, error) {
 	if exp.NumJobs() != meta.Jobs {
 		return nil, fmt.Errorf("service: recover %s: spec expands to %d jobs, meta recorded %d", id, exp.NumJobs(), meta.Jobs)
 	}
-	sw := &sweepJob{
-		id:      id,
-		dir:     dir,
-		hash:    meta.SpecHash,
-		wire:    wire,
-		exp:     exp,
-		fs:      s.fs,
-		pending: make(map[int][]byte),
-		notify:  make(chan struct{}),
-		stats:   &s.stats,
-	}
+	sw := s.newSweepJob(id, dir, meta.SpecHash, wire, exp)
 	watermark, err := sw.openRows()
 	if err != nil {
 		return nil, fmt.Errorf("service: recover %s: %w", id, err)
